@@ -17,8 +17,6 @@ import traceback
 from . import dataset, datagen, regress, search, sync
 from .errors import PipelineError
 
-log = logging.getLogger(__name__)
-
 
 def _names(arg: str) -> tuple[str, ...]:
     return tuple(n for n in arg.split(",") if n) if arg else ()

@@ -14,6 +14,7 @@ formatting rounds to 6 significant digits.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,10 +24,12 @@ import numpy as np
 from .dataset import FREQ_COL, TIME_KEY, Dataset, SampleRow, check_counter_names
 from .errors import FitError, FormatError, ModelError, RankDeficientError
 
+log = logging.getLogger(__name__)
+
 KIND_PMC = "pmc"
 KIND_FREQ_BASELINE = "freq_baseline"
 MODEL_KINDS = (KIND_PMC, KIND_FREQ_BASELINE)
-ALGORITHMS = ("bottom_up", "top_down", "manual", "exhaustive")
+ALGORITHMS = ("bottom_up", "top_down", "exhaustive")
 
 # |actual| below this is treated as a measurement error, not skipped
 MAPE_ZERO_GUARD_W = 1e-9
@@ -148,6 +151,12 @@ def _finish_fit(design, y, beta, cond, model):
         residual_sse=float(resid @ resid),
         condition_warning=cond > CONDITION_WARN_RATIO,
     )
+    if diag.condition_warning:
+        log.warning(
+            "ill-conditioned fit: condition number %.3g exceeds %.0e",
+            cond,
+            CONDITION_WARN_RATIO,
+        )
     return model, diag
 
 

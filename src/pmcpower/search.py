@@ -7,10 +7,20 @@ most), plus an exhaustive search over all subsets that serves as a
 global-optimum oracle on small pools.
 
 Scoring: for every candidate subset, fit on each (k-1)-fold complement and
-average the held-out MAPE over the k folds.  The final model is always
-refit on the full training set.  Candidate evaluations inside one
-iteration are independent; with ``n_jobs > 1`` they run on a thread pool
-with an ordered reduction, so results are identical to sequential runs.
+average the held-out MAPE over the k folds.  The fits never touch the n rows
+again: the evaluator takes one R-only QR of each fold's rows of
+``[1 | X_pool | y]`` and stacks the k-1 small R blocks of every training
+complement into one more QR (TSQR), which gives R_f and z_f = Q^T y as its
+last column.  A subset is then an SVD least-squares solve on the few rows of
+``R_f[:, cols]`` against z_f, never the normal equations.  R_f[:, cols] has
+the singular values of the complement's design, and the rank cut-off is the
+one a full-height ``lstsq`` would use: eps * max(n_train, k) * s_max, with
+n_train the complement's row count, not R's.  Byte-identical pool columns
+share one R column, so copies of a counter score exactly alike.  The final
+model is always refit on the full training set.  Candidate evaluations
+inside one iteration are independent; with ``n_jobs > 1`` they run on a
+thread pool with an ordered reduction, so results are identical to
+sequential runs.
 
 Fold assignment is by whole benchmark run when at least k distinct runs
 exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
@@ -32,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, check_counter_names
-from .errors import FitError, FormatError, SearchError
-from .regress import PowerModel, TrainingMeta, _solve_ols, fit_ols, mape, model_from_dict, model_to_dict
+from .errors import FitError, FormatError, RankDeficientError, SearchError
+from .regress import PowerModel, TrainingMeta, fit_ols, mape, model_from_dict, model_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +55,7 @@ SEARCH_ALGORITHMS = (BOTTOM_UP, TOP_DOWN, EXHAUSTIVE)
 # a step must beat the incumbent by more than this to count as an improvement
 IMPROVEMENT_EPS = 1e-12
 EXHAUSTIVE_POOL_LIMIT = 20
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -156,36 +167,66 @@ def kfold_split(ds: Dataset, k: int, seed: int = 0) -> list[np.ndarray]:
 
 
 class _CvEvaluator:
-    """Shared design-matrix cache for scoring many subsets on fixed folds.
+    """Per-fold R-factor cache for scoring many subsets on fixed folds.
 
-    Column 0 is the intercept; column j+1 holds pool counter j as float64.
-    Scoring a subset slices the needed columns, fits each fold complement
-    with the same solver the full fits use, and averages held-out MAPE.
+    ``rows`` holds ``[1 | X_pool | y]`` (intercept, pool counter j in
+    column j+1, power last) grouped by test fold, so each fold's held-out
+    rows are one slice; it is the only full-height array kept.  ``folds``
+    holds, per fold, the complement's row count, the R factor of the
+    complement's rows and the held-out slice.  A subset is scored by an SVD
+    least-squares solve of ``R_f[:, cols] b = z_f`` with the cut-off
+    eps * max(n_train, k) * s_max, the MAPE of the held-out rows, and the
+    mean over folds.  ``col_map`` sends every column to its first
+    byte-identical copy and columns are solved in ascending order, so copies
+    of a counter, and one subset listed in two orders, score exactly alike.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
         idx = [ds.counters.index(name) for name in pool]
-        n = ds.n_rows
-        self.design = np.empty((n, 1 + len(idx)), dtype=np.float64)
-        self.design[:, 0] = 1.0
-        self.design[:, 1:] = ds.deltas[:, idx].astype(np.float64)
-        self.y = ds.power_w
-        all_rows = np.arange(n, dtype=np.intp)
+        order = np.concatenate(folds)
+        edges = np.cumsum([0] + [len(f) for f in folds])
+        self.rows = np.empty((len(order), len(idx) + 2), dtype=np.float64)
+        self.rows[:, 0] = 1.0
+        self.rows[:, 1:-1] = ds.deltas[np.ix_(order, idx)]
+        self.rows[:, -1] = ds.power_w[order]
+        first: dict[bytes, int] = {}
+        self.col_map = np.array(
+            [
+                first.setdefault(self.rows[:, j].tobytes(), j)
+                for j in range(len(idx) + 1)
+            ],
+            dtype=np.intp,
+        )
+        spans = list(zip(edges[:-1], edges[1:]))
+        blocks = [np.linalg.qr(self.rows[a:b], mode="r") for a, b in spans]
         self.folds = [
-            (np.setdiff1d(all_rows, test), test) for test in folds
+            (
+                len(order) - (b - a),
+                np.linalg.qr(np.vstack(blocks[:fi] + blocks[fi + 1 :]), mode="r"),
+                slice(a, b),
+            )
+            for fi, (a, b) in enumerate(spans)
         ]
 
     def score(self, selection: Sequence[int]) -> float:
         """CV MAPE of the pool columns in ``selection``; raises on fit failure."""
-        cols = np.array([0] + [i + 1 for i in selection], dtype=np.intp)
+        cols = np.sort(self.col_map[[0] + [i + 1 for i in selection]])
+        k = len(cols)
         fold_scores = np.empty(len(self.folds))
-        for fi, (train, test) in enumerate(self.folds):
-            try:
-                beta, _ = _solve_ols(self.design[np.ix_(train, cols)], self.y[train])
-            except FitError as exc:
-                raise FitError(f"fold {fi}: {exc}") from exc
-            predicted = self.design[np.ix_(test, cols)] @ beta
-            fold_scores[fi] = mape(self.y[test], predicted)
+        for fi, (n_train, r, test) in enumerate(self.folds):
+            if n_train < k:
+                raise FitError(
+                    f"fold {fi}: fewer rows ({n_train}) than parameters ({k})"
+                )
+            beta, _, rank, _ = np.linalg.lstsq(
+                r[:, cols], r[:, -1], rcond=_EPS * max(n_train, k)
+            )
+            if rank < k:
+                raise RankDeficientError(
+                    f"fold {fi}: rank-deficient design, drop a predictor"
+                )
+            held_out = self.rows[test]
+            fold_scores[fi] = mape(held_out[:, -1], held_out[:, cols] @ beta)
         return float(np.mean(fold_scores))
 
     def score_or_inf(self, selection: Sequence[int]) -> float:

@@ -34,13 +34,10 @@ class SyncConfig:
 
     key_tolerance: int = 0
     drop_unmatched: bool = True
-    wrap_modulus: int = COUNTER_MODULUS
 
     def __post_init__(self):
         if self.key_tolerance < 0:
             raise ValueError("key_tolerance must be >= 0")
-        if self.wrap_modulus != COUNTER_MODULUS:
-            raise ValueError("wrap_modulus is fixed at 2^32")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately naive: pure-Python integers, O(n*m) scans, no shared code
-with the package.  When these disagree with the library the library is
+with the package; numpy appears only as the per-fold least-squares solver
+of ``ref_cv_score``.  When these disagree with the library the library is
 wrong (or the contract is), never the other way round.
 """
+
+import numpy as np
 
 MOD32 = 2**32
 
@@ -64,3 +67,35 @@ def ref_sync_rows(pmc_keys, pmc_values, pwr_keys, pwr_power, tol):
         )
         rows.append((int(pmc_keys[i_curr]), float(pwr_power[j_curr]), deltas))
     return rows
+
+
+def ref_cv_score(design, y, folds, cols):
+    """k-fold CV MAPE by one full-height least-squares fit per fold.
+
+    design is the (n, m) float matrix with the intercept in column 0, folds
+    a list of held-out row-index arrays and cols the design columns of the
+    candidate.  A fold whose complement has fewer rows than parameters, or
+    whose complement design has rank short of len(cols) under the default
+    ``lstsq`` cut-off eps * max(n_train, len(cols)) * s_max, makes the
+    whole score +inf.
+    """
+    n = len(y)
+    k = len(cols)
+    scores = []
+    for test in folds:
+        held_out = set(int(i) for i in test)
+        train = [i for i in range(n) if i not in held_out]
+        if len(train) < k:
+            return float("inf")
+        x_train = np.array([[design[i][c] for c in cols] for i in train])
+        beta, _, rank, _ = np.linalg.lstsq(
+            x_train, np.array([y[i] for i in train]), rcond=None
+        )
+        if rank < k:
+            return float("inf")
+        predicted = [
+            sum(float(design[i][c]) * float(b) for c, b in zip(cols, beta))
+            for i in test
+        ]
+        scores.append(ref_mape([y[i] for i in test], predicted))
+    return sum(scores) / len(scores)

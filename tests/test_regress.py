@@ -1,5 +1,7 @@
 """Model fitting, prediction and MAPE against hand-worked values."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -70,20 +72,26 @@ def test_unknown_predictor_rejected():
         pp.fit_ols(ds, ["NOPE"])
 
 
-def test_condition_warning_on_near_collinear_columns():
+def test_condition_warning_on_near_collinear_columns(caplog):
     n = 50
     rng = np.random.default_rng(0)
     a = rng.integers(10**8, 10**9, size=n).astype(np.uint64)
     b = a + rng.integers(0, 2, size=n).astype(np.uint64)  # off by <= 1 count
     ds = _ds(np.column_stack([a, b]), rng.uniform(1, 2, size=n))
-    _, diag = pp.fit_ols(ds, ["X0", "X1"])
+    with caplog.at_level(logging.WARNING, logger="pmcpower.regress"):
+        _, diag = pp.fit_ols(ds, ["X0", "X1"])
     assert diag.condition_warning
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "ill-conditioned fit: condition number" in caplog.text
+    caplog.clear()
     small = _ds(
         rng.integers(10**3, 10**4, size=n).astype(np.uint64),
         rng.uniform(1, 2, size=n),
     )
-    _, diag2 = pp.fit_ols(small, ["X0"])
+    with caplog.at_level(logging.WARNING, logger="pmcpower.regress"):
+        _, diag2 = pp.fit_ols(small, ["X0"])
     assert not diag2.condition_warning
+    assert caplog.records == []
     assert CONDITION_WARN_RATIO == 1e8
 
 
