@@ -110,14 +110,12 @@ def cmd_predict(args) -> int:
     model = regress.read_model(args.model)
     data = dataset.read_dataset(args.dataset)
     predicted = regress.predict_dataset(model, data)
-    out = sys.stdout
-    out.write(f"{dataset.TIME_KEY},RUN,PREDICTED_W\n")
-    for i in range(data.n_rows):
-        out.write(
-            f"{int(data.time_keys[i])},{data.run_ids[i]},"
-            f"{regress.format_watts(predicted[i])}\n"
-        )
-    out.flush()
+    dataset.write_columns(
+        sys.stdout,
+        (dataset.TIME_KEY, "RUN", "PREDICTED_W"),
+        ((data.time_keys, str), (data.run_ids, str), (predicted, regress.format_watts)),
+    )
+    sys.stdout.flush()
     return 0
 
 

@@ -15,10 +15,24 @@ All files are UTF-8 with LF line endings; lines whose first character is
 The name ``TIME`` is reserved for the synchronisation key and never names a
 predictor column.  Malformed files are rejected with a line number, never
 repaired.  All types are immutable after construction.
+
+Only LF ends a line: a CR is an error, and characters such as form feed or
+U+2028 are ordinary cell text.  Integer cells are ASCII digits only (no
+sign, padding, fraction or exponent); float cells are what ``float()``
+reads, and must be finite and > 0.
+
+Reading takes one of two paths over one read of the file's bytes.  The bulk
+path checks the whole file cheaply (printable ASCII without space or ``+``
+after the leading ``#`` block, no blank or comment line) and parses it with
+numpy a block at a time.  Any file it does not take, or whose values fail a
+check, is read again cell by cell from the same bytes; that path is the
+reference and the only one that reports where a body error is.  Writers
+format whole blocks of rows, with floats as ``repr``.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -275,110 +289,58 @@ class Dataset:
 # CSV parsing / writing
 # ---------------------------------------------------------------------------
 
+# Blocks keep the memory a read or write needs beyond its result flat: the
+# bulk reader decodes and parses about this many bytes at a time, and the
+# writer formats this many rows at a time.
+_PARSE_BLOCK_BYTES = 1 << 18
+_WRITE_BLOCK_ROWS = 1024
 
-def _fmt_float(v) -> str:
-    # repr() of a Python float is the shortest string that round-trips exactly
-    return repr(float(v))
-
-
-def _data_lines(path) -> Iterator[tuple[int, str]]:
-    """Yield (1-based physical line number, content) skipping comment lines."""
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#"):
-            continue
-        yield lineno, line
+# The bytes the bulk reader takes after the leading comment block: printable
+# ASCII except space and "+", and LF.  np.loadtxt would accept a leading
+# "+", padding spaces, CR line endings and blank lines, all of which the
+# per-cell reader rejects, so any of them sends a file to that reader.
+_BULK_BYTES = bytes(range(0x21, 0x7F)).replace(b"+", b"") + b"\n"
 
 
-def _parse_uint(tok: str, bound: int, what: str, path, lineno: int) -> int:
-    if not (tok.isascii() and tok.isdigit()):
-        raise FormatError(f"non-numeric {what} cell {tok!r}", path, lineno)
-    value = int(tok)
-    if value >= bound:
-        raise FormatError(f"{what} value {value} out of range", path, lineno)
-    return value
+@dataclass(frozen=True)
+class _Field:
+    """CSV columns parsed alike: one column, or ``shape[0]`` adjacent ones.
+
+    kind "text" keeps the cell as it is, "uint" takes an unsigned decimal
+    below ``bound`` and "float" a finite decimal > 0.  ``what`` names the
+    column in error messages; an ``increasing`` column must strictly
+    increase down the file.  A field reads as an array of shape
+    ``(rows,) + shape``, or a tuple for text.
+    """
+
+    what: str
+    kind: str
+    bound: int = 0
+    shape: tuple[int, ...] = ()
+    increasing: bool = False
+
+    @property
+    def width(self) -> int:
+        return self.shape[0] if self.shape else 1
 
 
-def _parse_float(tok: str, what: str, path, lineno: int) -> float:
-    try:
-        value = float(tok)
-    except ValueError:
-        raise FormatError(f"non-numeric {what} cell {tok!r}", path, lineno) from None
-    if not math.isfinite(value):
-        raise FormatError(f"non-finite {what} value", path, lineno)
-    return value
+_DTYPES = {"text": object, "uint": np.uint64, "float": np.float64}
 
 
-def _split_row(line: str, n_cols: int, path, lineno: int) -> list[str]:
-    if not line.strip():
-        raise FormatError("empty line", path, lineno)
-    cells = line.split(",")
-    if len(cells) != n_cols:
-        raise FormatError(
-            f"expected {n_cols} columns, found {len(cells)}", path, lineno
-        )
-    return cells
-
-
-def _read_header(lines: Iterator[tuple[int, str]], path) -> tuple[int, list[str]]:
-    for lineno, line in lines:
-        if not line.strip():
-            raise FormatError("empty line", path, lineno)
-        return lineno, line.split(",")
-    raise FormatError("missing header", path)
-
-
-def read_counter_trace(path, run_id: str | None = None) -> CounterTrace:
-    """Read and validate a PMC trace CSV.  run_id defaults to the file stem."""
-    lines = _data_lines(path)
-    _, header = _read_header(lines, path)
+def _counter_fields(header: list[str], path) -> tuple[_Field, ...]:
     if header[0] != TIME_KEY or len(header) < 2:
         raise FormatError(
             f"PMC header must be {TIME_KEY},<counter>,... (got {','.join(header)!r})",
             path,
         )
-    try:
-        counters = check_counter_names(header[1:])
-    except ValueError as exc:
-        raise FormatError(str(exc), path) from None
-
-    keys: list[int] = []
-    values: list[list[int]] = []
-    prev_key = -1
-    for lineno, line in lines:
-        cells = _split_row(line, len(header), path, lineno)
-        key = _parse_uint(cells[0], TIME_MODULUS, TIME_KEY, path, lineno)
-        if key <= prev_key:
-            raise FormatError(f"{TIME_KEY} not strictly increasing", path, lineno)
-        prev_key = key
-        keys.append(key)
-        values.append(
-            [
-                _parse_uint(c, COUNTER_MODULUS, "counter", path, lineno)
-                for c in cells[1:]
-            ]
-        )
-    return CounterTrace(
-        time_keys=np.array(keys, dtype=np.uint64),
-        counters=counters,
-        values=np.array(values, dtype=np.uint32).reshape(len(keys), len(counters)),
-        run_id=Path(path).stem if run_id is None else run_id,
+    _check_header_names(header[1:], path)
+    return (
+        _Field(TIME_KEY, "uint", TIME_MODULUS, increasing=True),
+        _Field("counter", "uint", COUNTER_MODULUS, shape=(len(header) - 1,)),
     )
 
 
-def write_counter_trace(trace: CounterTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join((TIME_KEY,) + trace.counters) + "\n")
-        for i in range(len(trace)):
-            row = [str(int(trace.time_keys[i]))]
-            row += [str(int(v)) for v in trace.values[i]]
-            f.write(",".join(row) + "\n")
-
-
-def read_power_trace(path, run_id: str | None = None) -> PowerTrace:
-    """Read and validate a power trace CSV."""
-    lines = _data_lines(path)
-    _, header = _read_header(lines, path)
+def _power_fields(header: list[str], path) -> tuple[_Field, ...]:
     if header[:2] != [TIME_KEY, POWER_COL] or len(header) > 3 or (
         len(header) == 3 and header[2] != FREQ_COL
     ):
@@ -387,45 +349,269 @@ def read_power_trace(path, run_id: str | None = None) -> PowerTrace:
             f"(got {','.join(header)!r})",
             path,
         )
-    has_freq = len(header) == 3
+    return (
+        _Field(TIME_KEY, "uint", TIME_MODULUS, increasing=True),
+        _Field("power", "float"),
+    ) + ((_Field("frequency", "float"),) if len(header) == 3 else ())
 
-    keys: list[int] = []
-    power: list[float] = []
-    freq: list[float] = []
+
+def _dataset_fields(header: list[str], path) -> tuple[_Field, ...]:
+    if header[:3] != ["RUN", TIME_KEY, POWER_COL]:
+        raise FormatError(
+            f"dataset header must start RUN,{TIME_KEY},{POWER_COL} "
+            f"(got {','.join(header[:3])!r})",
+            path,
+        )
+    has_freq = len(header) > 3 and header[3] == FREQ_COL
+    first_counter = 4 if has_freq else 3
+    _check_header_names(header[first_counter:], path)
+    n_counters = len(header) - first_counter
+    return (
+        (
+            _Field("RUN", "text"),
+            _Field(TIME_KEY, "uint", TIME_MODULUS),
+            _Field("power", "float"),
+        )
+        + ((_Field("frequency", "float"),) if has_freq else ())
+        + (_Field("delta", "uint", COUNTER_MODULUS, shape=(n_counters,)),)
+    )
+
+
+def _check_header_names(names: list[str], path) -> None:
+    try:
+        check_counter_names(names)
+    except ValueError as exc:
+        raise FormatError(str(exc), path) from None
+
+
+def _read_table(path, fields_of) -> tuple[list[str], list]:
+    """(header, one array per field) of a CSV file.
+
+    ``fields_of(header, path)`` checks the header and returns its fields.
+    """
+    data = Path(path).read_bytes()
+    return _read_bulk(data, fields_of, path) or _read_cells(data, fields_of, path)
+
+
+def _read_bulk(data: bytes, fields_of, path) -> tuple[list[str], list] | None:
+    """``_read_cells``' result for a well-formed file, parsed by numpy.
+
+    Returns None where the per-cell reader has to decide: a byte outside
+    ``_BULK_BYTES`` after the leading comment block, a blank line, a
+    comment after the header, a cell numpy does not parse or a value that
+    fails a check.  Raises only the header errors ``_read_cells`` raises.
+    """
+    start = 0
+    while data.startswith(b"#", start):
+        start = data.find(b"\n", start) + 1
+        if start == 0:
+            return None
+    rest = data[start:]
+    if (
+        not rest
+        or rest.translate(None, _BULK_BYTES)
+        or rest.startswith(b"\n")
+        or b"\n\n" in rest
+        or b"\n#" in rest
+    ):
+        return None
+    try:
+        data[:start].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+    head_end = rest.find(b"\n")
+    if head_end < 0:
+        head_end = len(rest)
+    header = rest[:head_end].decode("ascii").split(",")
+    fields = fields_of(header, path)
+    pos = head_end + 1
+    n_rows = rest.count(b"\n", pos)
+    if pos < len(rest) and not rest.endswith(b"\n"):
+        n_rows += 1  # the last line has no LF
+    names = [str(i) for i in range(len(fields))]
+    dtype = np.dtype([(n, _DTYPES[f.kind], f.shape) for n, f in zip(names, fields)])
+    cols = [np.empty((n_rows,) + f.shape, dtype=_DTYPES[f.kind]) for f in fields]
+    row = 0
+    while pos < len(rest):
+        # a block ends at the first LF past the block size, or at the end
+        end = rest.find(b"\n", pos + _PARSE_BLOCK_BYTES) + 1 or len(rest)
+        try:
+            block = np.loadtxt(
+                io.StringIO(rest[pos:end].decode("ascii")),
+                dtype=dtype,
+                delimiter=",",
+                comments=None,
+                ndmin=1,
+            )
+        except ValueError:
+            return None
+        for name, col in zip(names, cols):
+            col[row : row + len(block)] = block[name]
+        row += len(block)
+        pos = end
+
+    for i, (f, col) in enumerate(zip(fields, cols)):
+        if f.kind == "text":
+            cols[i] = tuple(col.tolist())
+        elif f.kind == "float":
+            if not np.all((col > 0) & (col < np.inf)):
+                return None
+        elif (col.size and col.max() >= f.bound) or (
+            f.increasing and np.any(col[1:] <= col[:-1])
+        ):
+            return None
+    return header, cols
+
+
+def _read_cells(data: bytes, fields_of, path) -> tuple[list[str], list]:
+    """The per-cell reader: the reference for ``_read_bulk`` and the code
+    that locates every error in a file body."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            "invalid UTF-8", path, data.count(b"\n", 0, exc.start) + 1
+        ) from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the LF that ends the last line
+    rows = (
+        (lineno, line)
+        for lineno, line in enumerate(lines, start=1)
+        if not line.startswith("#")
+    )
+    for lineno, line in rows:
+        header = _split_row(line, None, path, lineno)
+        break
+    else:
+        raise FormatError("missing header", path)
+    fields = fields_of(header, path)
+
+    col_fields = [f for f in fields for _ in range(f.width)]
+    values: list[list] = [[] for _ in header]
     prev_key = -1
-    for lineno, line in lines:
+    for lineno, line in rows:
         cells = _split_row(line, len(header), path, lineno)
-        key = _parse_uint(cells[0], TIME_MODULUS, TIME_KEY, path, lineno)
-        if key <= prev_key:
-            raise FormatError(f"{TIME_KEY} not strictly increasing", path, lineno)
-        prev_key = key
-        keys.append(key)
-        p = _parse_float(cells[1], "power", path, lineno)
-        if p <= 0:
-            raise FormatError("non-positive power", path, lineno)
-        power.append(p)
-        if has_freq:
-            fq = _parse_float(cells[2], "frequency", path, lineno)
-            if fq <= 0:
-                raise FormatError("non-positive frequency", path, lineno)
-            freq.append(fq)
+        for f, cell, col in zip(col_fields, cells, values):
+            value = _parse_cell(f, cell, path, lineno)
+            if f.increasing:
+                if value <= prev_key:
+                    raise FormatError(f"{f.what} not strictly increasing", path, lineno)
+                prev_key = value
+            col.append(value)
+
+    n_rows = len(values[0])
+    cols, j = [], 0
+    for f in fields:
+        if f.kind == "text":
+            cols.append(tuple(values[j]))
+        else:
+            block = np.array(values[j : j + f.width], dtype=_DTYPES[f.kind])
+            block = block.reshape(f.width, n_rows).T
+            cols.append(np.ascontiguousarray(block) if f.shape else block[:, 0])
+        j += f.width
+    return header, cols
+
+
+def _split_row(line: str, n_cols: int | None, path, lineno: int) -> list[str]:
+    if "\r" in line:
+        raise FormatError("carriage return (CRLF line ending?)", path, lineno)
+    if not line.strip():
+        raise FormatError("empty line", path, lineno)
+    cells = line.split(",")
+    if n_cols is not None and len(cells) != n_cols:
+        raise FormatError(
+            f"expected {n_cols} columns, found {len(cells)}", path, lineno
+        )
+    return cells
+
+
+def _parse_cell(field: _Field, cell: str, path, lineno: int):
+    """One cell's value, or the located FormatError."""
+    what = field.what
+    if field.kind == "text":
+        return cell
+    if field.kind == "uint":
+        if not (cell.isascii() and cell.isdigit()):
+            raise FormatError(f"non-numeric {what} cell {cell!r}", path, lineno)
+        value = int(cell)
+        if value >= field.bound:
+            raise FormatError(f"{what} value {value} out of range", path, lineno)
+        return value
+    try:
+        value = float(cell)
+    except ValueError:
+        raise FormatError(f"non-numeric {what} cell {cell!r}", path, lineno) from None
+    if not math.isfinite(value):
+        raise FormatError(f"non-finite {what} value", path, lineno)
+    if value <= 0:
+        raise FormatError(f"non-positive {what}", path, lineno)
+    return value
+
+
+def write_columns(f, header: Sequence[str], columns: Sequence[tuple]) -> None:
+    """Write a CSV header and rows to the text file ``f``, a block at a time.
+
+    ``columns`` holds ``(values, fmt)`` pairs, all with one entry per row:
+    a sequence or 1-D array whose cells are written as ``fmt(cell)``, or a
+    2-D array that is one such column per array column.  Array cells reach
+    ``fmt`` as Python ints and floats.
+    """
+    f.write(",".join(header) + "\n")
+    n_rows = len(columns[0][0])
+    for lo in range(0, n_rows, _WRITE_BLOCK_ROWS):
+        cells = []
+        for values, fmt in columns:
+            block = values[lo : lo + _WRITE_BLOCK_ROWS]
+            if isinstance(block, np.ndarray):
+                if block.ndim == 2:
+                    cells += [map(fmt, col) for col in block.T.tolist()]
+                    continue
+                block = block.tolist()
+            cells.append(map(fmt, block))
+        f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def read_counter_trace(path, run_id: str | None = None) -> CounterTrace:
+    """Read and validate a PMC trace CSV.  run_id defaults to the file stem."""
+    header, (keys, values) = _read_table(path, _counter_fields)
+    return CounterTrace(
+        time_keys=keys,
+        counters=tuple(header[1:]),
+        values=values,
+        run_id=Path(path).stem if run_id is None else run_id,
+    )
+
+
+def write_counter_trace(trace: CounterTrace, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        write_columns(
+            f,
+            (TIME_KEY,) + trace.counters,
+            ((trace.time_keys, str), (trace.values, str)),
+        )
+
+
+def read_power_trace(path, run_id: str | None = None) -> PowerTrace:
+    """Read and validate a power trace CSV."""
+    _, (keys, power, *freq) = _read_table(path, _power_fields)
     return PowerTrace(
-        time_keys=np.array(keys, dtype=np.uint64),
-        power_w=np.array(power, dtype=np.float64),
-        freq_mhz=np.array(freq, dtype=np.float64) if has_freq else None,
+        time_keys=keys,
+        power_w=power,
+        freq_mhz=freq[0] if freq else None,
         run_id=Path(path).stem if run_id is None else run_id,
     )
 
 
 def write_power_trace(trace: PowerTrace, path) -> None:
-    header = [TIME_KEY, POWER_COL] + ([FREQ_COL] if trace.freq_mhz is not None else [])
+    header = [TIME_KEY, POWER_COL]
+    columns = [(trace.time_keys, str), (trace.power_w, repr)]
+    if trace.freq_mhz is not None:
+        header.append(FREQ_COL)
+        columns.append((trace.freq_mhz, repr))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(len(trace)):
-            row = [str(int(trace.time_keys[i])), _fmt_float(trace.power_w[i])]
-            if trace.freq_mhz is not None:
-                row.append(_fmt_float(trace.freq_mhz[i]))
-            f.write(",".join(row) + "\n")
+        write_columns(f, header, columns)
 
 
 def _check_run_id(run_id: str) -> str:
@@ -436,52 +622,14 @@ def _check_run_id(run_id: str) -> str:
 
 def read_dataset(path, source: str | None = None) -> Dataset:
     """Read and validate a synchronised dataset CSV."""
-    lines = _data_lines(path)
-    _, header = _read_header(lines, path)
-    if header[:3] != ["RUN", TIME_KEY, POWER_COL]:
-        raise FormatError(
-            f"dataset header must start RUN,{TIME_KEY},{POWER_COL} "
-            f"(got {','.join(header[:3])!r})",
-            path,
-        )
-    has_freq = len(header) > 3 and header[3] == FREQ_COL
-    first_counter = 4 if has_freq else 3
-    try:
-        counters = check_counter_names(header[first_counter:])
-    except ValueError as exc:
-        raise FormatError(str(exc), path) from None
-
-    runs: list[str] = []
-    keys: list[int] = []
-    power: list[float] = []
-    freq: list[float] = []
-    deltas: list[list[int]] = []
-    for lineno, line in lines:
-        cells = _split_row(line, len(header), path, lineno)
-        runs.append(cells[0])
-        keys.append(_parse_uint(cells[1], TIME_MODULUS, TIME_KEY, path, lineno))
-        p = _parse_float(cells[2], "power", path, lineno)
-        if p <= 0:
-            raise FormatError("non-positive power", path, lineno)
-        power.append(p)
-        if has_freq:
-            fq = _parse_float(cells[3], "frequency", path, lineno)
-            if fq <= 0:
-                raise FormatError("non-positive frequency", path, lineno)
-            freq.append(fq)
-        deltas.append(
-            [
-                _parse_uint(c, COUNTER_MODULUS, "delta", path, lineno)
-                for c in cells[first_counter:]
-            ]
-        )
+    header, (runs, keys, power, *freq, deltas) = _read_table(path, _dataset_fields)
     return Dataset(
-        counters=counters,
-        time_keys=np.array(keys, dtype=np.uint64),
-        run_ids=tuple(runs),
-        power_w=np.array(power, dtype=np.float64),
-        deltas=np.array(deltas, dtype=np.uint64).reshape(len(keys), len(counters)),
-        freq_mhz=np.array(freq, dtype=np.float64) if has_freq else None,
+        counters=tuple(header[len(header) - deltas.shape[1] :]),
+        time_keys=keys,
+        run_ids=runs,
+        power_w=power,
+        deltas=deltas,
+        freq_mhz=freq[0] if freq else None,
         source=str(path) if source is None else source,
     )
 
@@ -491,21 +639,14 @@ def write_dataset(ds: Dataset, path) -> None:
     for run in set(ds.run_ids):
         _check_run_id(run)
     header = ["RUN", TIME_KEY, POWER_COL]
+    columns = [(ds.run_ids, str), (ds.time_keys, str), (ds.power_w, repr)]
     if ds.freq_mhz is not None:
         header.append(FREQ_COL)
-    header += list(ds.counters)
+        columns.append((ds.freq_mhz, repr))
+    header += ds.counters
+    columns.append((ds.deltas, str))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(ds.n_rows):
-            row = [
-                ds.run_ids[i],
-                str(int(ds.time_keys[i])),
-                _fmt_float(ds.power_w[i]),
-            ]
-            if ds.freq_mhz is not None:
-                row.append(_fmt_float(ds.freq_mhz[i]))
-            row += [str(int(v)) for v in ds.deltas[i]]
-            f.write(",".join(row) + "\n")
+        write_columns(f, header, columns)
 
 
 def concat_datasets(datasets: Sequence[Dataset], source: str = "") -> Dataset:

@@ -21,7 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FREQ_COL, TIME_KEY, Dataset, SampleRow, check_counter_names
+from .dataset import (
+    FREQ_COL,
+    TIME_KEY,
+    Dataset,
+    SampleRow,
+    check_counter_names,
+    write_columns,
+)
 from .errors import FitError, FormatError, ModelError, RankDeficientError
 
 log = logging.getLogger(__name__)
@@ -253,13 +260,16 @@ def format_watts(v: float) -> str:
 def write_prediction_trace(result: ValidationResult, path) -> None:
     """Per-sample (TIME, RUN, ACTUAL_W, PREDICTED_W) CSV for plotting."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{TIME_KEY},RUN,ACTUAL_W,PREDICTED_W\n")
-        for i in range(len(result.time_keys)):
-            f.write(
-                f"{int(result.time_keys[i])},{result.run_ids[i]},"
-                f"{format_watts(result.actual_w[i])},"
-                f"{format_watts(result.predicted_w[i])}\n"
-            )
+        write_columns(
+            f,
+            (TIME_KEY, "RUN", "ACTUAL_W", "PREDICTED_W"),
+            (
+                (result.time_keys, str),
+                (result.run_ids, str),
+                (result.actual_w, format_watts),
+                (result.predicted_w, format_watts),
+            ),
+        )
 
 
 def model_to_dict(model: PowerModel) -> dict:

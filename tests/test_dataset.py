@@ -1,5 +1,7 @@
 """Dataset types and CSV IO: validation, round-trips, rejection messages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,32 @@ def test_wrong_column_count_rejected(tmp_path):
         pp.read_counter_trace(path)
 
 
+def test_crlf_line_ending_rejected_naming_the_cr(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"TIME,A\r\n1,2\r\n")
+    with pytest.raises(pp.FormatError, match="carriage return.* at line 1$"):
+        pp.read_counter_trace(path)
+    path.write_bytes(b"TIME,POWER_W\n1,2.5\n3,2.5\r\n")
+    with pytest.raises(pp.FormatError, match="carriage return.* at line 3$"):
+        pp.read_power_trace(path)
+
+
+def test_form_feed_does_not_end_a_line(tmp_path):
+    """Only LF ends a line, so line numbers stay physical."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"TIME,A\n1,2\x0c\n3,x\n")
+    with pytest.raises(pp.FormatError) as err:
+        pp.read_counter_trace(path)
+    assert str(err.value).endswith("non-numeric counter cell '2\\x0c' at line 2")
+
+
+def test_invalid_utf8_rejected_with_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"RUN,TIME,POWER_W,A\nr0,1,2.5,3\nr\xff,2,2.5,3\n")
+    with pytest.raises(pp.FormatError, match="invalid UTF-8 at line 3$"):
+        pp.read_dataset(path)
+
+
 def test_missing_header_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# nothing here\n")
@@ -277,6 +305,55 @@ def test_large_dataset_round_trip_byte_identical(tmp_path):
     pp.write_dataset(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert back == ds
+
+
+@pytest.mark.parametrize(
+    "run_id", ["a\x0cb", "a\x85b", "a\u2028b", "a\x1cb", "", "x y"]
+)
+def test_unusual_run_ids_round_trip(tmp_path, run_id):
+    """Characters str.splitlines() breaks on are ordinary run id text, and
+    so are an empty id and a space (which the bulk reader leaves to the
+    per-cell one)."""
+    ds = pp.Dataset(
+        counters=("A",),
+        time_keys=np.array([1, 2], dtype=np.uint64),
+        run_ids=(run_id, "r1"),
+        power_w=np.array([1.5, 2.5]),
+        deltas=np.array([[3], [4]], dtype=np.uint64),
+    )
+    path = tmp_path / "d.csv"
+    pp.write_dataset(ds, path)
+    assert pp.read_dataset(path) == ds
+
+
+def test_csv_io_memory_is_bounded_by_file_size(tmp_path):
+    """Reading and writing work in blocks, so their traced peak stays a
+    small multiple of the file size.  Formatting or parsing the whole file
+    at once breaks both bounds: about 6x for the write and 8x for the read
+    on this file."""
+    n = 100_000
+    rng = np.random.default_rng(0)
+    ds = pp.Dataset(
+        counters=("A", "B"),
+        time_keys=np.arange(1, n + 1, dtype=np.uint64) * 1000,
+        run_ids=tuple(f"r{i * 10 // n}" for i in range(n)),
+        power_w=rng.uniform(1, 5, n),
+        deltas=rng.integers(0, 2**20, size=(n, 2), dtype=np.uint64),
+    )
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        pp.write_dataset(ds, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = pp.read_dataset(path)  # the peak includes the dataset read
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert back == ds
+    assert write_peak < 0.5 * size
+    assert read_peak < 5 * size
 
 
 def test_concat_single_dataset_passthrough():
