@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="parallel candidate evaluations (results are identical)",
+        help="accepted for compatibility (>= 1); changes neither speed nor results",
     )
     p.set_defaults(func=cmd_train)
 

@@ -19,7 +19,8 @@ repaired.  All types are immutable after construction.
 Only LF ends a line: a CR is an error, and characters such as form feed or
 U+2028 are ordinary cell text.  Integer cells are ASCII digits only (no
 sign, padding, fraction or exponent); float cells are what ``float()``
-reads, and must be finite and > 0.
+reads without padding, ``_``, a leading ``+`` or non-ASCII characters, and
+must be finite and > 0.
 
 Reading takes one of two paths over one read of the file's bytes.  The bulk
 path checks the whole file cheaply (printable ASCII without space or ``+``
@@ -539,7 +540,11 @@ def _parse_cell(field: _Field, cell: str, path, lineno: int):
         if value >= field.bound:
             raise FormatError(f"{what} value {value} out of range", path, lineno)
         return value
+    # float() also reads padding, "_" separators, a leading "+" and
+    # non-ASCII digits; the format has none of them
     try:
+        if not cell.isascii() or cell != cell.strip() or "_" in cell or cell[:1] == "+":
+            raise ValueError
         value = float(cell)
     except ValueError:
         raise FormatError(f"non-numeric {what} cell {cell!r}", path, lineno) from None

@@ -132,11 +132,26 @@ def mape(actual, predicted) -> float:
         raise ValueError(f"length mismatch: {a.shape} vs {p.shape}")
     if a.size == 0:
         raise ValueError("mape of empty sequences")
+    _check_zero_guard(a)
+    return float((100.0 / a.size) * np.sum(np.abs(a - p) / np.abs(a)))
+
+
+def mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """``mape(actual, row)`` for every row of the 2-D ``predicted``.
+
+    Each row is summed on its own along the contiguous axis, so a row's
+    value does not depend on which other rows share the array.
+    """
+    _check_zero_guard(actual)
+    err = np.abs(actual - predicted) / np.abs(actual)
+    return (100.0 / actual.size) * err.sum(axis=1)
+
+
+def _check_zero_guard(a: np.ndarray) -> None:
     guard = np.abs(a) < MAPE_ZERO_GUARD_W
     if np.any(guard):
         idx = int(np.argmax(guard))
         raise ValueError(f"actual value below zero-guard at sample {idx}")
-    return float((100.0 / a.size) * np.sum(np.abs(a - p) / np.abs(a)))
 
 
 def _solve_ols(design: np.ndarray, y: np.ndarray):

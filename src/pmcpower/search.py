@@ -16,11 +16,12 @@ last column.  A subset is then an SVD least-squares solve on the few rows of
 the singular values of the complement's design, and the rank cut-off is the
 one a full-height ``lstsq`` would use: eps * max(n_train, k) * s_max, with
 n_train the complement's row count, not R's.  Byte-identical pool columns
-share one R column, so copies of a counter score exactly alike.  The final
-model is always refit on the full training set.  Candidate evaluations
-inside one iteration are independent; with ``n_jobs > 1`` they run on a
-thread pool with an ordered reduction, so results are identical to
-sequential runs.
+share one R column, so copies of a counter score exactly alike.  All
+candidates of one search step are scored as one batch: per fold, one
+stacked SVD covers every candidate of a size, and held-out predictions and
+MAPEs are formed for all of them at once, in a way that gives each
+candidate the same bits it would get scored alone.  The final model is
+always refit on the full training set.
 
 Fold assignment is by whole benchmark run when at least k distinct runs
 exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
@@ -35,15 +36,21 @@ import itertools
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .dataset import Dataset, check_counter_names
 from .errors import FitError, FormatError, RankDeficientError, SearchError
-from .regress import PowerModel, TrainingMeta, fit_ols, mape, model_from_dict, model_to_dict
+from .regress import (
+    PowerModel,
+    TrainingMeta,
+    fit_ols,
+    mape_rows,
+    model_from_dict,
+    model_to_dict,
+)
 
 log = logging.getLogger(__name__)
 
@@ -56,6 +63,8 @@ SEARCH_ALGORITHMS = (BOTTOM_UP, TOP_DOWN, EXHAUSTIVE)
 IMPROVEMENT_EPS = 1e-12
 EXHAUSTIVE_POOL_LIMIT = 20
 _EPS = float(np.finfo(np.float64).eps)
+# bounds the float64 cells of the arrays one batch step of scoring holds
+_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,8 @@ class SearchConfig:
     defaults to the whole pool.  max_events caps the model size for
     bottom_up and exhaustive.  Ties are always broken by candidate-pool
     order (lowest index wins); pool order therefore is the tie-break rule.
+    n_jobs is checked (>= 1) but changes neither speed nor results: a
+    search step is one batched computation on one thread.
     """
 
     algorithm: str
@@ -169,36 +180,41 @@ def kfold_split(ds: Dataset, k: int, seed: int = 0) -> list[np.ndarray]:
 class _CvEvaluator:
     """Per-fold R-factor cache for scoring many subsets on fixed folds.
 
-    ``rows`` holds ``[1 | X_pool | y]`` (intercept, pool counter j in
-    column j+1, power last) grouped by test fold, so each fold's held-out
-    rows are one slice; it is the only full-height array kept.  ``folds``
-    holds, per fold, the complement's row count, the R factor of the
-    complement's rows and the held-out slice.  A subset is scored by an SVD
-    least-squares solve of ``R_f[:, cols] b = z_f`` with the cut-off
-    eps * max(n_train, k) * s_max, the MAPE of the held-out rows, and the
-    mean over folds.  ``col_map`` sends every column to its first
-    byte-identical copy and columns are solved in ascending order, so copies
-    of a counter, and one subset listed in two orders, score exactly alike.
+    ``columns`` holds ``[1 | X_pool | y]`` as rows (intercept, pool counter
+    j in row j+1, power last), its samples grouped by test fold so that
+    each fold's held-out samples are one slice; it is the only full-height
+    array kept.  ``folds`` holds, per fold, the complement's row count, the
+    R factor of the complement's rows and the held-out slice.  ``col_map``
+    sends every column to its first byte-identical copy.
+
+    A subset is scored on the key ``sort(col_map[[0] + selection + 1])``
+    and on nothing else, so copies of a counter, one subset listed in two
+    orders, and one subset scored alone or among others all give the same
+    bits.  ``score_many`` scores a whole batch: per fold it takes one
+    stacked SVD of ``R_f[:, cols]`` for all subsets of one size, solves
+    beta = V (U^T z_f / s), predicts the held-out rows as
+    (subsets x rows) with one fixed sequence of elementwise products, and
+    averages the fold MAPEs.  A subset is full rank when
+    s_min > eps * max(n_train, k) * s_max, the cut-off a full-height
+    ``lstsq`` on the complement would use (n_train is the complement's row
+    count, not R's).  The normal equations are never formed.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
         idx = [ds.counters.index(name) for name in pool]
         order = np.concatenate(folds)
         edges = np.cumsum([0] + [len(f) for f in folds])
-        self.rows = np.empty((len(order), len(idx) + 2), dtype=np.float64)
-        self.rows[:, 0] = 1.0
-        self.rows[:, 1:-1] = ds.deltas[np.ix_(order, idx)]
-        self.rows[:, -1] = ds.power_w[order]
+        self.columns = np.empty((len(idx) + 2, len(order)), dtype=np.float64)
+        self.columns[0] = 1.0
+        self.columns[1:-1] = ds.deltas[np.ix_(order, idx)].T
+        self.columns[-1] = ds.power_w[order]
         first: dict[bytes, int] = {}
         self.col_map = np.array(
-            [
-                first.setdefault(self.rows[:, j].tobytes(), j)
-                for j in range(len(idx) + 1)
-            ],
+            [first.setdefault(c.tobytes(), j) for j, c in enumerate(self.columns[:-1])],
             dtype=np.intp,
         )
         spans = list(zip(edges[:-1], edges[1:]))
-        blocks = [np.linalg.qr(self.rows[a:b], mode="r") for a, b in spans]
+        blocks = [np.linalg.qr(self.columns[:, a:b].T, mode="r") for a, b in spans]
         self.folds = [
             (
                 len(order) - (b - a),
@@ -207,43 +223,75 @@ class _CvEvaluator:
             )
             for fi, (a, b) in enumerate(spans)
         ]
+        # a subset's cells in one batch step: its held-out predictions or its
+        # (m x k) SVD factors, m and k at most the column count
+        cells = max(max(b - a for a, b in spans), len(self.columns) ** 2)
+        self.batch = max(1, _BATCH_CELLS // cells)
 
     def score(self, selection: Sequence[int]) -> float:
         """CV MAPE of the pool columns in ``selection``; raises on fit failure."""
-        cols = np.sort(self.col_map[[0] + [i + 1 for i in selection]])
-        k = len(cols)
-        fold_scores = np.empty(len(self.folds))
-        for fi, (n_train, r, test) in enumerate(self.folds):
+        scores, failed = self._score_keys(self._keys([selection]))
+        fi = int(failed[0])
+        if fi < len(self.folds):
+            n_train, k = self.folds[fi][0], len(selection) + 1
             if n_train < k:
                 raise FitError(
                     f"fold {fi}: fewer rows ({n_train}) than parameters ({k})"
                 )
-            beta, _, rank, _ = np.linalg.lstsq(
-                r[:, cols], r[:, -1], rcond=_EPS * max(n_train, k)
+            raise RankDeficientError(
+                f"fold {fi}: rank-deficient design, drop a predictor"
             )
-            if rank < k:
-                raise RankDeficientError(
-                    f"fold {fi}: rank-deficient design, drop a predictor"
-                )
-            held_out = self.rows[test]
-            fold_scores[fi] = mape(held_out[:, -1], held_out[:, cols] @ beta)
-        return float(np.mean(fold_scores))
+        return float(scores[0])
 
     def score_or_inf(self, selection: Sequence[int]) -> float:
-        try:
-            return self.score(selection)
-        except FitError:
-            return math.inf
+        return self.score_many([selection])[0]
 
-    def score_many(
-        self, selections: Sequence[Sequence[int]], n_jobs: int
-    ) -> list[float]:
-        """Infeasible candidates score +inf.  Ordered, so parallel runs are
-        indistinguishable from sequential ones."""
-        if n_jobs == 1 or len(selections) <= 1:
-            return [self.score_or_inf(s) for s in selections]
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(self.score_or_inf, selections))
+    def score_many(self, selections: Sequence[Sequence[int]]) -> list[float]:
+        """CV MAPE of every selection, in order; infeasible ones score +inf."""
+        out = np.empty(len(selections))
+        sizes: dict[int, list[int]] = {}
+        for pos, sel in enumerate(selections):
+            sizes.setdefault(len(sel), []).append(pos)
+        for positions in sizes.values():
+            keys = self._keys([selections[p] for p in positions])
+            for lo in range(0, len(positions), self.batch):
+                scores, failed = self._score_keys(keys[lo : lo + self.batch])
+                scores[failed < len(self.folds)] = math.inf
+                out[positions[lo : lo + self.batch]] = scores
+        return out.tolist()
+
+    def _keys(self, selections: Sequence[Sequence[int]]) -> np.ndarray:
+        """Sorted design columns of equally long selections, one per row."""
+        sel = np.array(selections, dtype=np.intp).reshape(len(selections), -1)
+        cols = np.column_stack([np.zeros(len(sel), dtype=np.intp), sel + 1])
+        return np.sort(self.col_map[cols], axis=1)
+
+    def _score_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean fold MAPE of every key row, and the first fold whose fit
+        failed (``len(self.folds)`` when none did); a failed key's score is
+        left partial."""
+        n_keys, k = keys.shape
+        total = np.zeros(n_keys)
+        failed = np.full(n_keys, len(self.folds))
+        live = np.arange(n_keys)
+        for fi, (n_train, r, test) in enumerate(self.folds):
+            if n_train < k:
+                failed[live] = fi
+                break
+            cols = keys[live]
+            u, s, vt = np.linalg.svd(np.moveaxis(r[:, cols], 0, 1), full_matrices=False)
+            full = s[:, -1] > _EPS * max(n_train, k) * s[:, 0]
+            failed[live[~full]] = fi
+            live, cols, u, s, vt = live[full], cols[full], u[full], s[full], vt[full]
+            if not live.size:
+                break
+            beta = ((r[:, -1] @ u / s)[:, None, :] @ vt)[:, 0]
+            held_out = self.columns[:, test]
+            pred = np.zeros((live.size, held_out.shape[1]))
+            for j in range(k):
+                pred += beta[:, j : j + 1] * held_out[cols[:, j]]
+            total[live] += mape_rows(held_out[-1], pred)
+        return total / len(self.folds), failed
 
 
 def cv_score(
@@ -281,25 +329,57 @@ def _refit_full(
     return dataclasses.replace(model, training=meta)
 
 
-def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
-    """Greedy forward selection from cfg.initial_set.
+class _Walk(NamedTuple):
+    """What a search strategy found, in pool indices."""
 
-    Accepts the best-scoring addition while it strictly improves the CV
-    MAPE (by more than IMPROVEMENT_EPS); stops at max_events, on pool
-    exhaustion, or on convergence.  Term order in the final model is the
-    order of selection.
+    stop_reason: str
+    initial_cv: float
+    iterations: list[SearchIteration]
+    selected: list[int]
+    final_cv: float
+    subset_scores: dict[str, float] | None = None
+
+
+def _search(ds: Dataset, cfg: SearchConfig, algorithm: str) -> SearchReport:
+    """The setup every search shares around its strategy.
+
+    Checks the algorithm, resolves the pool, lets the strategy's start
+    check the pool and give the first selection, builds the evaluator on
+    the configured folds, runs the strategy's walk and refits its pick on
+    the whole dataset.
     """
-    if cfg.algorithm != BOTTOM_UP:
-        raise SearchError(f"config algorithm is {cfg.algorithm!r}, not bottom_up")
+    if cfg.algorithm != algorithm:
+        raise SearchError(f"config algorithm is {cfg.algorithm!r}, not {algorithm}")
+    start, walk = _STRATEGIES[algorithm]
     pool = _resolve_pool(ds, cfg)
+    selected = start(pool, cfg)
+    evaluator = _CvEvaluator(ds, pool, kfold_split(ds, cfg.folds, cfg.fold_seed))
+    found = walk(evaluator, pool, selected, cfg)
+    names = [pool[i] for i in found.selected]
+    return SearchReport(
+        algorithm=algorithm,
+        folds=cfg.folds,
+        fold_seed=cfg.fold_seed,
+        pool=pool,
+        stop_reason=found.stop_reason,
+        initial_cv_mape_pct=found.initial_cv,
+        iterations=tuple(found.iterations),
+        final_model=_refit_full(ds, names, cfg, found.final_cv),
+        final_cv_mape_pct=found.final_cv,
+        subset_scores=found.subset_scores,
+    )
+
+
+def _initial(pool: tuple[str, ...], names: Sequence[str]) -> list[int]:
     if not pool:
         raise SearchError("empty candidate pool")
-    for name in cfg.initial_set:
+    for name in names:
         if name not in pool:
             raise SearchError(f"initial counter {name!r} not in candidate pool")
-    evaluator = _CvEvaluator(ds, pool, kfold_split(ds, cfg.folds, cfg.fold_seed))
+    return [pool.index(n) for n in names]
 
-    selected = [pool.index(n) for n in cfg.initial_set]
+
+def _add_steps(evaluator, pool, selected, cfg) -> _Walk:
     current = evaluator.score_or_inf(selected)
     initial_cv = current
     iterations: list[SearchIteration] = []
@@ -311,9 +391,7 @@ def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
         if not remaining:
             stop = "pool_exhausted"
             break
-        scores = evaluator.score_many(
-            [selected + [i] for i in remaining], cfg.n_jobs
-        )
+        scores = evaluator.score_many([selected + [i] for i in remaining])
         best = min(range(len(remaining)), key=scores.__getitem__)
         if not current - scores[best] > IMPROVEMENT_EPS:
             stop = "converged"
@@ -330,48 +408,17 @@ def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
                 },
             )
         )
-    names = [pool[i] for i in selected]
-    return SearchReport(
-        algorithm=BOTTOM_UP,
-        folds=cfg.folds,
-        fold_seed=cfg.fold_seed,
-        pool=pool,
-        stop_reason=stop,
-        initial_cv_mape_pct=initial_cv,
-        iterations=tuple(iterations),
-        final_model=_refit_full(ds, names, cfg, current),
-        final_cv_mape_pct=current,
-    )
+    return _Walk(stop, initial_cv, iterations, selected, current)
 
 
-def top_down(ds: Dataset, cfg: SearchConfig) -> SearchReport:
-    """Greedy backward elimination from cfg.initial_set (default: whole pool).
-
-    A removal is accepted when the best resulting score is no worse than
-    the incumbent: equal-score removals are taken to prefer the simpler
-    model.  Term order in the final model is pool order.
-    """
-    if cfg.algorithm != TOP_DOWN:
-        raise SearchError(f"config algorithm is {cfg.algorithm!r}, not top_down")
-    pool = _resolve_pool(ds, cfg)
-    if not pool:
-        raise SearchError("empty candidate pool")
-    initial = cfg.initial_set if cfg.initial_set else pool
-    for name in initial:
-        if name not in pool:
-            raise SearchError(f"initial counter {name!r} not in candidate pool")
-    if not initial:
-        raise SearchError("top_down needs a non-empty initial set")
-    evaluator = _CvEvaluator(ds, pool, kfold_split(ds, cfg.folds, cfg.fold_seed))
-
-    selected = sorted(pool.index(n) for n in initial)
+def _remove_steps(evaluator, pool, selected, cfg) -> _Walk:
     current = evaluator.score_or_inf(selected)
     initial_cv = current
     iterations: list[SearchIteration] = []
     stop = "emptied"
     while selected:
         trials = [[i for i in selected if i != drop] for drop in selected]
-        scores = evaluator.score_many(trials, cfg.n_jobs)
+        scores = evaluator.score_many(trials)
         best = min(range(len(selected)), key=scores.__getitem__)
         if not scores[best] <= current + IMPROVEMENT_EPS:
             stop = "converged"
@@ -392,18 +439,68 @@ def top_down(ds: Dataset, cfg: SearchConfig) -> SearchReport:
             )
         )
         selected = trials[best]
-    names = [pool[i] for i in selected]
-    return SearchReport(
-        algorithm=TOP_DOWN,
-        folds=cfg.folds,
-        fold_seed=cfg.fold_seed,
-        pool=pool,
-        stop_reason=stop,
-        initial_cv_mape_pct=initial_cv,
-        iterations=tuple(iterations),
-        final_model=_refit_full(ds, names, cfg, current),
-        final_cv_mape_pct=current,
+    return _Walk(stop, initial_cv, iterations, selected, current)
+
+
+def _exhaustive_start(pool, cfg) -> list[int]:
+    if len(pool) > EXHAUSTIVE_POOL_LIMIT:
+        raise SearchError(
+            f"pool of {len(pool)} too large for exhaustive search "
+            f"(limit {EXHAUSTIVE_POOL_LIMIT})"
+        )
+    return []
+
+
+def _enumerate(evaluator, pool, selected, cfg) -> _Walk:
+    top = len(pool) if cfg.max_events is None else min(cfg.max_events, len(pool))
+    subsets = [
+        combo
+        for size in range(top + 1)
+        for combo in itertools.combinations(range(len(pool)), size)
+    ]
+    scores = evaluator.score_many(subsets)
+    best = 0
+    for j in range(1, len(subsets)):
+        if scores[j] < scores[best]:
+            best = j
+    subset_scores = {
+        "+".join(pool[i] for i in combo): s for combo, s in zip(subsets, scores)
+    }
+    return _Walk(
+        "enumerated", scores[0], [], list(subsets[best]), scores[best], subset_scores
     )
+
+
+# per algorithm: (check the pool and give the first selection, walk)
+_STRATEGIES = {
+    BOTTOM_UP: (lambda pool, cfg: _initial(pool, cfg.initial_set), _add_steps),
+    TOP_DOWN: (
+        lambda pool, cfg: sorted(_initial(pool, cfg.initial_set or pool)),
+        _remove_steps,
+    ),
+    EXHAUSTIVE: (_exhaustive_start, _enumerate),
+}
+
+
+def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
+    """Greedy forward selection from cfg.initial_set.
+
+    Accepts the best-scoring addition while it strictly improves the CV
+    MAPE (by more than IMPROVEMENT_EPS); stops at max_events, on pool
+    exhaustion, or on convergence.  Term order in the final model is the
+    order of selection.
+    """
+    return _search(ds, cfg, BOTTOM_UP)
+
+
+def top_down(ds: Dataset, cfg: SearchConfig) -> SearchReport:
+    """Greedy backward elimination from cfg.initial_set (default: whole pool).
+
+    A removal is accepted when the best resulting score is no worse than
+    the incumbent: equal-score removals are taken to prefer the simpler
+    model.  Term order in the final model is pool order.
+    """
+    return _search(ds, cfg, TOP_DOWN)
 
 
 def exhaustive(ds: Dataset, cfg: SearchConfig) -> SearchReport:
@@ -414,43 +511,7 @@ def exhaustive(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     to the smaller subset and then to lexicographic pool order.  max_events
     caps the subset size.
     """
-    if cfg.algorithm != EXHAUSTIVE:
-        raise SearchError(f"config algorithm is {cfg.algorithm!r}, not exhaustive")
-    pool = _resolve_pool(ds, cfg)
-    if len(pool) > EXHAUSTIVE_POOL_LIMIT:
-        raise SearchError(
-            f"pool of {len(pool)} too large for exhaustive search "
-            f"(limit {EXHAUSTIVE_POOL_LIMIT})"
-        )
-    evaluator = _CvEvaluator(ds, pool, kfold_split(ds, cfg.folds, cfg.fold_seed))
-
-    top = len(pool) if cfg.max_events is None else min(cfg.max_events, len(pool))
-    subsets = [
-        combo
-        for size in range(top + 1)
-        for combo in itertools.combinations(range(len(pool)), size)
-    ]
-    scores = evaluator.score_many(subsets, cfg.n_jobs)
-    best = 0
-    for j in range(1, len(subsets)):
-        if scores[j] < scores[best]:
-            best = j
-    subset_scores = {
-        "+".join(pool[i] for i in combo): s for combo, s in zip(subsets, scores)
-    }
-    names = [pool[i] for i in subsets[best]]
-    return SearchReport(
-        algorithm=EXHAUSTIVE,
-        folds=cfg.folds,
-        fold_seed=cfg.fold_seed,
-        pool=pool,
-        stop_reason="enumerated",
-        initial_cv_mape_pct=scores[0],
-        iterations=(),
-        final_model=_refit_full(ds, names, cfg, scores[best]),
-        final_cv_mape_pct=scores[best],
-        subset_scores=subset_scores,
-    )
+    return _search(ds, cfg, EXHAUSTIVE)
 
 
 def run_search(ds: Dataset, cfg: SearchConfig) -> SearchReport:

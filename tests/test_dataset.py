@@ -376,3 +376,29 @@ def test_concat_header_mismatch_rejected():
     b = make_dataset(5, 3, seed=1)
     with pytest.raises(ValueError, match="headers differ"):
         pp.concat_datasets([a, b])
+
+
+@pytest.mark.parametrize(
+    "cell", ["1_0", " 2.5", "2.5 ", "2.5\x0c", "+4", "+4.5e1", "٣.5", "２.5"]
+)
+def test_float_cells_reject_what_float_alone_would_read(tmp_path, cell):
+    path = tmp_path / "power.csv"
+    path.write_text(f"TIME,POWER_W\n1,1.5\n2,{cell}\n", encoding="utf-8")
+    with pytest.raises(pp.FormatError, match=r"non-numeric power cell .* at line 3"):
+        pp.read_power_trace(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_float_cells_reject_non_finite(tmp_path, cell):
+    path = tmp_path / "power.csv"
+    path.write_text(f"TIME,POWER_W\n1,{cell}\n")
+    with pytest.raises(pp.FormatError, match="non-finite power value at line 2"):
+        pp.read_power_trace(path)
+
+
+def test_float_cells_keep_exponent_signs(tmp_path):
+    path = tmp_path / "power.csv"
+    path.write_text("TIME,POWER_W,FREQ_MHZ\n1,1.5e+20,2.5E-3\n2,3.,.5\n")
+    trace = pp.read_power_trace(path)
+    assert trace.power_w.tolist() == [1.5e20, 3.0]
+    assert trace.freq_mhz.tolist() == [2.5e-3, 0.5]
