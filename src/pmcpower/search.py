@@ -227,6 +227,8 @@ class _CvEvaluator:
         # (m x k) SVD factors, m and k at most the column count
         cells = max(max(b - a for a, b in spans), len(self.columns) ** 2)
         self.batch = max(1, _BATCH_CELLS // cells)
+        # scores of the batch score_many is handing out, keyed by selection
+        self._batch_scores: dict[tuple, float] = {}
 
     def score(self, selection: Sequence[int]) -> float:
         """CV MAPE of the pool columns in ``selection``; raises on fit failure."""
@@ -244,10 +246,30 @@ class _CvEvaluator:
         return float(scores[0])
 
     def score_or_inf(self, selection: Sequence[int]) -> float:
-        return self.score_many([selection])[0]
+        """CV MAPE of one selection, +inf when infeasible: the score
+        ``score_many`` computed for its batch, else a batch of one."""
+        key = tuple(selection)
+        if key in self._batch_scores:
+            return self._batch_scores[key]
+        return self._score_batch([selection])[0]
 
     def score_many(self, selections: Sequence[Sequence[int]]) -> list[float]:
-        """CV MAPE of every selection, in order; infeasible ones score +inf."""
+        """CV MAPE of every selection, in order; infeasible ones score +inf.
+
+        The scores are computed as one batch and handed out one candidate
+        at a time through ``score_or_inf``, so every candidate scored
+        passes once through that per-candidate entry point.
+        """
+        scores = self._score_batch(selections)
+        self._batch_scores = dict(zip(map(tuple, selections), scores))
+        try:
+            return [self.score_or_inf(sel) for sel in selections]
+        finally:
+            self._batch_scores = {}
+
+    def _score_batch(self, selections: Sequence[Sequence[int]]) -> list[float]:
+        """CV MAPE of every selection, in order, +inf where infeasible,
+        computed per size group and batch step."""
         out = np.empty(len(selections))
         sizes: dict[int, list[int]] = {}
         for pos, sel in enumerate(selections):
@@ -340,17 +362,17 @@ class _Walk(NamedTuple):
     subset_scores: dict[str, float] | None = None
 
 
-def _search(ds: Dataset, cfg: SearchConfig, algorithm: str) -> SearchReport:
+def _search(
+    ds: Dataset, cfg: SearchConfig, algorithm: str, start, walk
+) -> SearchReport:
     """The setup every search shares around its strategy.
 
-    Checks the algorithm, resolves the pool, lets the strategy's start
-    check the pool and give the first selection, builds the evaluator on
-    the configured folds, runs the strategy's walk and refits its pick on
-    the whole dataset.
+    Checks the algorithm, resolves the pool, lets ``start`` check the pool
+    and give the first selection, builds the evaluator on the configured
+    folds, runs ``walk`` and refits its pick on the whole dataset.
     """
     if cfg.algorithm != algorithm:
         raise SearchError(f"config algorithm is {cfg.algorithm!r}, not {algorithm}")
-    start, walk = _STRATEGIES[algorithm]
     pool = _resolve_pool(ds, cfg)
     selected = start(pool, cfg)
     evaluator = _CvEvaluator(ds, pool, kfold_split(ds, cfg.folds, cfg.fold_seed))
@@ -377,6 +399,14 @@ def _initial(pool: tuple[str, ...], names: Sequence[str]) -> list[int]:
         if name not in pool:
             raise SearchError(f"initial counter {name!r} not in candidate pool")
     return [pool.index(n) for n in names]
+
+
+def _bottom_up_start(pool, cfg) -> list[int]:
+    return _initial(pool, cfg.initial_set)
+
+
+def _top_down_start(pool, cfg) -> list[int]:
+    return sorted(_initial(pool, cfg.initial_set or pool))
 
 
 def _add_steps(evaluator, pool, selected, cfg) -> _Walk:
@@ -471,17 +501,6 @@ def _enumerate(evaluator, pool, selected, cfg) -> _Walk:
     )
 
 
-# per algorithm: (check the pool and give the first selection, walk)
-_STRATEGIES = {
-    BOTTOM_UP: (lambda pool, cfg: _initial(pool, cfg.initial_set), _add_steps),
-    TOP_DOWN: (
-        lambda pool, cfg: sorted(_initial(pool, cfg.initial_set or pool)),
-        _remove_steps,
-    ),
-    EXHAUSTIVE: (_exhaustive_start, _enumerate),
-}
-
-
 def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     """Greedy forward selection from cfg.initial_set.
 
@@ -490,7 +509,7 @@ def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     exhaustion, or on convergence.  Term order in the final model is the
     order of selection.
     """
-    return _search(ds, cfg, BOTTOM_UP)
+    return _search(ds, cfg, BOTTOM_UP, _bottom_up_start, _add_steps)
 
 
 def top_down(ds: Dataset, cfg: SearchConfig) -> SearchReport:
@@ -500,7 +519,7 @@ def top_down(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     the incumbent: equal-score removals are taken to prefer the simpler
     model.  Term order in the final model is pool order.
     """
-    return _search(ds, cfg, TOP_DOWN)
+    return _search(ds, cfg, TOP_DOWN, _top_down_start, _remove_steps)
 
 
 def exhaustive(ds: Dataset, cfg: SearchConfig) -> SearchReport:
@@ -511,7 +530,7 @@ def exhaustive(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     to the smaller subset and then to lexicographic pool order.  max_events
     caps the subset size.
     """
-    return _search(ds, cfg, EXHAUSTIVE)
+    return _search(ds, cfg, EXHAUSTIVE, _exhaustive_start, _enumerate)
 
 
 def run_search(ds: Dataset, cfg: SearchConfig) -> SearchReport:
