@@ -69,6 +69,8 @@ def cmd_sync(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     parts = [dataset.read_dataset(p) for p in args.dataset]
     data = dataset.concat_datasets(parts, source="+".join(args.dataset))
     cfg = search.SearchConfig(
@@ -78,7 +80,6 @@ def cmd_train(args) -> int:
         max_events=args.max_events,
         candidate_pool=_names(args.pool),
         fold_seed=args.seed if args.seed is not None else 0,
-        n_jobs=args.jobs,
     )
     report = search.run_search(data, cfg)
     regress.write_model(report.final_model, args.model_out)

@@ -16,7 +16,8 @@ Dataset, and at zero drop rate ``synchronize`` reproduces it exactly.
 
 from __future__ import annotations
 
-import json
+import dataclasses
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ from .dataset import (
     CounterTrace,
     Dataset,
     PowerTrace,
+    read_json,
+    write_json,
 )
 from .errors import FormatError, GenError
 from .regress import KIND_PMC, PowerModel, model_from_dict, model_to_dict
@@ -255,78 +258,39 @@ def generate(spec: GenSpec) -> GenResult:
 # GenSpec JSON (the CLI `gen` input format)
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = {
-    "true_model",
-    "n_samples",
-    "counter_ranges",
-    "n_runs",
-    "sample_period_cycles",
-    "noise_rel",
-    "seed",
-    "drop_rate",
-    "inject_wrap",
-}
-
-
 def genspec_to_dict(spec: GenSpec) -> dict:
-    return {
-        "true_model": model_to_dict(spec.true_model),
-        "n_samples": spec.n_samples,
-        "counter_ranges": {
-            name: list(bounds) for name, bounds in spec.counter_ranges.items()
-        },
-        "n_runs": spec.n_runs,
-        "sample_period_cycles": spec.sample_period_cycles,
-        "noise_rel": spec.noise_rel,
-        "seed": spec.seed,
-        "drop_rate": spec.drop_rate,
-        "inject_wrap": spec.inject_wrap,
-    }
+    data = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    data["true_model"] = model_to_dict(spec.true_model)
+    data["counter_ranges"] = {n: list(b) for n, b in spec.counter_ranges.items()}
+    return data
 
 
 def genspec_from_dict(data: dict, where: str = "gen spec") -> GenSpec:
-    unknown = set(data) - _SPEC_KEYS
-    if unknown:
-        raise FormatError(
-            f"unknown gen spec keys: {', '.join(sorted(unknown))}", where
-        )
+    """The GenSpec a JSON object describes; its keys are GenSpec fields,
+    and an absent key takes the field's default."""
+    types = typing.get_type_hints(GenSpec)
     try:
-        ranges = {
-            str(name): (int(b[0]), int(b[1]))
-            for name, b in data["counter_ranges"].items()
+        unknown = set(data) - set(types)
+        if unknown:
+            raise FormatError(
+                f"unknown gen spec keys: {', '.join(sorted(unknown))}", where
+            )
+        fields = {
+            name: types[name](value) if types[name] in (int, float, bool) else value
+            for name, value in data.items()
         }
-        return GenSpec(
-            true_model=model_from_dict(data["true_model"], where=where),
-            n_samples=int(data["n_samples"]),
-            counter_ranges=ranges,
-            n_runs=int(data.get("n_runs", 1)),
-            sample_period_cycles=int(
-                data.get("sample_period_cycles", DEFAULT_PERIOD_CYCLES)
-            ),
-            noise_rel=float(data.get("noise_rel", 0.0)),
-            seed=int(data.get("seed", 0)),
-            drop_rate=float(data.get("drop_rate", 0.0)),
-            inject_wrap=bool(data.get("inject_wrap", False)),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        if isinstance(exc, FormatError):
-            raise
+        fields["true_model"] = model_from_dict(data["true_model"], where=where)
+        return GenSpec(**fields)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad gen spec JSON: {exc}", where) from None
 
 
 def read_gen_spec(path) -> GenSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad gen spec JSON: {exc}", path) from None
-    return genspec_from_dict(data, where=str(path))
+    return genspec_from_dict(read_json(path, "gen spec"), where=str(path))
 
 
 def write_gen_spec(spec: GenSpec, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(genspec_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+    write_json(genspec_to_dict(spec), path)
 
 
 def default_gen_spec(seed: int = 0) -> GenSpec:

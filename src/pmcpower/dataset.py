@@ -29,15 +29,20 @@ numpy a block at a time.  Any file it does not take, or whose values fail a
 check, is read again cell by cell from the same bytes; that path is the
 reference and the only one that reports where a body error is.  Writers
 format whole blocks of rows, with floats as ``repr``.
+
+JSON artifacts (model, search report, gen spec) are written and read by
+``write_json`` / ``read_json`` alone: indent 2, a final LF, and never a
+NaN or Infinity, which the writer refuses and the reader rejects.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -169,7 +174,7 @@ class SampleRow:
 class Dataset:
     """Synchronised, delta-converted samples ready for regression.
 
-    Stored column-wise; use ``rows`` / ``iter_rows`` for a per-sample view.
+    Stored column-wise; use ``row`` / ``rows`` for a per-sample view.
     ``source`` is provenance only and excluded from equality.
     """
 
@@ -232,12 +237,9 @@ class Dataset:
             freq_mhz=None if self.freq_mhz is None else float(self.freq_mhz[i]),
         )
 
-    def iter_rows(self) -> Iterator[SampleRow]:
-        return (self.row(i) for i in range(self.n_rows))
-
     @property
     def rows(self) -> list[SampleRow]:
-        return list(self.iter_rows())
+        return [self.row(i) for i in range(self.n_rows)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -254,36 +256,6 @@ class Dataset:
         if same and self.freq_mhz is not None:
             same = np.array_equal(self.freq_mhz, other.freq_mhz)
         return same
-
-    @classmethod
-    def from_rows(
-        cls,
-        counters: Sequence[str],
-        rows: Sequence[SampleRow],
-        source: str = "",
-    ) -> "Dataset":
-        names = tuple(counters)
-        has_freq = any(r.freq_mhz is not None for r in rows)
-        if has_freq and any(r.freq_mhz is None for r in rows):
-            raise ValueError("freq_mhz must be present on every row or none")
-        for r in rows:
-            if r.counters != names:
-                raise ValueError("row counters do not match dataset header")
-        return cls(
-            counters=names,
-            time_keys=np.array([r.time_key for r in rows], dtype=np.uint64),
-            run_ids=tuple(r.run_id for r in rows),
-            power_w=np.array([r.power_w for r in rows], dtype=np.float64),
-            deltas=np.array(
-                [r.deltas for r in rows], dtype=np.uint64
-            ).reshape(len(rows), len(names)),
-            freq_mhz=(
-                np.array([r.freq_mhz for r in rows], dtype=np.float64)
-                if has_freq
-                else None
-            ),
-            source=source,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -688,3 +660,47 @@ def concat_datasets(datasets: Sequence[Dataset], source: str = "") -> Dataset:
         ),
         source=source,
     )
+
+
+# ---------------------------------------------------------------------------
+# JSON artifacts
+# ---------------------------------------------------------------------------
+
+
+def write_json(data, path) -> None:
+    """Write ``data`` as a JSON artifact; a NaN or infinity in it is a
+    ValueError, raised before the file is opened."""
+    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+
+
+def _finite(parse):
+    """A JSON number hook: ``parse(token)``, unless the token is infinite
+    or NaN as a float."""
+
+    def number(token: str):
+        if not math.isfinite(float(token)):
+            raise ValueError(f"non-finite number {token}")
+        return parse(token)
+
+    return number
+
+
+def read_json(path, what: str):
+    """The value of a JSON artifact, ``what`` naming it in errors.
+
+    Bytes that are not UTF-8, malformed JSON, ``NaN`` / ``Infinity``
+    tokens and numbers too large for a float (``1e400``) raise
+    ``FormatError("bad <what> JSON: ...", path)``.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+        return json.loads(
+            text,
+            parse_int=_finite(int),
+            parse_float=_finite(float),
+            parse_constant=_finite(float),
+        )
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise FormatError(f"bad {what} JSON: {exc}", path) from None

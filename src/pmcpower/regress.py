@@ -13,7 +13,6 @@ formatting rounds to 6 significant digits.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -27,7 +26,9 @@ from .dataset import (
     Dataset,
     SampleRow,
     check_counter_names,
+    read_json,
     write_columns,
+    write_json,
 )
 from .errors import FitError, FormatError, ModelError, RankDeficientError
 
@@ -132,8 +133,7 @@ def mape(actual, predicted) -> float:
         raise ValueError(f"length mismatch: {a.shape} vs {p.shape}")
     if a.size == 0:
         raise ValueError("mape of empty sequences")
-    _check_zero_guard(a)
-    return float((100.0 / a.size) * np.sum(np.abs(a - p) / np.abs(a)))
+    return float(mape_rows(a, p[None, :])[0])
 
 
 def mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
@@ -142,16 +142,12 @@ def mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     Each row is summed on its own along the contiguous axis, so a row's
     value does not depend on which other rows share the array.
     """
-    _check_zero_guard(actual)
-    err = np.abs(actual - predicted) / np.abs(actual)
-    return (100.0 / actual.size) * err.sum(axis=1)
-
-
-def _check_zero_guard(a: np.ndarray) -> None:
-    guard = np.abs(a) < MAPE_ZERO_GUARD_W
+    guard = np.abs(actual) < MAPE_ZERO_GUARD_W
     if np.any(guard):
         idx = int(np.argmax(guard))
         raise ValueError(f"actual value below zero-guard at sample {idx}")
+    err = np.abs(actual - predicted) / np.abs(actual)
+    return (100.0 / actual.size) * err.sum(axis=1)
 
 
 def _solve_ols(design: np.ndarray, y: np.ndarray):
@@ -336,15 +332,8 @@ def model_from_dict(data: dict, where: str = "model") -> PowerModel:
 
 
 def write_model(model: PowerModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(model_to_dict(model), f, indent=2)
-        f.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def read_model(path) -> PowerModel:
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad model JSON: {exc}", path) from None
-    return model_from_dict(data, where=str(path))
+    return model_from_dict(read_json(path, "model"), where=str(path))

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -41,9 +40,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, check_counter_names
+from .dataset import Dataset, check_counter_names, read_json, write_json
 from .errors import FitError, FormatError, RankDeficientError, SearchError
 from .regress import (
+    ALGORITHMS as SEARCH_ALGORITHMS,
     PowerModel,
     TrainingMeta,
     fit_ols,
@@ -54,10 +54,7 @@ from .regress import (
 
 log = logging.getLogger(__name__)
 
-BOTTOM_UP = "bottom_up"
-TOP_DOWN = "top_down"
-EXHAUSTIVE = "exhaustive"
-SEARCH_ALGORITHMS = (BOTTOM_UP, TOP_DOWN, EXHAUSTIVE)
+BOTTOM_UP, TOP_DOWN, EXHAUSTIVE = SEARCH_ALGORITHMS
 
 # a step must beat the incumbent by more than this to count as an improvement
 IMPROVEMENT_EPS = 1e-12
@@ -76,8 +73,7 @@ class SearchConfig:
     defaults to the whole pool.  max_events caps the model size for
     bottom_up and exhaustive.  Ties are always broken by candidate-pool
     order (lowest index wins); pool order therefore is the tie-break rule.
-    n_jobs is checked (>= 1) but changes neither speed nor results: a
-    search step is one batched computation on one thread.
+    A search step is one batched computation on one thread.
     """
 
     algorithm: str
@@ -86,7 +82,6 @@ class SearchConfig:
     max_events: int | None = None
     candidate_pool: tuple[str, ...] = ()
     fold_seed: int = 0
-    n_jobs: int = 1
 
     def __post_init__(self):
         object.__setattr__(
@@ -101,8 +96,6 @@ class SearchConfig:
             raise ValueError("folds must be >= 2")
         if self.max_events is not None and self.max_events < 0:
             raise ValueError("max_events must be >= 0")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
         if self.fold_seed < 0:
             raise ValueError("fold_seed must be >= 0")
 
@@ -369,7 +362,8 @@ def _search(
 
     Checks the algorithm, resolves the pool, lets ``start`` check the pool
     and give the first selection, builds the evaluator on the configured
-    folds, runs ``walk`` and refits its pick on the whole dataset.
+    folds, runs ``walk`` and refits its pick on the whole dataset.  A pick
+    without a finite CV score is a SearchError, not a model.
     """
     if cfg.algorithm != algorithm:
         raise SearchError(f"config algorithm is {cfg.algorithm!r}, not {algorithm}")
@@ -378,6 +372,12 @@ def _search(
     evaluator = _CvEvaluator(ds, pool, kfold_split(ds, cfg.folds, cfg.fold_seed))
     found = walk(evaluator, pool, selected, cfg)
     names = [pool[i] for i in found.selected]
+    if not math.isfinite(found.final_cv):
+        raise SearchError(
+            f"{algorithm} stopped ({found.stop_reason}) at "
+            f"[{', '.join(names)}] with no finite CV score: "
+            "its fit fails on some fold"
+        )
     return SearchReport(
         algorithm=algorithm,
         folds=cfg.folds,
@@ -613,16 +613,8 @@ def report_from_dict(data: dict, where: str = "search report") -> SearchReport:
 
 
 def write_report(report: SearchReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(report_to_dict(report), path)
 
 
 def read_report(path) -> SearchReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad search report JSON: {exc}", path=str(path)) from exc
-    return report_from_dict(data, where=str(path))
-
+    return report_from_dict(read_json(path, "search report"), where=str(path))

@@ -25,8 +25,14 @@ def _verdict(num, label, ok, detail=""):
 
 
 def _rows_subset(ds, idx):
-    rows = ds.rows
-    return pp.Dataset.from_rows(ds.counters, [rows[i] for i in idx])
+    return pp.Dataset(
+        counters=ds.counters,
+        time_keys=ds.time_keys[idx],
+        run_ids=tuple(ds.run_ids[i] for i in idx),
+        power_w=ds.power_w[idx],
+        deltas=ds.deltas[idx],
+        freq_mhz=None if ds.freq_mhz is None else ds.freq_mhz[idx],
+    )
 
 
 def test_criterion_1_coefficient_recovery():

@@ -234,6 +234,60 @@ def test_train_exhaustive_pool_limit(tmp_path, capsys):
     assert "too large for exhaustive" in capsys.readouterr().err
 
 
+def test_train_rejects_jobs_below_one(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    pp.write_dataset(make_dataset(40, 2, n_runs=4), path)
+    model_out = tmp_path / "m.json"
+    code = main(
+        [
+            "train",
+            "--dataset", str(path),
+            "--jobs", "0",
+            "--model-out", str(model_out),
+        ]
+    )
+    assert code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
+def test_train_without_a_finite_cv_score_writes_no_model(tmp_path, capsys):
+    # A and B count only in run r0, so every fold that holds r0 out trains
+    # on all-zero columns: every candidate scores +inf and bottom_up stops
+    # where it started
+    ds = make_dataset(40, 2, seed=4, n_runs=4)
+    deltas = ds.deltas.copy()
+    deltas[np.array(ds.run_ids) != "r0"] = 0
+    path = tmp_path / "d.csv"
+    pp.write_dataset(
+        pp.Dataset(
+            counters=("A", "B"),
+            time_keys=ds.time_keys,
+            run_ids=ds.run_ids,
+            power_w=ds.power_w,
+            deltas=deltas,
+        ),
+        path,
+    )
+    model_out = tmp_path / "m.json"
+    code = main(
+        [
+            "train",
+            "--dataset", str(path),
+            "--algorithm", "bottom_up",
+            "--folds", "4",
+            "--initial", "A",
+            "--model-out", str(model_out),
+            "--report-out", str(tmp_path / "r.json"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bottom_up stopped (converged) at [A] with no finite CV score" in err
+    assert not model_out.exists()
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_train_jobs_flag_is_deterministic(tmp_path):
     prefix = gen_files(tmp_path, TWO_PLUS_JUNK, "j", seed=8)
     blobs = []

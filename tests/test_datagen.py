@@ -167,9 +167,10 @@ def test_genspec_rejects_unknown_keys():
 
 def test_genspec_bad_json_file(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{]")
-    with pytest.raises(pp.FormatError, match="bad gen spec JSON"):
-        pp.read_gen_spec(path)
+    for text in ("{]", "[1, 2]"):
+        path.write_text(text)
+        with pytest.raises(pp.FormatError, match="bad gen spec JSON"):
+            pp.read_gen_spec(path)
 
 
 def test_default_gen_spec_generates():

@@ -1,5 +1,6 @@
 """Dataset types and CSV IO: validation, round-trips, rejection messages."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,12 +86,6 @@ def test_dataset_rejects_oversized_deltas():
             power_w=np.array([1.0]),
             deltas=np.array([[2**32]], dtype=np.uint64),
         )
-
-
-def test_dataset_from_rows_round_trip():
-    ds = make_dataset(15, 2, seed=3, n_runs=3)
-    again = pp.Dataset.from_rows(ds.counters, ds.rows)
-    assert again == ds
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +397,79 @@ def test_float_cells_keep_exponent_signs(tmp_path):
     trace = pp.read_power_trace(path)
     assert trace.power_w.tolist() == [1.5e20, 3.0]
     assert trace.freq_mhz.tolist() == [2.5e-3, 0.5]
+
+
+# ---------------------------------------------------------------------------
+# JSON artifacts
+# ---------------------------------------------------------------------------
+
+_MODEL = pp.PowerModel(
+    intercept_w=1.5,
+    terms=(("A", 2e-6),),
+    training=pp.TrainingMeta("bottom_up", 4, 1.25, 1.0),
+)
+_REPORT = pp.SearchReport(
+    algorithm="bottom_up",
+    folds=4,
+    fold_seed=0,
+    pool=("A",),
+    stop_reason="converged",
+    initial_cv_mape_pct=2.0,
+    iterations=(pp.SearchIteration("add", "A", 1.25, {"A": 1.25}),),
+    final_model=_MODEL,
+    final_cv_mape_pct=1.25,
+)
+_SPEC = pp.GenSpec(
+    true_model=_MODEL, n_samples=10, counter_ranges={"A": (0, 5)}, noise_rel=0.01
+)
+
+# what, writer, reader, and a float key the artifact holds once
+_JSON_ARTIFACTS = {
+    "model": (lambda p: pp.write_model(_MODEL, p), pp.read_model, "cv_mape_pct"),
+    "search report": (
+        lambda p: pp.write_report(_REPORT, p),
+        pp.read_report,
+        "final_cv_mape_pct",
+    ),
+    "gen spec": (lambda p: pp.write_gen_spec(_SPEC, p), pp.read_gen_spec, "noise_rel"),
+}
+
+
+@pytest.mark.parametrize("what", _JSON_ARTIFACTS)
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (b"NaN", "non-finite number NaN"),
+        (b"Infinity", "non-finite number Infinity"),
+        (b"-Infinity", "non-finite number -Infinity"),
+        (b"1e400", "non-finite number 1e400"),
+        (b"1" + b"0" * 400, "non-finite number 1000"),
+        (b'"\xe9"', "'utf-8' codec can't decode byte 0xe9"),
+    ],
+    ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400", "latin-1"],
+)
+def test_json_readers_reject_non_finite_numbers_and_bad_bytes(
+    tmp_path, what, value, message
+):
+    write, read, key = _JSON_ARTIFACTS[what]
+    path = tmp_path / "a.json"
+    write(path)
+    pattern = rb'("%s": )[^,\n]+' % key.encode()
+    data, n = re.subn(pattern, rb"\g<1>" + value, path.read_bytes())
+    assert n == 1
+    path.write_bytes(data)
+    want = re.escape(f"{path}: bad {what} JSON: {message}")
+    with pytest.raises(pp.FormatError, match=want):
+        read(path)
+
+
+def test_json_writer_refuses_non_finite_numbers(tmp_path):
+    model = pp.PowerModel(
+        intercept_w=1.5,
+        terms=(("A", 2e-6),),
+        training=pp.TrainingMeta("bottom_up", 4, float("inf"), 1.0),
+    )
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        pp.write_model(model, path)
+    assert not path.exists()
