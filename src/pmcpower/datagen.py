@@ -139,23 +139,22 @@ def generate(spec: GenSpec) -> GenResult:
 
         deltas = rng.integers(lo, hi + 1, size=(n - 1, p), dtype=np.int64)
 
+        # running event totals from sample 0
+        csum = np.zeros((n, p), dtype=np.int64)
+        np.cumsum(deltas, axis=0, out=csum[1:])
+
         # cumulative readings, wrapped at 2^32; a mid-range start forces at
         # least one crossing per column when requested
-        totals = deltas.sum(axis=0)
+        start = 0
         if spec.inject_wrap:
-            start = (COUNTER_MODULUS - (totals + 1) // 2) % COUNTER_MODULUS
-        else:
-            start = np.zeros(p, dtype=np.int64)
-        cumulative = np.empty((n, p), dtype=np.int64)
-        cumulative[0] = start
-        np.cumsum(deltas, axis=0, out=cumulative[1:])
-        cumulative[1:] += start
+            start = (COUNTER_MODULUS - (csum[-1] + 1) // 2) % COUNTER_MODULUS
+        cumulative = csum + start
         cumulative %= COUNTER_MODULUS
         pmc_traces.append(
             CounterTrace(
                 time_keys=keys,
                 counters=counters,
-                values=cumulative.astype(np.uint32),
+                values=cumulative,
                 run_id=run_id,
             )
         )
@@ -171,8 +170,6 @@ def generate(spec: GenSpec) -> GenResult:
         # wrap-corrected exactly as synchronisation reconstructs them
         ends = kept_idx[1:]
         starts = kept_idx[:-1]
-        csum = np.zeros((n, p), dtype=np.int64)
-        np.cumsum(deltas, axis=0, out=csum[1:])
         merged = (csum[ends] - csum[starts]) % COUNTER_MODULUS
         per_run.append(
             {

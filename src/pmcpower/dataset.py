@@ -16,6 +16,12 @@ The name ``TIME`` is reserved for the synchronisation key and never names a
 predictor column.  Malformed files are rejected with a line number, never
 repaired.  All types are immutable after construction.
 
+Files and types share one rule set, the ``_Field`` of each column: a
+constructor checks its arrays against the rules the readers apply to
+cells, and raises ValueError naming the column.  Conversions never cast a
+value that breaks them: a float is not an integer column, and -1 or 2^32
+is not a 32-bit count.
+
 Only LF ends a line: a CR is an error, and characters such as form feed or
 U+2028 are ordinary cell text.  Integer cells are ASCII digits only (no
 sign, padding, fraction or exponent); float cells are what ``float()``
@@ -40,7 +46,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -71,9 +77,65 @@ def check_counter_names(counters: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def _check_strictly_increasing(keys: np.ndarray, what: str) -> None:
-    if keys.size > 1 and not np.all(keys[1:] > keys[:-1]):
-        raise ValueError(f"{what} not strictly increasing")
+@dataclass(frozen=True)
+class _Field:
+    """The rules for one column, or for ``shape[0]`` adjacent CSV columns.
+
+    kind "text" keeps the cell as it is, "uint" takes an integer in
+    ``[0, bound)`` and "float" a finite number > 0.  ``what`` names the
+    column in error messages; an ``increasing`` column must strictly
+    increase down the file.  A field reads as an array of shape
+    ``(rows,) + shape``, or a tuple for text.
+    """
+
+    what: str
+    kind: str
+    bound: int = 0
+    shape: tuple[int, ...] = ()
+    increasing: bool = False
+
+    @property
+    def width(self) -> int:
+        return self.shape[0] if self.shape else 1
+
+    def check(self, values, shape: tuple[int, ...], dtype=None) -> np.ndarray:
+        """``values`` as an array of ``dtype`` (default: the kind's), once
+        it has ``shape`` and every value keeps this field's rules.
+
+        A uint field takes only an integer dtype, so a float, however
+        whole, is refused rather than cast.  An empty array passes.
+        """
+        values = np.asarray(values)
+        if values.shape != shape:
+            raise ValueError(f"{self.what} shape {values.shape} is not {shape}")
+        if not values.size:
+            pass
+        elif self.kind == "float":
+            # min/max: NaN fails both comparisons, and no full-size temporary
+            if values.dtype.kind not in "iuf" or not (
+                values.min() > 0 and values.max() < np.inf
+            ):
+                raise ValueError(f"{self.what} values must be finite and > 0")
+        elif values.dtype.kind not in "iu":
+            raise ValueError(f"{self.what} values must be integers, not {values.dtype}")
+        elif int(values.min()) < 0 or int(values.max()) >= self.bound:
+            raise ValueError(
+                f"{self.what} values must be >= 0 and < 2^{self.bound.bit_length() - 1}"
+            )
+        elif self.increasing and np.any(values[1:] <= values[:-1]):
+            raise ValueError(f"{self.what} not strictly increasing")
+        return values.astype(dtype or _DTYPES[self.kind], copy=False)
+
+
+_DTYPES = {"text": object, "uint": np.uint64, "float": np.float64}
+
+_RUN = _Field("RUN", "text")
+_TIME = _Field(TIME_KEY, "uint", TIME_MODULUS, increasing=True)
+_END_TIME = _Field(TIME_KEY, "uint", TIME_MODULUS)  # concatenated runs may repeat keys
+_COUNTS = _Field("counter", "uint", COUNTER_MODULUS)
+_DELTAS = _Field("delta", "uint", COUNTER_MODULUS)
+_POWER = _Field("power", "float")
+_FREQ = _Field("frequency", "float")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,20 +153,13 @@ class CounterTrace:
     run_id: str = ""
 
     def __post_init__(self):
-        keys = np.asarray(self.time_keys, dtype=np.uint64)
-        vals = np.asarray(self.values, dtype=np.uint32)
         names = check_counter_names(self.counters)
-        if vals.ndim != 2:
-            vals = vals.reshape(len(keys), len(names))
-        if vals.shape != (len(keys), len(names)):
-            raise ValueError(
-                f"values shape {vals.shape} does not match "
-                f"{len(keys)} samples x {len(names)} counters"
-            )
-        _check_strictly_increasing(keys, TIME_KEY)
-        object.__setattr__(self, "time_keys", keys)
+        n = len(self.time_keys)
+        object.__setattr__(self, "time_keys", _TIME.check(self.time_keys, (n,)))
         object.__setattr__(self, "counters", names)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(
+            self, "values", _COUNTS.check(self.values, (n, len(names)), np.uint32)
+        )
 
     def __len__(self) -> int:
         return len(self.time_keys)
@@ -120,23 +175,11 @@ class PowerTrace:
     run_id: str = ""
 
     def __post_init__(self):
-        keys = np.asarray(self.time_keys, dtype=np.uint64)
-        power = np.asarray(self.power_w, dtype=np.float64)
-        if power.shape != keys.shape:
-            raise ValueError("power_w length does not match time_keys")
-        _check_strictly_increasing(keys, TIME_KEY)
-        if not np.all(np.isfinite(power)) or np.any(power <= 0):
-            raise ValueError("power_w values must be finite and > 0")
-        freq = self.freq_mhz
-        if freq is not None:
-            freq = np.asarray(freq, dtype=np.float64)
-            if freq.shape != keys.shape:
-                raise ValueError("freq_mhz length does not match time_keys")
-            if not np.all(np.isfinite(freq)) or np.any(freq <= 0):
-                raise ValueError("freq_mhz values must be finite and > 0")
-        object.__setattr__(self, "time_keys", keys)
-        object.__setattr__(self, "power_w", power)
-        object.__setattr__(self, "freq_mhz", freq)
+        n = len(self.time_keys)
+        object.__setattr__(self, "time_keys", _TIME.check(self.time_keys, (n,)))
+        object.__setattr__(self, "power_w", _POWER.check(self.power_w, (n,)))
+        if self.freq_mhz is not None:
+            object.__setattr__(self, "freq_mhz", _FREQ.check(self.freq_mhz, (n,)))
 
     def __len__(self) -> int:
         return len(self.time_keys)
@@ -158,10 +201,11 @@ class SampleRow:
     freq_mhz: float | None = None
 
     def __post_init__(self):
-        if len(self.deltas) != len(self.counters):
-            raise ValueError("one delta per counter required")
-        if not math.isfinite(self.power_w) or self.power_w <= 0:
-            raise ValueError("power_w must be finite and > 0")
+        _END_TIME.check(self.time_key, ())
+        _DELTAS.check(self.deltas, (len(self.counters),))
+        _POWER.check(self.power_w, ())
+        if self.freq_mhz is not None:
+            _FREQ.check(self.freq_mhz, ())
 
     def delta(self, counter: str) -> int:
         try:
@@ -188,37 +232,17 @@ class Dataset:
 
     def __post_init__(self):
         names = check_counter_names(self.counters)
-        keys = np.asarray(self.time_keys, dtype=np.uint64)
         runs = tuple(self.run_ids)
-        power = np.asarray(self.power_w, dtype=np.float64)
-        deltas = np.asarray(self.deltas, dtype=np.uint64)
-        n = len(keys)
-        if deltas.ndim != 2:
-            deltas = deltas.reshape(n, len(names))
-        if deltas.shape != (n, len(names)):
-            raise ValueError(
-                f"deltas shape {deltas.shape} does not match "
-                f"{n} rows x {len(names)} counters"
-            )
-        if len(runs) != n or power.shape != (n,):
-            raise ValueError("run_ids/power_w length does not match time_keys")
-        if not np.all(np.isfinite(power)) or np.any(power <= 0):
-            raise ValueError("power_w values must be finite and > 0")
-        if np.any(deltas >= COUNTER_MODULUS):
-            raise ValueError("delta values must be < 2^32")
-        freq = self.freq_mhz
-        if freq is not None:
-            freq = np.asarray(freq, dtype=np.float64)
-            if freq.shape != (n,):
-                raise ValueError("freq_mhz length does not match time_keys")
-            if not np.all(np.isfinite(freq)) or np.any(freq <= 0):
-                raise ValueError("freq_mhz values must be finite and > 0")
+        n = len(runs)
         object.__setattr__(self, "counters", names)
-        object.__setattr__(self, "time_keys", keys)
+        object.__setattr__(self, "time_keys", _END_TIME.check(self.time_keys, (n,)))
         object.__setattr__(self, "run_ids", runs)
-        object.__setattr__(self, "power_w", power)
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "freq_mhz", freq)
+        object.__setattr__(self, "power_w", _POWER.check(self.power_w, (n,)))
+        object.__setattr__(
+            self, "deltas", _DELTAS.check(self.deltas, (n, len(names)))
+        )
+        if self.freq_mhz is not None:
+            object.__setattr__(self, "freq_mhz", _FREQ.check(self.freq_mhz, (n,)))
 
     @property
     def n_rows(self) -> int:
@@ -275,31 +299,6 @@ _WRITE_BLOCK_ROWS = 1024
 _BULK_BYTES = bytes(range(0x21, 0x7F)).replace(b"+", b"") + b"\n"
 
 
-@dataclass(frozen=True)
-class _Field:
-    """CSV columns parsed alike: one column, or ``shape[0]`` adjacent ones.
-
-    kind "text" keeps the cell as it is, "uint" takes an unsigned decimal
-    below ``bound`` and "float" a finite decimal > 0.  ``what`` names the
-    column in error messages; an ``increasing`` column must strictly
-    increase down the file.  A field reads as an array of shape
-    ``(rows,) + shape``, or a tuple for text.
-    """
-
-    what: str
-    kind: str
-    bound: int = 0
-    shape: tuple[int, ...] = ()
-    increasing: bool = False
-
-    @property
-    def width(self) -> int:
-        return self.shape[0] if self.shape else 1
-
-
-_DTYPES = {"text": object, "uint": np.uint64, "float": np.float64}
-
-
 def _counter_fields(header: list[str], path) -> tuple[_Field, ...]:
     if header[0] != TIME_KEY or len(header) < 2:
         raise FormatError(
@@ -307,10 +306,7 @@ def _counter_fields(header: list[str], path) -> tuple[_Field, ...]:
             path,
         )
     _check_header_names(header[1:], path)
-    return (
-        _Field(TIME_KEY, "uint", TIME_MODULUS, increasing=True),
-        _Field("counter", "uint", COUNTER_MODULUS, shape=(len(header) - 1,)),
-    )
+    return _TIME, replace(_COUNTS, shape=(len(header) - 1,))
 
 
 def _power_fields(header: list[str], path) -> tuple[_Field, ...]:
@@ -322,10 +318,7 @@ def _power_fields(header: list[str], path) -> tuple[_Field, ...]:
             f"(got {','.join(header)!r})",
             path,
         )
-    return (
-        _Field(TIME_KEY, "uint", TIME_MODULUS, increasing=True),
-        _Field("power", "float"),
-    ) + ((_Field("frequency", "float"),) if len(header) == 3 else ())
+    return (_TIME, _POWER, _FREQ)[: len(header)]
 
 
 def _dataset_fields(header: list[str], path) -> tuple[_Field, ...]:
@@ -339,14 +332,8 @@ def _dataset_fields(header: list[str], path) -> tuple[_Field, ...]:
     first_counter = 4 if has_freq else 3
     _check_header_names(header[first_counter:], path)
     n_counters = len(header) - first_counter
-    return (
-        (
-            _Field("RUN", "text"),
-            _Field(TIME_KEY, "uint", TIME_MODULUS),
-            _Field("power", "float"),
-        )
-        + ((_Field("frequency", "float"),) if has_freq else ())
-        + (_Field("delta", "uint", COUNTER_MODULUS, shape=(n_counters,)),)
+    return (_RUN, _END_TIME, _POWER) + ((_FREQ,) if has_freq else ()) + (
+        replace(_DELTAS, shape=(n_counters,)),
     )
 
 
@@ -427,13 +414,11 @@ def _read_bulk(data: bytes, fields_of, path) -> tuple[list[str], list] | None:
     for i, (f, col) in enumerate(zip(fields, cols)):
         if f.kind == "text":
             cols[i] = tuple(col.tolist())
-        elif f.kind == "float":
-            if not np.all((col > 0) & (col < np.inf)):
+        else:
+            try:
+                f.check(col, col.shape)
+            except ValueError:
                 return None
-        elif (col.size and col.max() >= f.bound) or (
-            f.increasing and np.any(col[1:] <= col[:-1])
-        ):
-            return None
     return header, cols
 
 

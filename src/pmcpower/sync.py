@@ -62,12 +62,14 @@ class CoverageReport:
         return ", ".join(parts)
 
 
-def _window_counts(keys: np.ndarray, others: np.ndarray, tol: int) -> np.ndarray:
-    """For each key, how many of ``others`` lie within +-tol (inclusive)."""
-    signed = others.astype(np.int64)
-    lo = np.searchsorted(signed, keys.astype(np.int64) - tol, side="left")
-    hi = np.searchsorted(signed, keys.astype(np.int64) + tol, side="right")
-    return hi - lo
+def _windows(
+    keys: np.ndarray, others: np.ndarray, tol: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each key, the index of the first of ``others`` within +-tol
+    (inclusive) and how many of them lie there."""
+    lo = np.searchsorted(others, keys - tol, side="left")
+    hi = np.searchsorted(others, keys + tol, side="right")
+    return lo, hi - lo
 
 
 def _match_pairs(
@@ -85,22 +87,21 @@ def _match_pairs(
         )
         return pmc_idx, pwr_idx, np.array([], dtype=np.uint64)
 
-    # TIME keys are uint64 but realistic cycle counts fit int64; the signed
-    # view keeps searchsorted arithmetic overflow-free.
+    # TIME keys are uint64 but realistic cycle counts fit int64; below this
+    # bound the int64 views of the same memory read the same values, and
+    # the window arithmetic on them cannot overflow.
     for keys in (pmc_keys, pwr_keys):
         if keys.size and int(keys[-1]) + tol >= 1 << 63:
             raise SyncError("TIME keys too large for tolerance matching")
-    n_pwr_near = _window_counts(pmc_keys, pwr_keys, tol)
-    n_pmc_near = _window_counts(pwr_keys, pmc_keys, tol)
+    pmc_signed, pwr_signed = pmc_keys.view(np.int64), pwr_keys.view(np.int64)
+    first_pwr, n_pwr_near = _windows(pmc_signed, pwr_signed, tol)
+    _, n_pmc_near = _windows(pwr_signed, pmc_signed, tol)
     ambiguous = np.concatenate(
         [pmc_keys[n_pwr_near > 1], pwr_keys[n_pmc_near > 1]]
     )
 
     pmc_ok = n_pwr_near == 1
-    lo = np.searchsorted(
-        pwr_keys.astype(np.int64), pmc_keys.astype(np.int64) - tol, side="left"
-    )
-    cand = lo[pmc_ok]  # the single candidate for each unambiguous pmc key
+    cand = first_pwr[pmc_ok]  # the single candidate for each unambiguous pmc key
     keep = n_pmc_near[cand] == 1  # partner must be unambiguous too
     pmc_idx = np.nonzero(pmc_ok)[0][keep]
     pwr_idx = cand[keep]

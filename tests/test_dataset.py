@@ -88,6 +88,92 @@ def test_dataset_rejects_oversized_deltas():
         )
 
 
+# One column of a valid two-row instance of each type; a case replaces one
+# column, with the bad value in the last row, which is all a SampleRow takes.
+_GOOD_COLUMNS = {
+    "time": np.array([1, 2], dtype=np.uint64),
+    "count": np.array([[3], [4]], dtype=np.uint64),
+    "power": np.array([1.0, 2.0]),
+    "freq": np.array([80.0, 80.0]),
+}
+_TYPE_COLUMNS = {
+    pp.CounterTrace: {"time": "TIME", "count": "counter"},
+    pp.PowerTrace: {"time": "TIME", "power": "power", "freq": "frequency"},
+    pp.Dataset: {"time": "TIME", "count": "delta", "power": "power", "freq": "frequency"},
+    pp.SampleRow: {"time": "TIME", "count": "delta", "power": "power", "freq": "frequency"},
+}
+_BAD_COLUMNS = [
+    ("time", "negative", [1, -3]),
+    ("time", "fraction", [1.0, 2.5]),
+    ("count", "2^32", np.array([[3], [2**32]], dtype=np.uint64)),
+    ("count", "negative", [[3], [-1]]),
+    ("count", "fraction", [[3], [4.5]]),
+] + [
+    (column, repr(bad), [1.0, bad])
+    for column in ("power", "freq")
+    for bad in (float("nan"), float("inf"), 0.0, -1.0)
+]
+
+
+def _build(cls, **columns):
+    c = {**_GOOD_COLUMNS, **{k: np.asarray(v) for k, v in columns.items()}}
+    if cls is pp.CounterTrace:
+        return cls(time_keys=c["time"], counters=("A",), values=c["count"])
+    if cls is pp.PowerTrace:
+        return cls(time_keys=c["time"], power_w=c["power"], freq_mhz=c["freq"])
+    if cls is pp.Dataset:
+        return cls(
+            counters=("A",),
+            time_keys=c["time"],
+            run_ids=("r", "r"),
+            power_w=c["power"],
+            deltas=c["count"],
+            freq_mhz=c["freq"],
+        )
+    return cls(
+        time_key=c["time"][-1].item(),
+        run_id="r",
+        counters=("A",),
+        deltas=tuple(c["count"][-1].tolist()),
+        power_w=c["power"][-1].item(),
+        freq_mhz=c["freq"][-1].item(),
+    )
+
+
+@pytest.mark.parametrize(
+    "cls, column, value",
+    [
+        pytest.param(cls, column, value, id=f"{cls.__name__}-{column}-{label}")
+        for cls, names in _TYPE_COLUMNS.items()
+        for column, label, value in _BAD_COLUMNS
+        if column in names
+    ]
+    + [
+        pytest.param(cls, None, None, id=f"{cls.__name__}-max-values")
+        for cls in _TYPE_COLUMNS
+    ],
+)
+def test_types_keep_the_file_rules_and_never_cast(cls, column, value):
+    """Each type refuses, naming the column, what a file could not hold,
+    and keeps the largest values it can."""
+    if column is not None:
+        with pytest.raises(ValueError, match=_TYPE_COLUMNS[cls][column]):
+            _build(cls, **{column: value})
+        return
+    top = _build(
+        cls,
+        time=np.array([1, 2**64 - 1], dtype=np.uint64),
+        count=np.array([[0], [2**32 - 1]], dtype=np.uint64),
+    )
+    if cls is pp.SampleRow:
+        assert (top.time_key, top.deltas) == (2**64 - 1, (2**32 - 1,))
+        return
+    assert int(top.time_keys[-1]) == 2**64 - 1
+    counts = top.values if cls is pp.CounterTrace else getattr(top, "deltas", None)
+    if counts is not None:
+        assert int(counts[-1, 0]) == 2**32 - 1
+
+
 # ---------------------------------------------------------------------------
 # CSV files
 # ---------------------------------------------------------------------------
