@@ -201,8 +201,10 @@ class SampleRow:
     freq_mhz: float | None = None
 
     def __post_init__(self):
+        names = check_counter_names(self.counters)
+        object.__setattr__(self, "counters", names)
         _END_TIME.check(self.time_key, ())
-        _DELTAS.check(self.deltas, (len(self.counters),))
+        _DELTAS.check(self.deltas, (len(names),))
         _POWER.check(self.power_w, ())
         if self.freq_mhz is not None:
             _FREQ.check(self.freq_mhz, ())
@@ -233,6 +235,9 @@ class Dataset:
     def __post_init__(self):
         names = check_counter_names(self.counters)
         runs = tuple(self.run_ids)
+        for run in set(runs):
+            if not isinstance(run, str):
+                raise ValueError(f"run id {run!r} is not a string")
         n = len(runs)
         object.__setattr__(self, "counters", names)
         object.__setattr__(self, "time_keys", _END_TIME.check(self.time_keys, (n,)))

@@ -1,9 +1,12 @@
 """Align a counter trace with a power trace and convert counts to deltas.
 
-Samples are joined on the shared TIME cycle counter.  The default is exact
-key equality; a nearest-within-tolerance join is available for rigs where
-the sensor timestamps drift by a few cycles.  Ambiguity (two candidates in
-one window, on either side) is an error, never a silent choice.
+Samples are joined on the shared TIME cycle counter by one window join: a
+counter key and a power key match when they differ by at most the key
+tolerance, so tolerance 0 (the default) means exact equality and a larger
+tolerance serves rigs where the sensor timestamps drift by a few cycles.
+The join covers the whole uint64 key range; its windows saturate at 0 and
+at 2^64 - 1 instead of wrapping.  Ambiguity (two candidates in one window,
+on either side) is an error, never a silent choice.
 
 Deltas are taken between *consecutive matched* keys, so unmatched samples
 widen the surrounding interval instead of corrupting it.  Counter readings
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import COUNTER_MODULUS, CounterTrace, Dataset, PowerTrace
+from .dataset import COUNTER_MODULUS, TIME_MODULUS, CounterTrace, Dataset, PowerTrace
 from .errors import SyncError
 
 log = logging.getLogger(__name__)
@@ -29,15 +32,15 @@ class SyncConfig:
     """Join parameters.
 
     key_tolerance: maximum |pmc TIME - power TIME| for a match, in cycles.
-    drop_unmatched: if False, any unmatched key on either side is an error.
     """
 
     key_tolerance: int = 0
-    drop_unmatched: bool = True
 
     def __post_init__(self):
-        if self.key_tolerance < 0:
-            raise ValueError("key_tolerance must be >= 0")
+        if not 0 <= self.key_tolerance < TIME_MODULUS:
+            raise ValueError(
+                f"key_tolerance must be in [0, 2^64), got {self.key_tolerance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -63,49 +66,38 @@ class CoverageReport:
 
 
 def _windows(
-    keys: np.ndarray, others: np.ndarray, tol: int
+    keys: np.ndarray, others: np.ndarray, tol: np.uint64
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each key, the index of the first of ``others`` within +-tol
-    (inclusive) and how many of them lie there."""
-    lo = np.searchsorted(others, keys - tol, side="left")
-    hi = np.searchsorted(others, keys + tol, side="right")
+    (inclusive) and how many of them lie there.  Bounds saturate at 0 and
+    2^64 - 1: ``~tol`` is 2^64 - 1 - tol."""
+    lo = np.searchsorted(others, np.maximum(keys, tol) - tol, side="left")
+    hi = np.searchsorted(others, np.minimum(keys, ~tol) + tol, side="right")
     return lo, hi - lo
 
 
 def _match_pairs(
     pmc_keys: np.ndarray, pwr_keys: np.ndarray, tol: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """1-1 key join.
 
-    Returns (pmc indices, power indices, ambiguous-key values).  A key is
-    ambiguous when its tolerance window holds two or more candidates from
-    the other trace; ambiguous keys are excluded from the match.
+    Returns (pmc indices, power indices, sorted ambiguous-key values).  A
+    key is ambiguous when its tolerance window holds two or more candidates
+    from the other trace; ambiguous keys are excluded from the match.
     """
-    if tol == 0:
-        _, pmc_idx, pwr_idx = np.intersect1d(
-            pmc_keys, pwr_keys, assume_unique=True, return_indices=True
-        )
-        return pmc_idx, pwr_idx, np.array([], dtype=np.uint64)
-
-    # TIME keys are uint64 but realistic cycle counts fit int64; below this
-    # bound the int64 views of the same memory read the same values, and
-    # the window arithmetic on them cannot overflow.
-    for keys in (pmc_keys, pwr_keys):
-        if keys.size and int(keys[-1]) + tol >= 1 << 63:
-            raise SyncError("TIME keys too large for tolerance matching")
-    pmc_signed, pwr_signed = pmc_keys.view(np.int64), pwr_keys.view(np.int64)
-    first_pwr, n_pwr_near = _windows(pmc_signed, pwr_signed, tol)
-    _, n_pmc_near = _windows(pwr_signed, pmc_signed, tol)
-    ambiguous = np.concatenate(
-        [pmc_keys[n_pwr_near > 1], pwr_keys[n_pmc_near > 1]]
-    )
+    tol = np.uint64(tol)
+    first_pwr, n_pwr_near = _windows(pmc_keys, pwr_keys, tol)
+    _, n_pmc_near = _windows(pwr_keys, pmc_keys, tol)
+    # a set, not np.unique, which imports numpy.ma (about 1 MB of RSS)
+    ambiguous = set(pmc_keys[n_pwr_near > 1].tolist())
+    ambiguous.update(pwr_keys[n_pmc_near > 1].tolist())
 
     pmc_ok = n_pwr_near == 1
     cand = first_pwr[pmc_ok]  # the single candidate for each unambiguous pmc key
     keep = n_pmc_near[cand] == 1  # partner must be unambiguous too
     pmc_idx = np.nonzero(pmc_ok)[0][keep]
     pwr_idx = cand[keep]
-    return pmc_idx, pwr_idx, np.unique(ambiguous)
+    return pmc_idx, pwr_idx, sorted(ambiguous)
 
 
 def coverage_report(
@@ -136,24 +128,11 @@ def synchronize(
     frequency, when present) is the sensor sample at the interval's end key.
     Row count is one less than the number of matched keys.
     """
-    if len(pmc) == 0 or len(pwr) == 0:
-        raise SyncError("insufficient overlap: empty trace")
     pmc_idx, pwr_idx, ambiguous = _match_pairs(
         pmc.time_keys, pwr.time_keys, cfg.key_tolerance
     )
-    if len(ambiguous):
-        raise SyncError(f"ambiguous key at TIME={int(ambiguous[0])}")
-    if not cfg.drop_unmatched:
-        if len(pmc_idx) < len(pmc):
-            missing = np.setdiff1d(np.arange(len(pmc)), pmc_idx)
-            raise SyncError(
-                f"unmatched PMC key at TIME={int(pmc.time_keys[missing[0]])}"
-            )
-        if len(pwr_idx) < len(pwr):
-            missing = np.setdiff1d(np.arange(len(pwr)), pwr_idx)
-            raise SyncError(
-                f"unmatched power key at TIME={int(pwr.time_keys[missing[0]])}"
-            )
+    if ambiguous:
+        raise SyncError(f"ambiguous key at TIME={ambiguous[0]}")
     if len(pmc_idx) < 2:
         raise SyncError(
             f"insufficient overlap: {len(pmc_idx)} matched keys, need at least 2"

@@ -135,6 +135,21 @@ def test_sync_tolerance_flag(tmp_path, capsys):
     assert list(ds.deltas[:, 0]) == [10, 15]
 
 
+def test_sync_tolerance_out_of_range_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "p.csv").write_text("TIME,A\n1000,10\n2000,20\n")
+    (tmp_path / "w.csv").write_text("TIME,POWER_W\n1000,1.5\n2000,2.5\n")
+    argv = [
+        "sync",
+        "--pmc", str(tmp_path / "p.csv"),
+        "--power", str(tmp_path / "w.csv"),
+        "--out", str(tmp_path / "out.csv"),
+        "--tolerance", str(2**64),
+    ]
+    assert main(argv) == 2
+    assert "key_tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_train_recovers_true_counters(tmp_path, capsys):
     prefix = gen_files(tmp_path, TWO_PLUS_JUNK, "t", seed=2)
     capsys.readouterr()

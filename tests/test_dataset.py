@@ -63,6 +63,28 @@ def test_sample_row_delta_lookup():
         row.delta("C")
 
 
+@pytest.mark.parametrize(
+    "counters, match",
+    [(("TIME", "TIME"), "reserved"), (("A", "A"), "duplicate"), (("A", ""), "empty")],
+)
+def test_sample_row_checks_counter_names(counters, match):
+    with pytest.raises(ValueError, match=match):
+        pp.SampleRow(
+            time_key=1, run_id="r", counters=counters, deltas=(1, 2), power_w=1.0
+        )
+
+
+def test_dataset_rejects_a_run_id_that_is_not_a_string():
+    with pytest.raises(ValueError, match="run id 7 is not a string"):
+        pp.Dataset(
+            counters=("A",),
+            time_keys=np.array([1, 2], dtype=np.uint64),
+            run_ids=("r0", 7),
+            power_w=np.array([1.0, 1.0]),
+            deltas=np.array([[1], [2]], dtype=np.uint64),
+        )
+
+
 def test_dataset_equality_ignores_source():
     a = make_dataset(20, 3, seed=1)
     b = pp.Dataset(

@@ -83,30 +83,11 @@ def test_ambiguous_window_is_an_error():
     assert rep.matched == 1
 
 
-def test_strict_mode_rejects_unmatched_keys():
-    cfg = pp.SyncConfig(drop_unmatched=False)
-    pmc = ct([100, 200, 300], [1, 2, 3])
-    with pytest.raises(pp.SyncError, match="unmatched PMC key at TIME=200"):
-        pp.synchronize(pmc, pt([100, 300], [1.0, 1.0]), cfg)
-    with pytest.raises(pp.SyncError, match="unmatched power key at TIME=250"):
-        pp.synchronize(
-            ct([100, 300], [1, 3]), pt([100, 250, 300], [1.0, 1.0, 1.0]), cfg
-        )
-
-
 def test_insufficient_overlap_errors():
     with pytest.raises(pp.SyncError, match="1 matched keys, need at least 2"):
         pp.synchronize(ct([100, 200], [1, 2]), pt([200, 900], [1.0, 1.0]))
     with pytest.raises(pp.SyncError, match="insufficient overlap"):
         pp.synchronize(ct([1, 2], [1, 2]), pt([5, 6], [1.0, 1.0]))
-
-
-def test_tolerance_overflow_guard():
-    huge = (1 << 63) - 1
-    pmc = ct([huge], [1])
-    pwr = pt([huge], [1.0])
-    with pytest.raises(pp.SyncError, match="too large"):
-        pp.coverage_report(pmc, pwr, pp.SyncConfig(key_tolerance=5))
 
 
 def test_coverage_report_counts():
@@ -153,6 +134,55 @@ def test_join_agrees_with_brute_force(pmc_keys, pwr_keys, tol):
     assert rep.ambiguous == len(ref_amb)
     assert rep.unmatched_pmc == len(pmc_keys) - len(ref_pairs)
     assert rep.unmatched_power == len(pwr_keys) - len(ref_pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pmc_offsets=st.lists(st.integers(0, 3000), unique=True, min_size=1, max_size=40),
+    pwr_offsets=st.lists(st.integers(0, 3000), unique=True, min_size=1, max_size=40),
+    top=st.sampled_from([2**63 + 30, 2**64 - 1]),
+    tol=st.one_of(st.integers(0, 60), st.integers(2**63 - 2, 2**64 - 1)),
+)
+def test_join_agrees_with_brute_force_at_the_top_of_the_key_range(
+    pmc_offsets, pwr_offsets, top, tol
+):
+    """Keys that straddle 2^63 or end at 2^64 - 1, and tolerances up to
+    2^64 - 1: the windows saturate, they never wrap."""
+    base = top - max(pmc_offsets + pwr_offsets)
+    pmc_keys = sorted(base + k for k in pmc_offsets)
+    pwr_keys = sorted(base + k for k in pwr_offsets)
+    ref_pairs, ref_amb = brute_force_join(pmc_keys, pwr_keys, tol)
+    rep = pp.coverage_report(
+        ct(pmc_keys, [0] * len(pmc_keys)),
+        pt(pwr_keys, [1.0] * len(pwr_keys)),
+        pp.SyncConfig(key_tolerance=tol),
+    )
+    assert rep.matched == len(ref_pairs)
+    assert rep.ambiguous == len(ref_amb)
+    assert rep.unmatched_pmc == len(pmc_keys) - len(ref_pairs)
+    assert rep.unmatched_power == len(pwr_keys) - len(ref_pairs)
+
+
+def test_synchronize_at_the_top_of_the_key_range():
+    top = 2**64 - 1
+    pmc_keys = [top - 4000, top - 3000, top - 2000, top - 1000, top]
+    values = [(4294967000, 7), (100, 9), (900, 9), (4294967295, 12), (5, 20)]
+    # the power sample near top - 2000 is dropped, and the last one sits
+    # one cycle below the largest key
+    pwr_keys = [top - 4001, top - 2998, top - 1002, top - 1]
+    power = [1.5, 2.5, 3.5, 4.5]
+    tol = 2
+    ds = pp.synchronize(
+        ct(pmc_keys, np.array(values, dtype=np.uint64), counters=("A", "B")),
+        pt(pwr_keys, power),
+        pp.SyncConfig(key_tolerance=tol),
+    )
+    ref_rows = ref_sync_rows(pmc_keys, values, pwr_keys, power, tol)
+    assert ds.n_rows == len(ref_rows) == 3
+    for i, (time, watts, drow) in enumerate(ref_rows):
+        assert int(ds.time_keys[i]) == time
+        assert float(ds.power_w[i]) == watts
+        assert tuple(int(d) for d in ds.deltas[i]) == drow
 
 
 def test_synchronized_rows_match_reference(rng):
