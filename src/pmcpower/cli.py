@@ -174,10 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--folds", type=int, default=10)
     p.add_argument(
-        "--max-events", type=int, default=None, help="cap on model size"
+        "--max-events", type=int, help="cap on model size (not for top_down)"
     )
     p.add_argument(
-        "--initial", default="", help="comma-separated starting counters"
+        "--initial",
+        default="",
+        help="comma-separated starting counters (top_down default: the whole "
+        "pool; not for exhaustive)",
     )
     p.add_argument(
         "--pool",

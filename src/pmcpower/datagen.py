@@ -27,6 +27,7 @@ from .dataset import (
     CounterTrace,
     Dataset,
     PowerTrace,
+    is_integer,
     read_json,
     write_json,
 )
@@ -58,10 +59,11 @@ class GenSpec:
     inject_wrap: bool = False
 
     def __post_init__(self):
-        ranges = {
-            str(name): (int(lo), int(hi))
-            for name, (lo, hi) in self.counter_ranges.items()
-        }
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind in _TYPE_RULES and not _TYPE_RULES[kind](value):
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+        ranges = {str(n): (lo, hi) for n, (lo, hi) in self.counter_ranges.items()}
         object.__setattr__(self, "counter_ranges", ranges)
         if self.true_model.kind != KIND_PMC:
             raise ValueError("true_model must be a pmc model")
@@ -80,10 +82,13 @@ class GenSpec:
         if not ranges:
             raise ValueError("counter_ranges must name at least one counter")
         for name, (lo, hi) in ranges.items():
-            if not 0 <= lo <= hi < COUNTER_MODULUS:
+            ok = is_integer(lo) and is_integer(hi) and 0 <= lo <= hi < COUNTER_MODULUS
+            if not ok:
                 raise ValueError(
-                    f"counter range for {name!r} must satisfy 0 <= lo <= hi < 2^32"
+                    f"counter range for {name!r} must be integers with "
+                    f"0 <= lo <= hi < 2^32, got {[lo, hi]}"
                 )
+            ranges[name] = (int(lo), int(hi))  # a numpy bound stays JSON-writable
         missing = [
             n for n in self.true_model.counter_names if n not in ranges
         ]
@@ -95,6 +100,15 @@ class GenSpec:
     @property
     def counters(self) -> tuple[str, ...]:
         return tuple(self.counter_ranges)
+
+
+_FIELD_TYPES = typing.get_type_hints(GenSpec)
+# a value must already have its field's type; nothing is cast
+_TYPE_RULES = {
+    int: is_integer,
+    float: lambda v: is_integer(v) or isinstance(v, (float, np.floating)),
+    bool: lambda v: isinstance(v, bool),
+}
 
 
 @dataclass(frozen=True)
@@ -265,18 +279,13 @@ def genspec_to_dict(spec: GenSpec) -> dict:
 def genspec_from_dict(data: dict, where: str = "gen spec") -> GenSpec:
     """The GenSpec a JSON object describes; its keys are GenSpec fields,
     and an absent key takes the field's default."""
-    types = typing.get_type_hints(GenSpec)
     try:
-        unknown = set(data) - set(types)
+        unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise FormatError(
                 f"unknown gen spec keys: {', '.join(sorted(unknown))}", where
             )
-        fields = {
-            name: types[name](value) if types[name] in (int, float, bool) else value
-            for name, value in data.items()
-        }
-        fields["true_model"] = model_from_dict(data["true_model"], where=where)
+        fields = {**data, "true_model": model_from_dict(data["true_model"], where)}
         return GenSpec(**fields)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad gen spec JSON: {exc}", where) from None

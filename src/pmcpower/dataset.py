@@ -62,6 +62,11 @@ COUNTER_MODULUS = 1 << 32  # cumulative PMC readings are 32-bit
 TIME_MODULUS = 1 << 64  # TIME keys are 64-bit and assumed non-wrapping
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_counter_names(counters: Sequence[str]) -> tuple[str, ...]:
     """Validate a predictor name list: non-empty, unique, TIME excluded."""
     names = tuple(counters)
@@ -235,7 +240,11 @@ class Dataset:
     def __post_init__(self):
         names = check_counter_names(self.counters)
         runs = tuple(self.run_ids)
-        for run in set(runs):
+        try:
+            distinct = set(runs)
+        except TypeError:  # an unhashable id, which the check below names
+            distinct = runs
+        for run in distinct:
             if not isinstance(run, str):
                 raise ValueError(f"run id {run!r} is not a string")
         n = len(runs)

@@ -1,10 +1,14 @@
 """Counter-subset selection by greedy search scored with k-fold CV MAPE.
 
-Two greedy strategies are provided: bottom-up (start small, add the counter
-whose inclusion lowers the cross-validated MAPE the most) and top-down
-(start from a full set, remove the counter whose absence lowers it the
-most), plus an exhaustive search over all subsets that serves as a
-global-optimum oracle on small pools.
+Two greedy searches share one loop, ``_greedy``: bottom-up (start small,
+add the counter whose inclusion lowers the cross-validated MAPE the most)
+and top-down (start from a full set, remove the counter whose absence
+lowers it the most).  Each supplies only its moves (the trial selections
+of one step, or a stop reason) and its acceptance rule; the loop scores a
+step, takes its best trial and records it.  An exhaustive search over all
+subsets serves as a global-optimum oracle on small pools.  bottom_up takes
+initial_set and max_events, top_down takes initial_set, exhaustive takes
+max_events; a search refuses a setting it would not use.
 
 Scoring: for every candidate subset, fit on each (k-1)-fold complement and
 average the held-out MAPE over the k folds.  The fits never touch the n rows
@@ -40,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, check_counter_names, read_json, write_json
+from .dataset import Dataset, check_counter_names, is_integer, read_json, write_json
 from .errors import FitError, FormatError, RankDeficientError, SearchError
 from .regress import (
     ALGORITHMS as SEARCH_ALGORITHMS,
@@ -66,14 +70,15 @@ _BATCH_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters.
+    """Search parameters; a search refuses a field it would not use.
 
     candidate_pool and initial_set are counter-name sequences; an empty
-    pool means "all dataset counters".  For top_down an empty initial_set
-    defaults to the whole pool.  max_events caps the model size for
-    bottom_up and exhaustive.  Ties are always broken by candidate-pool
-    order (lowest index wins); pool order therefore is the tie-break rule.
-    A search step is one batched computation on one thread.
+    pool means "all dataset counters".  initial_set starts bottom_up
+    (default: empty) and top_down (default: the whole pool); exhaustive
+    refuses it.  max_events caps the model size of bottom_up and
+    exhaustive; top_down refuses it.  folds, fold_seed and max_events are
+    integers, not bools.  Ties are always broken by candidate-pool order
+    (lowest index wins).  A search step is one batched computation.
     """
 
     algorithm: str
@@ -92,12 +97,16 @@ class SearchConfig:
         )
         if self.algorithm not in SEARCH_ALGORITHMS:
             raise ValueError(f"unknown search algorithm {self.algorithm!r}")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.max_events is not None and self.max_events < 0:
-            raise ValueError("max_events must be >= 0")
-        if self.fold_seed < 0:
-            raise ValueError("fold_seed must be >= 0")
+        for name, low in (("folds", 2), ("max_events", 0), ("fold_seed", 0)):
+            value = getattr(self, name)
+            if value is None and name == "max_events":
+                continue  # no cap
+            if not (is_integer(value) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.algorithm == TOP_DOWN and self.max_events is not None:
+            raise ValueError("max_events does not apply to top_down")
+        if self.algorithm == EXHAUSTIVE and self.initial_set:
+            raise ValueError("initial_set does not apply to exhaustive")
 
 
 @dataclass(frozen=True)
@@ -151,20 +160,15 @@ def kfold_split(ds: Dataset, k: int, seed: int = 0) -> list[np.ndarray]:
     runs = sorted(set(ds.run_ids))
     if len(runs) >= k:
         log.info("%d folds aligned to the %d run groups", k, len(runs))
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(runs))
-        groups: dict[str, list[int]] = {r: [] for r in runs}
-        for i, run in enumerate(ds.run_ids):
-            groups[run].append(i)
-        folds = [[] for _ in range(k)]
-        for slot, gi in enumerate(order):
-            folds[slot % k].extend(groups[runs[gi]])
-        return [np.array(sorted(f), dtype=np.intp) for f in folds]
+        order = np.random.default_rng(seed).permutation(len(runs))
+        fold_of = {runs[gi]: slot % k for slot, gi in enumerate(order)}
+        assigned = np.array([fold_of[run] for run in ds.run_ids], dtype=np.intp)
+        return [np.flatnonzero(assigned == f) for f in range(k)]
     if n >= k:
         log.info(
             "fewer than %d runs; %d folds cut as contiguous row blocks", k, k
         )
-        return [np.sort(b) for b in np.array_split(np.arange(n, dtype=np.intp), k)]
+        return np.array_split(np.arange(n, dtype=np.intp), k)
     raise SearchError(
         f"{k} folds exceed the {max(len(runs), n)} assignable groups"
     )
@@ -322,26 +326,18 @@ def cv_score(
 
 
 def _resolve_pool(ds: Dataset, cfg: SearchConfig) -> tuple[str, ...]:
-    pool = cfg.candidate_pool if cfg.candidate_pool else ds.counters
-    pool = check_counter_names(pool)
+    """The candidate pool, checked to be non-empty, in the dataset and to
+    hold the initial set."""
+    pool = check_counter_names(cfg.candidate_pool or ds.counters)
     missing = [n for n in pool if n not in ds.counters]
     if missing:
         raise SearchError(f"pool counters not in dataset: {', '.join(missing)}")
+    if not pool:
+        raise SearchError("empty candidate pool")
+    for name in cfg.initial_set:
+        if name not in pool:
+            raise SearchError(f"initial counter {name!r} not in candidate pool")
     return pool
-
-
-def _refit_full(
-    ds: Dataset, names: Sequence[str], cfg: SearchConfig, cv_mape_pct: float
-) -> PowerModel:
-    # coefficients come from the full training set, never from a fold fit
-    model, diag = fit_ols(ds, names)
-    meta = TrainingMeta(
-        algorithm=cfg.algorithm,
-        folds=cfg.folds,
-        cv_mape_pct=cv_mape_pct,
-        train_mape_pct=diag.train_mape_pct,
-    )
-    return dataclasses.replace(model, training=meta)
 
 
 class _Walk(NamedTuple):
@@ -355,22 +351,19 @@ class _Walk(NamedTuple):
     subset_scores: dict[str, float] | None = None
 
 
-def _search(
-    ds: Dataset, cfg: SearchConfig, algorithm: str, start, walk
-) -> SearchReport:
+def _search(ds: Dataset, cfg: SearchConfig, algorithm: str, walk) -> SearchReport:
     """The setup every search shares around its strategy.
 
-    Checks the algorithm, resolves the pool, lets ``start`` check the pool
-    and give the first selection, builds the evaluator on the configured
-    folds, runs ``walk`` and refits its pick on the whole dataset.  A pick
-    without a finite CV score is a SearchError, not a model.
+    Checks the algorithm, resolves the pool and the initial set, builds the
+    evaluator on the configured folds, runs ``walk(evaluator, pool,
+    initial pool indices)`` and refits its pick on the whole dataset.  A
+    pick without a finite CV score is a SearchError, not a model.
     """
     if cfg.algorithm != algorithm:
         raise SearchError(f"config algorithm is {cfg.algorithm!r}, not {algorithm}")
     pool = _resolve_pool(ds, cfg)
-    selected = start(pool, cfg)
     evaluator = _CvEvaluator(ds, pool, kfold_split(ds, cfg.folds, cfg.fold_seed))
-    found = walk(evaluator, pool, selected, cfg)
+    found = walk(evaluator, pool, [pool.index(n) for n in cfg.initial_set])
     names = [pool[i] for i in found.selected]
     if not math.isfinite(found.final_cv):
         raise SearchError(
@@ -378,6 +371,14 @@ def _search(
             f"[{', '.join(names)}] with no finite CV score: "
             "its fit fails on some fold"
         )
+    # coefficients come from the full training set, never from a fold fit
+    model, diag = fit_ols(ds, names)
+    meta = TrainingMeta(
+        algorithm=algorithm,
+        folds=cfg.folds,
+        cv_mape_pct=found.final_cv,
+        train_mape_pct=diag.train_mape_pct,
+    )
     return SearchReport(
         algorithm=algorithm,
         folds=cfg.folds,
@@ -386,119 +387,46 @@ def _search(
         stop_reason=found.stop_reason,
         initial_cv_mape_pct=found.initial_cv,
         iterations=tuple(found.iterations),
-        final_model=_refit_full(ds, names, cfg, found.final_cv),
+        final_model=dataclasses.replace(model, training=meta),
         final_cv_mape_pct=found.final_cv,
         subset_scores=found.subset_scores,
     )
 
 
-def _initial(pool: tuple[str, ...], names: Sequence[str]) -> list[int]:
-    if not pool:
-        raise SearchError("empty candidate pool")
-    for name in names:
-        if name not in pool:
-            raise SearchError(f"initial counter {name!r} not in candidate pool")
-    return [pool.index(n) for n in names]
+def _greedy(evaluator, pool, selected, action, moves, accepts) -> _Walk:
+    """The greedy loop of bottom_up and top_down.
 
-
-def _bottom_up_start(pool, cfg) -> list[int]:
-    return _initial(pool, cfg.initial_set)
-
-
-def _top_down_start(pool, cfg) -> list[int]:
-    return sorted(_initial(pool, cfg.initial_set or pool))
-
-
-def _add_steps(evaluator, pool, selected, cfg) -> _Walk:
-    current = evaluator.score_or_inf(selected)
-    initial_cv = current
+    ``moves(selected, len(pool))`` gives the trial selections keyed by the
+    pool index each one adds or removes, or a stop reason.  A step scores
+    every trial as one batch and takes the best (first key on ties) while
+    ``accepts(current, best)`` holds.
+    """
+    current = initial_cv = evaluator.score_or_inf(selected)
     iterations: list[SearchIteration] = []
     while True:
-        if cfg.max_events is not None and len(selected) >= cfg.max_events:
-            stop = "max_events"
+        trials = moves(selected, len(pool))
+        if isinstance(trials, str):
+            stop = trials
             break
-        remaining = [i for i in range(len(pool)) if i not in selected]
-        if not remaining:
-            stop = "pool_exhausted"
-            break
-        scores = evaluator.score_many([selected + [i] for i in remaining])
-        best = min(range(len(remaining)), key=scores.__getitem__)
-        if not current - scores[best] > IMPROVEMENT_EPS:
+        keys = list(trials)
+        scores = evaluator.score_many([trials[i] for i in keys])
+        best = min(range(len(keys)), key=scores.__getitem__)
+        if not accepts(current, scores[best]):
             stop = "converged"
             break
-        selected.append(remaining[best])
-        current = scores[best]
-        iterations.append(
-            SearchIteration(
-                action="add",
-                counter=pool[remaining[best]],
-                cv_mape_pct=current,
-                candidate_scores={
-                    pool[i]: s for i, s in zip(remaining, scores)
-                },
-            )
-        )
-    return _Walk(stop, initial_cv, iterations, selected, current)
-
-
-def _remove_steps(evaluator, pool, selected, cfg) -> _Walk:
-    current = evaluator.score_or_inf(selected)
-    initial_cv = current
-    iterations: list[SearchIteration] = []
-    stop = "emptied"
-    while selected:
-        trials = [[i for i in selected if i != drop] for drop in selected]
-        scores = evaluator.score_many(trials)
-        best = min(range(len(selected)), key=scores.__getitem__)
-        if not scores[best] <= current + IMPROVEMENT_EPS:
-            stop = "converged"
-            break
-        dropped = selected[best]
         # an equal-score removal may tick the score up by <= IMPROVEMENT_EPS;
         # clamp so the accepted sequence stays non-increasing
         current = min(current, scores[best])
+        selected = trials[keys[best]]
         iterations.append(
             SearchIteration(
-                action="remove",
-                counter=pool[dropped],
+                action=action,
+                counter=pool[keys[best]],
                 cv_mape_pct=current,
-                # keyed by the counter a trial would remove
-                candidate_scores={
-                    pool[d]: s for d, s in zip(selected, scores)
-                },
+                candidate_scores={pool[i]: s for i, s in zip(keys, scores)},
             )
         )
-        selected = trials[best]
     return _Walk(stop, initial_cv, iterations, selected, current)
-
-
-def _exhaustive_start(pool, cfg) -> list[int]:
-    if len(pool) > EXHAUSTIVE_POOL_LIMIT:
-        raise SearchError(
-            f"pool of {len(pool)} too large for exhaustive search "
-            f"(limit {EXHAUSTIVE_POOL_LIMIT})"
-        )
-    return []
-
-
-def _enumerate(evaluator, pool, selected, cfg) -> _Walk:
-    top = len(pool) if cfg.max_events is None else min(cfg.max_events, len(pool))
-    subsets = [
-        combo
-        for size in range(top + 1)
-        for combo in itertools.combinations(range(len(pool)), size)
-    ]
-    scores = evaluator.score_many(subsets)
-    best = 0
-    for j in range(1, len(subsets)):
-        if scores[j] < scores[best]:
-            best = j
-    subset_scores = {
-        "+".join(pool[i] for i in combo): s for combo, s in zip(subsets, scores)
-    }
-    return _Walk(
-        "enumerated", scores[0], [], list(subsets[best]), scores[best], subset_scores
-    )
 
 
 def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
@@ -509,7 +437,20 @@ def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     exhaustion, or on convergence.  Term order in the final model is the
     order of selection.
     """
-    return _search(ds, cfg, BOTTOM_UP, _bottom_up_start, _add_steps)
+
+    def additions(selected, n):
+        if cfg.max_events is not None and len(selected) >= cfg.max_events:
+            return "max_events"
+        trials = {i: selected + [i] for i in range(n) if i not in selected}
+        return trials or "pool_exhausted"
+
+    def walk(evaluator, pool, selected):
+        return _greedy(
+            evaluator, pool, selected, "add", additions,
+            lambda current, best: current - best > IMPROVEMENT_EPS,
+        )
+
+    return _search(ds, cfg, BOTTOM_UP, walk)
 
 
 def top_down(ds: Dataset, cfg: SearchConfig) -> SearchReport:
@@ -517,20 +458,54 @@ def top_down(ds: Dataset, cfg: SearchConfig) -> SearchReport:
 
     A removal is accepted when the best resulting score is no worse than
     the incumbent: equal-score removals are taken to prefer the simpler
-    model.  Term order in the final model is pool order.
+    model.  Stops when no removal is accepted or the model is empty.  Term
+    order in the final model is pool order.
     """
-    return _search(ds, cfg, TOP_DOWN, _top_down_start, _remove_steps)
+
+    def removals(selected, n):
+        return {d: [i for i in selected if i != d] for d in selected} or "emptied"
+
+    def walk(evaluator, pool, selected):
+        return _greedy(
+            evaluator, pool, sorted(selected) or list(range(len(pool))),
+            "remove", removals,
+            lambda current, best: best <= current + IMPROVEMENT_EPS,
+        )
+
+    return _search(ds, cfg, TOP_DOWN, walk)
 
 
 def exhaustive(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     """Score every subset of the pool; the global optimum for the fold split.
 
     Subsets are enumerated sizes ascending, lexicographic within a size, and
-    only a strictly better score displaces the incumbent, so ties resolve
-    to the smaller subset and then to lexicographic pool order.  max_events
-    caps the subset size.
+    the first minimum wins, so ties resolve to the smaller subset and then
+    to lexicographic pool order.  max_events caps the subset size.
     """
-    return _search(ds, cfg, EXHAUSTIVE, _exhaustive_start, _enumerate)
+
+    def walk(evaluator, pool, selected):
+        if len(pool) > EXHAUSTIVE_POOL_LIMIT:
+            raise SearchError(
+                f"pool of {len(pool)} too large for exhaustive search "
+                f"(limit {EXHAUSTIVE_POOL_LIMIT})"
+            )
+        top = len(pool) if cfg.max_events is None else min(cfg.max_events, len(pool))
+        subsets = [
+            combo
+            for size in range(top + 1)
+            for combo in itertools.combinations(range(len(pool)), size)
+        ]
+        scores = evaluator.score_many(subsets)
+        best = min(range(len(subsets)), key=scores.__getitem__)
+        subset_scores = {
+            "+".join(pool[i] for i in combo): s for combo, s in zip(subsets, scores)
+        }
+        return _Walk(
+            "enumerated", scores[0], [], list(subsets[best]), scores[best],
+            subset_scores,
+        )
+
+    return _search(ds, cfg, EXHAUSTIVE, walk)
 
 
 def run_search(ds: Dataset, cfg: SearchConfig) -> SearchReport:

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import COUNTER_MODULUS, TIME_MODULUS, CounterTrace, Dataset, PowerTrace
+from .dataset import (
+    COUNTER_MODULUS, TIME_MODULUS, CounterTrace, Dataset, PowerTrace, is_integer
+)
 from .errors import SyncError
 
 log = logging.getLogger(__name__)
@@ -37,9 +39,10 @@ class SyncConfig:
     key_tolerance: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.key_tolerance < TIME_MODULUS:
+        tol = self.key_tolerance
+        if not (is_integer(tol) and 0 <= tol < TIME_MODULUS):
             raise ValueError(
-                f"key_tolerance must be in [0, 2^64), got {self.key_tolerance}"
+                f"key_tolerance must be an integer in [0, 2^64), got {tol!r}"
             )
 
 

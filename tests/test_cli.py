@@ -249,6 +249,26 @@ def test_train_exhaustive_pool_limit(tmp_path, capsys):
     assert "too large for exhaustive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--algorithm", "top_down", "--max-events", "1"], "max_events"),
+        (["--algorithm", "exhaustive", "--initial", "C1"], "initial_set"),
+    ],
+)
+def test_train_refuses_a_setting_the_search_would_ignore(tmp_path, capsys, flags, field):
+    path = tmp_path / "d.csv"
+    pp.write_dataset(make_dataset(40, 2, n_runs=4), path)
+    model_out = tmp_path / "m.json"
+    code = main(
+        ["train", "--dataset", str(path), "--folds", "4", *flags,
+         "--model-out", str(model_out)]
+    )
+    assert code == 2
+    assert f"{field} does not apply to" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
 def test_train_rejects_jobs_below_one(tmp_path, capsys):
     path = tmp_path / "d.csv"
     pp.write_dataset(make_dataset(40, 2, n_runs=4), path)

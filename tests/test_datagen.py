@@ -1,11 +1,14 @@
 """Generator invariants: determinism, sync closure, ground-truth recovery."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmcpower as pp
+from pmcpower.cli import main
 
 ONE = pp.PowerModel(intercept_w=2.59799, terms=(("C16", 4.58765e-06),))
 TWO = pp.PowerModel(
@@ -171,6 +174,36 @@ def test_genspec_bad_json_file(tmp_path):
         path.write_text(text)
         with pytest.raises(pp.FormatError, match="bad gen spec JSON"):
             pp.read_gen_spec(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("inject_wrap", "false", "inject_wrap must be bool"),
+        ("n_samples", 200.9, "n_samples must be int"),
+        ("seed", True, "seed must be int"),
+        ("n_runs", "3", "n_runs must be int"),
+        ("counter_ranges", {"CPU_OP": [0.7, 400000.9]}, "counter range for 'CPU_OP'"),
+    ],
+)
+def test_genspec_json_values_must_have_the_field_type(tmp_path, key, value, named):
+    data = pp.genspec_to_dict(pp.default_gen_spec())
+    if key == "counter_ranges":
+        value = dict(data[key], **value)
+    data[key] = value
+    with pytest.raises(pp.FormatError, match=f"bad gen spec JSON: {named}"):
+        pp.genspec_from_dict(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["gen", "--spec", str(path), "--out-prefix", str(tmp_path / "g")]) == 2
+    assert not list(tmp_path.glob("g_*"))
+
+
+def test_genspec_float_fields_take_integers():
+    data = pp.genspec_to_dict(pp.default_gen_spec())
+    data.update(noise_rel=0, drop_rate=0)
+    spec = pp.genspec_from_dict(data)
+    assert pp.generate(spec).dataset.n_rows == 299
 
 
 def test_default_gen_spec_generates():

@@ -85,6 +85,17 @@ def test_dataset_rejects_a_run_id_that_is_not_a_string():
         )
 
 
+def test_dataset_names_an_unhashable_run_id():
+    with pytest.raises(ValueError, match=r"run id \['a'\] is not a string"):
+        pp.Dataset(
+            counters=("A",),
+            time_keys=np.array([1], dtype=np.uint64),
+            run_ids=(["a"],),
+            power_w=np.array([1.0]),
+            deltas=np.array([[1]], dtype=np.uint64),
+        )
+
+
 def test_dataset_equality_ignores_source():
     a = make_dataset(20, 3, seed=1)
     b = pp.Dataset(

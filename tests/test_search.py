@@ -158,6 +158,38 @@ def test_search_config_validation():
         pp.SearchConfig(algorithm="bottom_up", initial_set=("TIME",))
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(algorithm="top_down", max_events=1), "max_events"),
+        (dict(algorithm="top_down", max_events=0), "max_events"),
+        (dict(algorithm="exhaustive", initial_set=("A",)), "initial_set"),
+    ],
+)
+def test_search_config_refuses_a_field_the_search_would_ignore(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field} does not apply to"):
+        pp.SearchConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("folds", "max_events", "fold_seed") for v in (2.5, 3.0, True, "3")]
+    # None is max_events' "no cap"
+    + [("folds", None), ("fold_seed", None)],
+)
+def test_search_config_integer_fields_take_only_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        pp.SearchConfig(algorithm="bottom_up", **{field: value})
+
+
+def test_search_config_takes_numpy_integers():
+    cfg = pp.SearchConfig(
+        algorithm="exhaustive", folds=np.int64(3), max_events=np.uint8(1),
+        fold_seed=np.int32(2),
+    )
+    assert (cfg.folds, cfg.max_events, cfg.fold_seed) == (3, 1, 2)
+
+
 def test_bottom_up_recovers_true_counters():
     ds = _noisy_ds(noise=0.0)
     cfg = pp.SearchConfig(algorithm="bottom_up", folds=4)

@@ -226,3 +226,13 @@ def test_synchronized_rows_match_reference(rng):
             assert int(ds.time_keys[i]) == time
             assert float(ds.power_w[i]) == watts
             assert tuple(int(d) for d in ds.deltas[i]) == drow
+
+
+@pytest.mark.parametrize("tol", [2.5, 2.0, True, "2", -1, 2**64])
+def test_key_tolerance_must_be_an_integer_in_range(tol):
+    with pytest.raises(ValueError, match="key_tolerance must be an integer"):
+        pp.SyncConfig(key_tolerance=tol)
+
+
+def test_key_tolerance_takes_a_numpy_integer():
+    assert pp.SyncConfig(key_tolerance=np.uint64(2**64 - 1)).key_tolerance == 2**64 - 1
