@@ -27,6 +27,7 @@ from .dataset import (
     CounterTrace,
     Dataset,
     PowerTrace,
+    check_type,
     is_integer,
     read_json,
     write_json,
@@ -60,9 +61,8 @@ class GenSpec:
 
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if kind in _TYPE_RULES and not _TYPE_RULES[kind](value):
-                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+            if kind in (int, float, bool):
+                check_type(name, getattr(self, name), kind)
         ranges = {str(n): (lo, hi) for n, (lo, hi) in self.counter_ranges.items()}
         object.__setattr__(self, "counter_ranges", ranges)
         if self.true_model.kind != KIND_PMC:
@@ -103,12 +103,6 @@ class GenSpec:
 
 
 _FIELD_TYPES = typing.get_type_hints(GenSpec)
-# a value must already have its field's type; nothing is cast
-_TYPE_RULES = {
-    int: is_integer,
-    float: lambda v: is_integer(v) or isinstance(v, (float, np.floating)),
-    bool: lambda v: isinstance(v, bool),
-}
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,24 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# a value must already have its field's type; nothing is cast
+_TYPE_RULES = {
+    int: is_integer,
+    float: lambda v: is_integer(v) or isinstance(v, (float, np.floating)),
+    bool: lambda v: isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+}
+
+
+def check_type(name: str, value, kind: type):
+    """``value`` as given when it has type ``kind``, else a ValueError
+    naming the field.  An int field takes an integer, a float field an
+    integer or float; a bool is neither."""
+    if not _TYPE_RULES[kind](value):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def check_counter_names(counters: Sequence[str]) -> tuple[str, ...]:
     """Validate a predictor name list: non-empty, unique, TIME excluded."""
     names = tuple(counters)

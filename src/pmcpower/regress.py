@@ -26,6 +26,7 @@ from .dataset import (
     Dataset,
     SampleRow,
     check_counter_names,
+    check_type,
     read_json,
     write_columns,
     write_json,
@@ -57,6 +58,9 @@ class TrainingMeta:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        check_type("folds", self.folds, int)
+        check_type("cv_mape_pct", self.cv_mape_pct, float)
+        check_type("train_mape_pct", self.train_mape_pct, float)
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,18 @@ class PowerModel:
     training: TrainingMeta | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((n, float(c)) for n, c in self.terms))
-        object.__setattr__(self, "intercept_w", float(self.intercept_w))
+        # names and numbers are checked, never cast; a numpy float is stored
+        # as a float
+        terms = tuple(
+            (
+                check_type("counter", n, str),
+                float(check_type(f"coefficient of {n}", c, float)),
+            )
+            for n, c in self.terms
+        )
+        intercept = float(check_type("intercept_w", self.intercept_w, float))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "intercept_w", intercept)
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         names = [n for n, _ in self.terms]
@@ -306,9 +320,7 @@ def model_from_dict(data: dict, where: str = "model") -> PowerModel:
         kind = data["kind"]
         if kind not in MODEL_KINDS:
             raise FormatError(f"unknown model kind {kind!r}", where)
-        terms = tuple(
-            (t["counter"], float(t["coefficient"])) for t in data["terms"]
-        )
+        terms = tuple((t["counter"], t["coefficient"]) for t in data["terms"])
         names = [n for n, _ in terms]
         if len(set(names)) != len(names):
             raise FormatError("duplicate counter in model terms", where)
@@ -317,12 +329,12 @@ def model_from_dict(data: dict, where: str = "model") -> PowerModel:
             t = data["training"]
             training = TrainingMeta(
                 algorithm=t["algorithm"],
-                folds=int(t["folds"]),
-                cv_mape_pct=float(t["cv_mape_pct"]),
-                train_mape_pct=float(t["train_mape_pct"]),
+                folds=t["folds"],
+                cv_mape_pct=t["cv_mape_pct"],
+                train_mape_pct=t["train_mape_pct"],
             )
         return PowerModel(
-            intercept_w=float(data["intercept_w"]),
+            intercept_w=data["intercept_w"],
             terms=terms,
             kind=kind,
             training=training,

@@ -24,7 +24,12 @@ share one R column, so copies of a counter score exactly alike.  All
 candidates of one search step are scored as one batch: per fold, one
 stacked SVD covers every candidate of a size, and held-out predictions and
 MAPEs are formed for all of them at once, in a way that gives each
-candidate the same bits it would get scored alone.  The final model is
+candidate the same bits it would get scored alone.  The one exception is
+a batch that is exactly the one-column removals of one set, as every
+top_down step is: when that set repeats no column and is full rank on
+every fold, one SVD of the set per fold gives every removal in closed form,
+and those scores agree with the stacked-SVD ones within a tested bound set
+by the set's condition number, not to the last bit.  The final model is
 always refit on the full training set.
 
 Fold assignment is by whole benchmark run when at least k distinct runs
@@ -44,7 +49,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, check_counter_names, is_integer, read_json, write_json
+from .dataset import (
+    Dataset,
+    check_counter_names,
+    check_type,
+    is_integer,
+    read_json,
+    write_json,
+)
 from .errors import FitError, FormatError, RankDeficientError, SearchError
 from .regress import (
     ALGORITHMS as SEARCH_ALGORITHMS,
@@ -153,7 +165,10 @@ def kfold_split(ds: Dataset, k: int, seed: int = 0) -> list[np.ndarray]:
     Whole run_id groups are shuffled (deterministically per seed) and dealt
     round-robin when at least k distinct runs exist; otherwise rows are cut
     into k contiguous blocks.  Fold sizes differ by at most one group/block.
+    k is an integer, not a bool.
     """
+    if not is_integer(k):
+        raise SearchError(f"folds must be an integer, got {k!r}")
     if k < 2:
         raise SearchError("folds must be >= 2")
     n = ds.n_rows
@@ -195,6 +210,11 @@ class _CvEvaluator:
     s_min > eps * max(n_train, k) * s_max, the cut-off a full-height
     ``lstsq`` on the complement would use (n_train is the complement's row
     count, not R's).  The normal equations are never formed.
+
+    The exception is a batch that is exactly the one-column removals of
+    one set with no repeated key column that is full rank on every fold:
+    ``_removal_scores`` scores it from one SVD of the set per fold, within
+    the set's ``_mape_tolerance`` bound of the path above, not bit for bit.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
@@ -257,12 +277,63 @@ class _CvEvaluator:
         at a time through ``score_or_inf``, so every candidate scored
         passes once through that per-candidate entry point.
         """
-        scores = self._score_batch(selections)
+        scores = self._removal_scores(selections)
+        if scores is None:
+            scores = self._score_batch(selections)
         self._batch_scores = dict(zip(map(tuple, selections), scores))
         try:
             return [self.score_or_inf(sel) for sel in selections]
         finally:
             self._batch_scores = {}
+
+    def _removal_scores(
+        self, selections: Sequence[Sequence[int]]
+    ) -> list[float] | None:
+        """CV MAPE of every selection when the batch is exactly the
+        one-column removals of one set whose key repeats no column and is
+        full rank on every fold; None for any other batch.
+
+        Per fold, one SVD of the set's ``R_f[:, key]`` gives beta and
+        C = V S^-2 V^T = (R^T R)^-1, and dropping key column j gives
+        beta - (beta_j / C_jj) C[:, j] with entry j zeroed (Golub & Van
+        Loan, section 6.5).  Dropping a column cannot lower s_min or raise
+        s_max, so every removal passes the rank rule its set passes.
+        """
+        m = len(selections)
+        if m < 2 or any(len(sel) != m - 1 for sel in selections):
+            return None
+        whole = set().union(*selections)
+        gone = [whole.difference(sel) for sel in selections]
+        if not (
+            len(whole) == m
+            and all(len(g) == 1 for g in gone)
+            and len(set().union(*gone)) == m
+        ):
+            return None
+        dropped = np.array([g.pop() for g in gone], dtype=np.intp)
+        key = np.sort(self.col_map[np.concatenate([[0], dropped + 1])])
+        if np.any(key[1:] == key[:-1]):
+            return None
+        k, rows = len(key), np.arange(m)
+        pos = np.searchsorted(key, self.col_map[dropped + 1])
+        total = np.zeros(m)
+        for n_train, r, test in self.folds:
+            if n_train < k:
+                return None
+            u, s, vt = np.linalg.svd(r[:, key], full_matrices=False)
+            if not s[-1] > _EPS * max(n_train, k) * s[0]:
+                return None
+            beta = (r[:, -1] @ u / s) @ vt
+            vs = vt.T / s
+            c = vs[pos] @ vs.T  # rows pos of C
+            betas = beta - (beta[pos] / c[rows, pos])[:, None] * c
+            betas[rows, pos] = 0.0
+            held_out = self.columns[:, test]
+            x = held_out[key]
+            for lo in range(0, m, self.batch):
+                pred = betas[lo : lo + self.batch] @ x
+                total[lo : lo + self.batch] += mape_rows(held_out[-1], pred)
+        return (total / len(self.folds)).tolist()
 
     def _score_batch(self, selections: Sequence[Sequence[int]]) -> list[float]:
         """CV MAPE of every selection, in order, +inf where infeasible,
@@ -521,7 +592,11 @@ def _num(v: float):
 
 
 def _unnum(v) -> float:
-    return math.inf if v is None else float(v)
+    return math.inf if v is None else float(check_type("CV MAPE", v, float))
+
+
+def _unnum_scores(scores: dict) -> dict[str, float]:
+    return {check_type("counter name", k, str): _unnum(v) for k, v in scores.items()}
 
 
 def report_to_dict(report: SearchReport) -> dict:
@@ -554,28 +629,26 @@ def report_to_dict(report: SearchReport) -> dict:
 
 
 def report_from_dict(data: dict, where: str = "search report") -> SearchReport:
+    """The SearchReport a JSON object describes.  Names must be strings,
+    folds and fold_seed integers, and scores numbers or null (+inf);
+    nothing is cast."""
     try:
         subset_scores = None
         if "subset_scores" in data:
-            subset_scores = {
-                str(k): _unnum(v) for k, v in data["subset_scores"].items()
-            }
+            subset_scores = _unnum_scores(data["subset_scores"])
         return SearchReport(
-            algorithm=str(data["algorithm"]),
-            folds=int(data["folds"]),
-            fold_seed=int(data["fold_seed"]),
-            pool=tuple(str(n) for n in data["pool"]),
-            stop_reason=str(data["stop_reason"]),
+            algorithm=check_type("algorithm", data["algorithm"], str),
+            folds=check_type("folds", data["folds"], int),
+            fold_seed=check_type("fold_seed", data["fold_seed"], int),
+            pool=tuple(check_type("counter name", n, str) for n in data["pool"]),
+            stop_reason=check_type("stop_reason", data["stop_reason"], str),
             initial_cv_mape_pct=_unnum(data["initial_cv_mape_pct"]),
             iterations=tuple(
                 SearchIteration(
-                    action=str(it["action"]),
-                    counter=str(it["counter"]),
+                    action=check_type("action", it["action"], str),
+                    counter=check_type("counter", it["counter"], str),
                     cv_mape_pct=_unnum(it["cv_mape_pct"]),
-                    candidate_scores={
-                        str(k): _unnum(v)
-                        for k, v in it["candidate_scores"].items()
-                    },
+                    candidate_scores=_unnum_scores(it["candidate_scores"]),
                 )
                 for it in data["iterations"]
             ),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,17 @@ def make_dataset(n, p, seed=0, n_runs=1, power_lo=0.5, power_hi=10.0):
         power_w=rng.uniform(power_lo, power_hi, size=n),
         deltas=rng.integers(0, 2**32, size=(n, p), dtype=np.uint64),
     )
+
+
+def edited_json(data, path, value):
+    """A deep copy of the JSON object ``data`` with the value at ``path``
+    (a sequence of keys and list indices) replaced by ``value``."""
+    root = node = json.loads(json.dumps(data))
+    *parents, last = path
+    for step in parents:
+        node = node[step]
+    node[last] = value
+    return root
 
 
 def linear_dataset(model, n, ranges, seed=0, n_runs=1, noise_rel=0.0):

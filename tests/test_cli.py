@@ -470,3 +470,14 @@ def test_bad_model_json_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "bad model JSON" in capsys.readouterr().err
+
+
+def test_model_json_with_a_cast_value_exits_2(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    model = {"kind": "pmc", "intercept_w": "1.5", "terms": []}
+    model_path.write_text(json.dumps(model))
+    ds_path = tmp_path / "d.csv"
+    pp.write_dataset(make_dataset(5, 1), ds_path)
+    code = main(["predict", "--model", str(model_path), "--dataset", str(ds_path)])
+    assert code == 2
+    assert "intercept_w must be float" in capsys.readouterr().err

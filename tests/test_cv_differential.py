@@ -243,6 +243,80 @@ def test_searches_pick_what_the_oracle_picks(case):
         assert abs(got.final_cv_mape_pct - want.final_cv_mape_pct) <= tol
 
 
+def _removals(selected):
+    return [[i for i in selected if i != d] for d in selected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cv_cases(edits=("dup", "zero")))
+@example(case=_pinned_search_case())
+def test_removal_batches_agree_with_scores_alone(case):
+    # every top_down step: its removals scored as one batch agree with the
+    # same trials scored alone and pick the same removal.  The closed form
+    # starts from the set's factorisation, so the set's _mape_tolerance
+    # bounds it: a trial's own kappa can be far smaller (1.3e-12 points
+    # apart against a trial bound of 1.29e-12, in a square 3 x 3 set with
+    # a bound of 1.2e-10).  It runs exactly when the set's key repeats no
+    # column and the set scores finite; otherwise the batch keeps the
+    # stacked-SVD bits
+    ds, folds = case
+    fast = search._CvEvaluator(ds, ds.counters, folds)
+    ref = _RefEvaluator(ds, ds.counters, folds)
+    selected = list(range(len(ds.counters)))
+    while selected:
+        trials = _removals(selected)
+        batch = fast.score_many(trials)
+        alone = [fast.score_or_inf(t) for t in trials]
+        key = fast._keys([selected])[0]
+        closed_form = (
+            len(selected) > 1
+            and len(set(key)) == len(key)
+            and np.isfinite(fast.score_or_inf(selected))
+        )
+        assert (fast._removal_scores(trials) is not None) == closed_form
+        if closed_form:
+            tol = _mape_tolerance(ref, [0] + [i + 1 for i in selected])
+            for trial, got, want in zip(trials, batch, alone):
+                assert abs(got - want) <= tol, (trial, got, want, tol)
+        else:
+            assert batch == alone
+        best = min(range(len(trials)), key=batch.__getitem__)
+        assert best == min(range(len(trials)), key=alone.__getitem__)
+        selected = trials[best]
+
+
+@pytest.mark.parametrize("edit", ["duplicate", "all ones"])
+def test_a_set_that_repeats_a_key_column_keeps_the_svd_bits(edit):
+    # a copied counter, or one that aliases the intercept column, ties
+    # exactly with its twin only on the stacked-SVD path
+    ds = make_dataset(60, 4, seed=3, n_runs=6)
+    deltas = ds.deltas.copy()
+    deltas[:, 3] = deltas[:, 1] if edit == "duplicate" else 1
+    ds = dataclasses.replace(ds, deltas=deltas)
+    fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
+    trials = _removals(range(4))
+    assert fast._removal_scores(trials) is None
+    assert fast.score_many(trials) == [fast.score_or_inf(t) for t in trials]
+
+
+def test_only_the_exact_removals_of_one_set_take_the_closed_form():
+    ds = make_dataset(60, 4, seed=3, n_runs=6)
+    fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
+    trials = _removals([3, 0, 2, 1])
+    assert fast._removal_scores(trials) is not None
+    assert fast._removal_scores(trials[::-1]) is not None
+    for batch in (
+        trials[1:],  # one removal missing
+        trials + [trials[0]],  # an extra selection
+        [trials[0], trials[0]] + trials[2:],  # one removal twice
+        trials[:-1] + [[0, 1, 2, 3]],  # mixed sizes
+        trials + [[0]],
+        [sorted(t) for t in _removals([0, 1, 2])] + [[3, 1]],
+    ):
+        assert fast._removal_scores(batch) is None
+        assert fast.score_many(batch) == [fast.score_or_inf(t) for t in batch]
+
+
 def test_complement_shorter_than_parameters_scores_inf():
     rng = np.random.default_rng(4)
     deltas = rng.integers(0, 2**20, size=(8, 6), dtype=np.uint64)

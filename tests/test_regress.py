@@ -8,7 +8,7 @@ import pytest
 import pmcpower as pp
 from pmcpower.regress import CONDITION_WARN_RATIO
 
-from conftest import make_dataset, linear_dataset
+from conftest import edited_json, make_dataset, linear_dataset
 from ref_impl import ref_mape
 
 
@@ -254,6 +254,54 @@ def test_model_json_rejections(tmp_path):
         )
     with pytest.raises(pp.FormatError, match="bad model JSON"):
         pp.model_from_dict({"intercept_w": 1.0})
+
+
+_GOOD_MODEL = {
+    "kind": "pmc",
+    "intercept_w": 1.5,
+    "terms": [{"counter": "A", "coefficient": 2e-06}],
+    "training": {
+        "algorithm": "top_down",
+        "folds": 10,
+        "cv_mape_pct": 1.25,
+        "train_mape_pct": 1.0,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("intercept_w",), "1.5", "intercept_w must be float"),
+        (("intercept_w",), True, "intercept_w must be float"),
+        (("terms", 0, "coefficient"), True, "coefficient of A must be float"),
+        (("terms", 0, "coefficient"), "2e-06", "coefficient of A must be float"),
+        (("terms", 0, "counter"), 7, "counter must be str"),
+        (("training", "folds"), 2.5, "folds must be int"),
+        (("training", "folds"), True, "folds must be int"),
+        (("training", "cv_mape_pct"), "1.25", "cv_mape_pct must be float"),
+        (("training", "train_mape_pct"), False, "train_mape_pct must be float"),
+    ],
+)
+def test_model_json_values_must_have_the_field_type(path, value, message):
+    # a value is checked, never cast: "1.5", true and 2.5 folds used to load
+    # as 1.5, 1.0 and 2
+    with pytest.raises(pp.FormatError, match=f"bad model JSON: {message}"):
+        pp.model_from_dict(edited_json(_GOOD_MODEL, path, value))
+
+
+def test_model_json_float_fields_take_integers(tmp_path):
+    data = edited_json(_GOOD_MODEL, ("intercept_w",), 2)
+    data = edited_json(data, ("terms", 0, "coefficient"), 0)
+    model = pp.model_from_dict(data)
+    assert (model.intercept_w, model.terms) == (2.0, (("A", 0.0),))
+    assert type(model.intercept_w) is float
+    # and a file write_model wrote reads back to the same bytes
+    path = tmp_path / "m.json"
+    pp.write_model(pp.model_from_dict(_GOOD_MODEL), path)
+    text = path.read_text()
+    pp.write_model(pp.read_model(path), path)
+    assert path.read_text() == text
 
 
 def test_prediction_trace_display_precision(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import pmcpower as pp
 
-from conftest import make_dataset, linear_dataset
+from conftest import edited_json, make_dataset, linear_dataset
 
 TRUE_MODEL = pp.PowerModel(
     intercept_w=1.5, terms=(("CPU_OP", 2.0e-06), ("MEM_ACC", 5.0e-07))
@@ -73,6 +73,22 @@ def test_kfold_errors():
         pp.kfold_split(ds, 5)
     with pytest.raises(pp.SearchError, match="folds must be >= 2"):
         pp.kfold_split(ds, 1)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+def test_folds_must_be_an_integer(k):
+    # a float k used to be truncated: kfold_split(ds, 2.5) gave 2 folds
+    ds = make_dataset(20, 2, seed=0)
+    with pytest.raises(pp.SearchError, match="folds must be an integer"):
+        pp.kfold_split(ds, k)
+    with pytest.raises(pp.SearchError, match="folds must be an integer"):
+        pp.cv_score(ds, ("C1",), k)
+
+
+def test_folds_take_a_numpy_integer():
+    ds = make_dataset(20, 2, seed=0)
+    assert len(pp.kfold_split(ds, np.int64(3))) == 3
+    assert pp.cv_score(ds, ("C1",), np.int64(3)) == pp.cv_score(ds, ("C1",), 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -454,3 +470,40 @@ def test_report_from_dict_rejects_garbage(tmp_path):
     path.write_text("[1, 2")
     with pytest.raises(pp.FormatError, match="bad search report JSON"):
         pp.read_report(path)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("folds",), 4.0, "folds must be int"),
+        (("folds",), True, "folds must be int"),
+        (("fold_seed",), "0", "fold_seed must be int"),
+        (("algorithm",), 1, "algorithm must be str"),
+        (("stop_reason",), None, "stop_reason must be str"),
+        (("pool", 0), 3, "counter name must be str"),
+        (("initial_cv_mape_pct",), "1.0", "CV MAPE must be float"),
+        (("final_cv_mape_pct",), True, "CV MAPE must be float"),
+        (("iterations", 0, "action"), 0, "action must be str"),
+        (("iterations", 0, "counter"), ["IO_EVT"], "counter must be str"),
+        (("iterations", 0, "cv_mape_pct"), False, "CV MAPE must be float"),
+        (("iterations", 0, "candidate_scores", "IO_EVT"), "2", "CV MAPE must be float"),
+        (("final_model", "intercept_w"), "1.5", "intercept_w must be float"),
+    ],
+)
+def test_report_json_values_must_have_the_field_type(path, value, message):
+    report = pp.run_search(_noisy_ds(), pp.SearchConfig(algorithm="top_down", folds=4))
+    data = pp.report_to_dict(report)
+    assert "IO_EVT" in data["iterations"][0]["candidate_scores"]
+    with pytest.raises(pp.FormatError, match=message):
+        pp.report_from_dict(edited_json(data, path, value))
+
+
+def test_report_json_reads_back_to_the_same_bytes(tmp_path):
+    ds = _noisy_ds()
+    for algorithm in pp.SEARCH_ALGORITHMS:
+        path = tmp_path / f"{algorithm}.json"
+        cfg = pp.SearchConfig(algorithm=algorithm, folds=4)
+        pp.write_report(pp.run_search(ds, cfg), path)
+        text = path.read_text()
+        pp.write_report(pp.read_report(path), path)
+        assert path.read_text() == text
