@@ -33,7 +33,7 @@ from .dataset import (
     write_json,
 )
 from .errors import FormatError, GenError
-from .regress import KIND_PMC, PowerModel, model_from_dict, model_to_dict
+from .regress import KIND_PMC, PowerModel, linear_power, model_from_dict, model_to_dict
 
 # 80 MHz clock sampled at about 95 Hz
 DEFAULT_PERIOD_CYCLES = 842105
@@ -62,7 +62,8 @@ class GenSpec:
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
             if kind in (int, float, bool):
-                check_type(name, getattr(self, name), kind)
+                value = check_type(name, getattr(self, name), kind)
+                object.__setattr__(self, name, value)
         ranges = {str(n): (lo, hi) for n, (lo, hi) in self.counter_ranges.items()}
         object.__setattr__(self, "counter_ranges", ranges)
         if self.true_model.kind != KIND_PMC:
@@ -189,20 +190,13 @@ def generate(spec: GenSpec) -> GenResult:
             }
         )
 
-    # true power over ALL rows in one pass, evaluated through the same
-    # expression (and matmul shape) predict_dataset will use, so the true
-    # model scores exactly 0% MAPE on the noiseless dataset
+    # true power over ALL rows in one pass, through predict_dataset's own
+    # expression, so the true model scores exactly 0% MAPE on the
+    # noiseless dataset
     all_deltas = np.concatenate(
         [r["merged"] for r in per_run], axis=0
     ).astype(np.uint64)
-    term_cols = [counters.index(name) for name, _ in spec.true_model.terms]
-    term_coefs = np.array(
-        [coef for _, coef in spec.true_model.terms], dtype=np.float64
-    )
-    truth = (
-        spec.true_model.intercept_w
-        + all_deltas[:, term_cols].astype(np.float64) @ term_coefs
-    )
+    truth = linear_power(spec.true_model, counters, all_deltas)
     if np.any(truth <= 0):
         raise GenError(
             "true model yields non-positive power for the drawn counts"

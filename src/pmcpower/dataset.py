@@ -12,8 +12,8 @@ All files are UTF-8 with LF line endings; lines whose first character is
 - dataset:      header ``RUN,TIME,POWER_W[,FREQ_MHZ],<counter>,...``.
                 Counter columns hold per-interval deltas (unsigned, < 2^32).
 
-The name ``TIME`` is reserved for the synchronisation key and never names a
-predictor column.  Malformed files are rejected with a line number, never
+``TIME`` and ``FREQ_MHZ`` name the sync key and the frequency channel, never
+a counter column.  Malformed files are rejected with a line number, never
 repaired.  All types are immutable after construction.
 
 Files and types share one rule set, the ``_Field`` of each column: a
@@ -73,27 +73,35 @@ _TYPE_RULES = {
     float: lambda v: is_integer(v) or isinstance(v, (float, np.floating)),
     bool: lambda v: isinstance(v, bool),
     str: lambda v: isinstance(v, str),
+    list: lambda v: isinstance(v, list),
+    dict: lambda v: isinstance(v, dict),
 }
 
 
 def check_type(name: str, value, kind: type):
-    """``value`` as given when it has type ``kind``, else a ValueError
-    naming the field.  An int field takes an integer, a float field an
-    integer or float; a bool is neither."""
+    """``value`` when it has type ``kind``, as the plain Python value (a
+    numpy scalar becomes its Python equal), else a ValueError naming the
+    field.  An int field takes an integer, a float field an integer or
+    float; a bool is neither.  list and dict are JSON arrays and objects."""
     if not _TYPE_RULES[kind](value):
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def check_counter_names(counters: Sequence[str]) -> tuple[str, ...]:
-    """Validate a predictor name list: non-empty, unique, TIME excluded."""
+    """Validate a predictor name list: a sequence of names, not one
+    string; each a non-empty string, unique, neither TIME nor FREQ_MHZ."""
+    if isinstance(counters, str):
+        raise ValueError(f"counter names must be a sequence, not {counters!r}")
     names = tuple(counters)
     seen = set()
     for name in names:
-        if not name:
+        if not check_type("counter name", name, str):
             raise ValueError("empty counter name")
         if name == TIME_KEY:
             raise ValueError(f"{TIME_KEY!r} is reserved for the sync key")
+        if name == FREQ_COL:
+            raise ValueError(f"{FREQ_COL!r} is reserved for the frequency channel")
         if name in seen:
             raise ValueError(f"duplicate counter name {name!r}")
         seen.add(name)

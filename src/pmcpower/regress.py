@@ -7,6 +7,10 @@ solved through an orthogonal factorisation of the design matrix (SVD via
 deltas span several orders of magnitude and the normal equations square the
 condition number.
 
+Fitting, prediction and datagen share one path: ``design`` builds the block
+X of a model's columns, where FREQ_MHZ is the frequency channel, ``_fit``
+solves ``[1 | X]`` and ``linear_power`` is ``intercept + X @ coefs``.
+
 Coefficients are kept and serialised at full binary precision; display
 formatting rounds to 6 significant digits.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -58,17 +62,18 @@ class TrainingMeta:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        check_type("folds", self.folds, int)
-        check_type("cv_mape_pct", self.cv_mape_pct, float)
-        check_type("train_mape_pct", self.train_mape_pct, float)
+        for name, kind in (
+            ("folds", int), ("cv_mape_pct", float), ("train_mape_pct", float)
+        ):
+            object.__setattr__(self, name, check_type(name, getattr(self, name), kind))
 
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Intercept plus (counter, coefficient) terms, in watts.
+    """Intercept plus (column, coefficient) terms, in watts.
 
-    kind "pmc" predicts from counter deltas; "freq_baseline" has a single
-    FREQ_MHZ term and predicts from the frequency channel alone.
+    kind "pmc" names counters; "freq_baseline" has the single term
+    FREQ_MHZ, the frequency channel.
     """
 
     intercept_w: float
@@ -164,22 +169,45 @@ def mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return (100.0 / actual.size) * err.sum(axis=1)
 
 
-def _solve_ols(design: np.ndarray, y: np.ndarray):
-    """SVD least squares with exact-rank-deficiency rejection."""
-    n, cols = design.shape
+def design(names, counters, deltas, freq_mhz=None, intercept=False) -> np.ndarray:
+    """The float64 (rows x terms) block of the named columns: FREQ_COL is
+    ``freq_mhz`` and any other name that counter's ``deltas`` column (the
+    caller has checked each is there).  A prediction block is column-major
+    and the fit's ``[1 | X]`` (``intercept``) row-major: the layout picks
+    the BLAS kernel of ``@``, so it fixes the bits of every result."""
+    lead = int(intercept)
+    x = np.empty((len(deltas), lead + len(names)), order="C" if lead else "F")
+    x[:, :lead] = 1.0
+    for j, name in enumerate(names, lead):
+        x[:, j] = freq_mhz if name == FREQ_COL else deltas[:, counters.index(name)]
+    return x
+
+
+def linear_power(model: PowerModel, counters, deltas, freq_mhz=None) -> np.ndarray:
+    """The one prediction expression, ``intercept + X @ coefs``, with X
+    the model's ``design`` block of the given columns."""
+    x = design(model.counter_names, counters, deltas, freq_mhz)
+    coefs = np.array([c for _, c in model.terms], dtype=np.float64)
+    return model.intercept_w + x @ coefs
+
+
+def _fit(ds: Dataset, names: Sequence[str], kind: str):
+    """SVD least squares of power on ``[1 | design(names)]``, rejecting an
+    exactly rank-deficient design, and the fit's diagnostics."""
+    if ds.n_rows == 0:
+        raise FitError("empty dataset")
+    x = design(names, ds.counters, ds.deltas, ds.freq_mhz, intercept=True)
+    n, cols = x.shape
     if n < cols:
         raise FitError(f"fewer rows ({n}) than parameters ({cols})")
-    beta, _, rank, svals = np.linalg.lstsq(design, y, rcond=None)
+    beta, _, rank, svals = np.linalg.lstsq(x, ds.power_w, rcond=None)
     if rank < cols:
         raise RankDeficientError("rank-deficient design, drop a predictor")
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    return beta, cond
-
-
-def _finish_fit(design, y, beta, cond, model):
-    resid = y - design @ beta
+    fitted = x @ beta
+    resid = ds.power_w - fitted
     diag = FitDiagnostics(
-        train_mape_pct=mape(y, design @ beta),
+        train_mape_pct=mape(ds.power_w, fitted),
         residual_sse=float(resid @ resid),
         condition_warning=cond > CONDITION_WARN_RATIO,
     )
@@ -189,6 +217,9 @@ def _finish_fit(design, y, beta, cond, model):
             cond,
             CONDITION_WARN_RATIO,
         )
+    model = PowerModel(
+        intercept_w=beta[0], terms=tuple(zip(names, beta[1:].tolist())), kind=kind
+    )
     return model, diag
 
 
@@ -200,64 +231,38 @@ def fit_ols(
     missing = [n for n in names if n not in ds.counters]
     if missing:
         raise FitError(f"predictors not in dataset: {', '.join(missing)}")
-    if ds.n_rows == 0:
-        raise FitError("empty dataset")
-    idx = [ds.counters.index(n) for n in names]
-    design = np.empty((ds.n_rows, 1 + len(idx)), dtype=np.float64)
-    design[:, 0] = 1.0
-    design[:, 1:] = ds.deltas[:, idx].astype(np.float64)
-    beta, cond = _solve_ols(design, ds.power_w)
-    model = PowerModel(
-        intercept_w=beta[0],
-        terms=tuple(zip(names, beta[1:].tolist())),
-        kind=KIND_PMC,
-    )
-    return _finish_fit(design, ds.power_w, beta, cond, model)
+    return _fit(ds, names, KIND_PMC)
 
 
 def fit_freq_baseline(ds: Dataset) -> tuple[PowerModel, FitDiagnostics]:
-    """One-predictor fit of power against the frequency channel."""
+    """The linear fit of power on the one column FREQ_COL, the frequency
+    channel."""
     if ds.freq_mhz is None:
         raise FitError("frequency channel absent")
-    if ds.n_rows == 0:
-        raise FitError("empty dataset")
-    design = np.column_stack([np.ones(ds.n_rows), ds.freq_mhz])
-    beta, cond = _solve_ols(design, ds.power_w)
-    model = PowerModel(
-        intercept_w=beta[0],
-        terms=((FREQ_COL, float(beta[1])),),
-        kind=KIND_FREQ_BASELINE,
-    )
-    return _finish_fit(design, ds.power_w, beta, cond, model)
+    return _fit(ds, (FREQ_COL,), KIND_FREQ_BASELINE)
+
+
+def _check_columns(model: PowerModel, counters, has_freq: bool, where: str) -> None:
+    """A ModelError unless ``where`` has every column the model names."""
+    if model.kind == KIND_FREQ_BASELINE and not has_freq:
+        raise ModelError(f"{where} has no frequency channel")
+    missing = [n for n in model.counter_names if n != FREQ_COL and n not in counters]
+    if missing:
+        raise ModelError(f"counters missing from {where}: {', '.join(missing)}")
 
 
 def predict(model: PowerModel, row: SampleRow) -> float:
-    """Apply the model to one sample row."""
-    if model.kind == KIND_FREQ_BASELINE:
-        if row.freq_mhz is None:
-            raise ModelError("row has no frequency channel")
-        return model.intercept_w + model.terms[0][1] * row.freq_mhz
-    value = model.intercept_w
-    for name, coef in model.terms:
-        try:
-            value += coef * row.delta(name)
-        except KeyError:
-            raise ModelError(f"counter {name!r} missing from row") from None
-    return value
+    """``predict_dataset``'s expression on one sample row."""
+    _check_columns(model, row.counters, row.freq_mhz is not None, "row")
+    deltas = np.array(row.deltas, dtype=np.uint64)[None, :]
+    freq = None if row.freq_mhz is None else np.array([row.freq_mhz])
+    return float(linear_power(model, row.counters, deltas, freq)[0])
 
 
 def predict_dataset(model: PowerModel, ds: Dataset) -> np.ndarray:
     """Vectorised prediction for every row; the CLI's single predict path."""
-    if model.kind == KIND_FREQ_BASELINE:
-        if ds.freq_mhz is None:
-            raise ModelError("dataset has no frequency channel")
-        return model.intercept_w + model.terms[0][1] * ds.freq_mhz
-    missing = [n for n in model.counter_names if n not in ds.counters]
-    if missing:
-        raise ModelError(f"counters missing from dataset: {', '.join(missing)}")
-    idx = [ds.counters.index(n) for n in model.counter_names]
-    coefs = np.array([c for _, c in model.terms], dtype=np.float64)
-    return model.intercept_w + ds.deltas[:, idx].astype(np.float64) @ coefs
+    _check_columns(model, ds.counters, ds.freq_mhz is not None, "dataset")
+    return linear_power(model, ds.counters, ds.deltas, ds.freq_mhz)
 
 
 def validate(model: PowerModel, ds: Dataset) -> ValidationResult:
@@ -306,37 +311,21 @@ def model_to_dict(model: PowerModel) -> dict:
         ],
     }
     if model.training is not None:
-        out["training"] = {
-            "algorithm": model.training.algorithm,
-            "folds": model.training.folds,
-            "cv_mape_pct": model.training.cv_mape_pct,
-            "train_mape_pct": model.training.train_mape_pct,
-        }
+        out["training"] = asdict(model.training)
     return out
 
 
 def model_from_dict(data: dict, where: str = "model") -> PowerModel:
     try:
-        kind = data["kind"]
-        if kind not in MODEL_KINDS:
-            raise FormatError(f"unknown model kind {kind!r}", where)
-        terms = tuple((t["counter"], t["coefficient"]) for t in data["terms"])
-        names = [n for n, _ in terms]
-        if len(set(names)) != len(names):
-            raise FormatError("duplicate counter in model terms", where)
+        terms = check_type("terms", data["terms"], list)
         training = None
         if data.get("training") is not None:
             t = data["training"]
-            training = TrainingMeta(
-                algorithm=t["algorithm"],
-                folds=t["folds"],
-                cv_mape_pct=t["cv_mape_pct"],
-                train_mape_pct=t["train_mape_pct"],
-            )
+            training = TrainingMeta(**{f.name: t[f.name] for f in fields(TrainingMeta)})
         return PowerModel(
             intercept_w=data["intercept_w"],
-            terms=terms,
-            kind=kind,
+            terms=tuple((t["counter"], t["coefficient"]) for t in terms),
+            kind=data["kind"],
             training=training,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -25,12 +25,12 @@ candidates of one search step are scored as one batch: per fold, one
 stacked SVD covers every candidate of a size, and held-out predictions and
 MAPEs are formed for all of them at once, in a way that gives each
 candidate the same bits it would get scored alone.  The one exception is
-a batch that is exactly the one-column removals of one set, as every
-top_down step is: when that set repeats no column and is full rank on
-every fold, one SVD of the set per fold gives every removal in closed form,
-and those scores agree with the stacked-SVD ones within a tested bound set
-by the set's condition number, not to the last bit.  The final model is
-always refit on the full training set.
+a batch that its caller names as the one-column removals of one set, as
+every top_down step does: when that set repeats no column and is full rank
+on every fold, one SVD of the set per fold gives every removal in closed
+form, and those scores agree with the stacked-SVD ones within a tested
+bound set by the set's condition number, not to the last bit.  The final
+model is always refit on the full training set.
 
 Fold assignment is by whole benchmark run when at least k distinct runs
 exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
@@ -115,6 +115,7 @@ class SearchConfig:
                 continue  # no cap
             if not (is_integer(value) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, check_type(name, value, int))
         if self.algorithm == TOP_DOWN and self.max_events is not None:
             raise ValueError("max_events does not apply to top_down")
         if self.algorithm == EXHAUSTIVE and self.initial_set:
@@ -211,8 +212,8 @@ class _CvEvaluator:
     ``lstsq`` on the complement would use (n_train is the complement's row
     count, not R's).  The normal equations are never formed.
 
-    The exception is a batch that is exactly the one-column removals of
-    one set with no repeated key column that is full rank on every fold:
+    The exception is a batch named as the one-column removals of one set
+    with no repeated key column that is full rank on every fold:
     ``_removal_scores`` scores it from one SVD of the set per fold, within
     the set's ``_mape_tolerance`` bound of the path above, not bit for bit.
     """
@@ -270,14 +271,16 @@ class _CvEvaluator:
             return self._batch_scores[key]
         return self._score_batch([selection])[0]
 
-    def score_many(self, selections: Sequence[Sequence[int]]) -> list[float]:
+    def score_many(self, selections, removing_from=()) -> list[float]:
         """CV MAPE of every selection, in order; infeasible ones score +inf.
 
-        The scores are computed as one batch and handed out one candidate
-        at a time through ``score_or_inf``, so every candidate scored
-        passes once through that per-candidate entry point.
+        A non-empty ``removing_from`` names the batch as that set's one-column
+        removals for ``_removal_scores``, selection j dropping
+        ``removing_from[j]``.  The scores are computed as one batch and
+        handed out one candidate at a time through ``score_or_inf``, so
+        every candidate scored passes once through that entry point.
         """
-        scores = self._removal_scores(selections)
+        scores = self._removal_scores(removing_from)
         if scores is None:
             scores = self._score_batch(selections)
         self._batch_scores = dict(zip(map(tuple, selections), scores))
@@ -286,12 +289,10 @@ class _CvEvaluator:
         finally:
             self._batch_scores = {}
 
-    def _removal_scores(
-        self, selections: Sequence[Sequence[int]]
-    ) -> list[float] | None:
-        """CV MAPE of every selection when the batch is exactly the
-        one-column removals of one set whose key repeats no column and is
-        full rank on every fold; None for any other batch.
+    def _removal_scores(self, selected: Sequence[int]) -> list[float] | None:
+        """CV MAPE of each one-column removal of ``selected``, in its order,
+        when the set has at least two columns, its key repeats no column
+        and it is full rank on every fold; else None.
 
         Per fold, one SVD of the set's ``R_f[:, key]`` gives beta and
         C = V S^-2 V^T = (R^T R)^-1, and dropping key column j gives
@@ -299,18 +300,10 @@ class _CvEvaluator:
         Loan, section 6.5).  Dropping a column cannot lower s_min or raise
         s_max, so every removal passes the rank rule its set passes.
         """
-        m = len(selections)
-        if m < 2 or any(len(sel) != m - 1 for sel in selections):
+        m = len(selected)
+        if m < 2:
             return None
-        whole = set().union(*selections)
-        gone = [whole.difference(sel) for sel in selections]
-        if not (
-            len(whole) == m
-            and all(len(g) == 1 for g in gone)
-            and len(set().union(*gone)) == m
-        ):
-            return None
-        dropped = np.array([g.pop() for g in gone], dtype=np.intp)
+        dropped = np.array(selected, dtype=np.intp)
         key = np.sort(self.col_map[np.concatenate([[0], dropped + 1])])
         if np.any(key[1:] == key[:-1]):
             return None
@@ -470,7 +463,8 @@ def _greedy(evaluator, pool, selected, action, moves, accepts) -> _Walk:
     ``moves(selected, len(pool))`` gives the trial selections keyed by the
     pool index each one adds or removes, or a stop reason.  A step scores
     every trial as one batch and takes the best (first key on ties) while
-    ``accepts(current, best)`` holds.
+    ``accepts(current, best)`` holds.  A "remove" step names its batch as
+    the removals of the incumbent, in the incumbent's order.
     """
     current = initial_cv = evaluator.score_or_inf(selected)
     iterations: list[SearchIteration] = []
@@ -480,7 +474,9 @@ def _greedy(evaluator, pool, selected, action, moves, accepts) -> _Walk:
             stop = trials
             break
         keys = list(trials)
-        scores = evaluator.score_many([trials[i] for i in keys])
+        scores = evaluator.score_many(
+            [trials[i] for i in keys], selected if action == "remove" else ()
+        )
         best = min(range(len(keys)), key=scores.__getitem__)
         if not accepts(current, scores[best]):
             stop = "converged"
@@ -595,7 +591,8 @@ def _unnum(v) -> float:
     return math.inf if v is None else float(check_type("CV MAPE", v, float))
 
 
-def _unnum_scores(scores: dict) -> dict[str, float]:
+def _unnum_scores(name: str, scores) -> dict[str, float]:
+    scores = check_type(name, scores, dict)
     return {check_type("counter name", k, str): _unnum(v) for k, v in scores.items()}
 
 
@@ -630,17 +627,21 @@ def report_to_dict(report: SearchReport) -> dict:
 
 def report_from_dict(data: dict, where: str = "search report") -> SearchReport:
     """The SearchReport a JSON object describes.  Names must be strings,
-    folds and fold_seed integers, and scores numbers or null (+inf);
-    nothing is cast."""
+    folds and fold_seed integers, scores numbers or null (+inf), pool and
+    iterations JSON arrays and the score maps JSON objects; nothing is
+    cast."""
     try:
         subset_scores = None
         if "subset_scores" in data:
-            subset_scores = _unnum_scores(data["subset_scores"])
+            subset_scores = _unnum_scores("subset_scores", data["subset_scores"])
         return SearchReport(
             algorithm=check_type("algorithm", data["algorithm"], str),
             folds=check_type("folds", data["folds"], int),
             fold_seed=check_type("fold_seed", data["fold_seed"], int),
-            pool=tuple(check_type("counter name", n, str) for n in data["pool"]),
+            pool=tuple(
+                check_type("counter name", n, str)
+                for n in check_type("pool", data["pool"], list)
+            ),
             stop_reason=check_type("stop_reason", data["stop_reason"], str),
             initial_cv_mape_pct=_unnum(data["initial_cv_mape_pct"]),
             iterations=tuple(
@@ -648,9 +649,11 @@ def report_from_dict(data: dict, where: str = "search report") -> SearchReport:
                     action=check_type("action", it["action"], str),
                     counter=check_type("counter", it["counter"], str),
                     cv_mape_pct=_unnum(it["cv_mape_pct"]),
-                    candidate_scores=_unnum_scores(it["candidate_scores"]),
+                    candidate_scores=_unnum_scores(
+                        "candidate_scores", it["candidate_scores"]
+                    ),
                 )
-                for it in data["iterations"]
+                for it in check_type("iterations", data["iterations"], list)
             ),
             final_model=model_from_dict(data["final_model"], where=where),
             final_cv_mape_pct=_unnum(data["final_cv_mape_pct"]),

@@ -44,6 +44,7 @@ class SyncConfig:
             raise ValueError(
                 f"key_tolerance must be an integer in [0, 2^64), got {tol!r}"
             )
+        object.__setattr__(self, "key_tolerance", int(tol))  # never a numpy int
 
 
 @dataclass(frozen=True)

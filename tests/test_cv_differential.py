@@ -52,7 +52,7 @@ class _RefEvaluator:
         cols = sorted(self.first_copy[j] for j in [0] + [i + 1 for i in selection])
         return ref_cv_score(self.design, self.y, self.folds, cols)
 
-    def score_many(self, selections):
+    def score_many(self, selections, removing_from=()):
         return [self.score_or_inf(s) for s in selections]
 
 
@@ -251,8 +251,9 @@ def _removals(selected):
 @given(case=cv_cases(edits=("dup", "zero")))
 @example(case=_pinned_search_case())
 def test_removal_batches_agree_with_scores_alone(case):
-    # every top_down step: its removals scored as one batch agree with the
-    # same trials scored alone and pick the same removal.  The closed form
+    # every top_down step: its removals scored as one batch named as the
+    # removals of the set agree with the same trials scored alone and pick
+    # the same removal.  The closed form
     # starts from the set's factorisation, so the set's _mape_tolerance
     # bounds it: a trial's own kappa can be far smaller (1.3e-12 points
     # apart against a trial bound of 1.29e-12, in a square 3 x 3 set with
@@ -265,7 +266,7 @@ def test_removal_batches_agree_with_scores_alone(case):
     selected = list(range(len(ds.counters)))
     while selected:
         trials = _removals(selected)
-        batch = fast.score_many(trials)
+        batch = fast.score_many(trials, selected)
         alone = [fast.score_or_inf(t) for t in trials]
         key = fast._keys([selected])[0]
         closed_form = (
@@ -273,7 +274,7 @@ def test_removal_batches_agree_with_scores_alone(case):
             and len(set(key)) == len(key)
             and np.isfinite(fast.score_or_inf(selected))
         )
-        assert (fast._removal_scores(trials) is not None) == closed_form
+        assert (fast._removal_scores(selected) is not None) == closed_form
         if closed_form:
             tol = _mape_tolerance(ref, [0] + [i + 1 for i in selected])
             for trial, got, want in zip(trials, batch, alone):
@@ -294,26 +295,23 @@ def test_a_set_that_repeats_a_key_column_keeps_the_svd_bits(edit):
     deltas[:, 3] = deltas[:, 1] if edit == "duplicate" else 1
     ds = dataclasses.replace(ds, deltas=deltas)
     fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
-    trials = _removals(range(4))
-    assert fast._removal_scores(trials) is None
-    assert fast.score_many(trials) == [fast.score_or_inf(t) for t in trials]
+    selected = list(range(4))
+    trials = _removals(selected)
+    assert fast._removal_scores(selected) is None
+    alone = [fast.score_or_inf(t) for t in trials]
+    assert fast.score_many(trials, selected) == alone
 
 
-def test_only_the_exact_removals_of_one_set_take_the_closed_form():
+def test_an_unnamed_removal_batch_keeps_the_svd_bits():
+    # the closed form runs only when the caller names the set: the same
+    # removals, or any batch, scored without it get the stacked-SVD bits
     ds = make_dataset(60, 4, seed=3, n_runs=6)
     fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
-    trials = _removals([3, 0, 2, 1])
-    assert fast._removal_scores(trials) is not None
-    assert fast._removal_scores(trials[::-1]) is not None
-    for batch in (
-        trials[1:],  # one removal missing
-        trials + [trials[0]],  # an extra selection
-        [trials[0], trials[0]] + trials[2:],  # one removal twice
-        trials[:-1] + [[0, 1, 2, 3]],  # mixed sizes
-        trials + [[0]],
-        [sorted(t) for t in _removals([0, 1, 2])] + [[3, 1]],
-    ):
-        assert fast._removal_scores(batch) is None
+    selected = [3, 0, 2, 1]
+    trials = _removals(selected)
+    assert fast._removal_scores(selected) is not None
+    assert fast._removal_scores(selected[:1]) is None  # one column: no closed form
+    for batch in (trials, trials[::-1], trials[1:], trials + [[0, 1, 2, 3]]):
         assert fast.score_many(batch) == [fast.score_or_inf(t) for t in batch]
 
 

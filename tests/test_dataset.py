@@ -24,6 +24,19 @@ def test_counter_names_reject_time_and_duplicates():
     assert check_counter_names(["A", "B"]) == ("A", "B")
 
 
+def test_freq_mhz_never_names_a_counter(tmp_path):
+    # a dataset whose one counter was FREQ_MHZ used to read back with that
+    # counter turned into the frequency channel
+    with pytest.raises(ValueError, match="reserved for the frequency channel"):
+        check_counter_names(("A", "FREQ_MHZ"))
+    with pytest.raises(ValueError, match="reserved for the frequency channel"):
+        pp.PowerModel(intercept_w=1.0, terms=(("FREQ_MHZ", 1.0),))
+    path = tmp_path / "ds.csv"
+    path.write_text("RUN,TIME,POWER_W,A,FREQ_MHZ\nr,1,1.5,2,3\n")
+    with pytest.raises(pp.FormatError, match="reserved for the frequency channel"):
+        pp.read_dataset(path)
+
+
 def test_counter_trace_requires_increasing_time():
     with pytest.raises(ValueError, match="strictly increasing"):
         pp.CounterTrace(

@@ -1,5 +1,6 @@
 """Model fitting, prediction and MAPE against hand-worked values."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -169,11 +170,45 @@ def test_freq_baseline_requires_channel():
 
 
 def test_predict_row_and_dataset_agree():
+    # one expression; BLAS sums a lone row (a dot) and a block (a gemv) in
+    # its own order, so they agree to rounding, not bit for bit
     ds = make_dataset(50, 4, seed=9)
     model, _ = pp.fit_ols(ds, ["C2", "C4"])
     vec = pp.predict_dataset(model, ds)
     for i, row in enumerate(ds.rows):
         assert pp.predict(model, row) == pytest.approx(vec[i], rel=1e-12)
+
+
+def test_prediction_and_fit_keep_their_bits():
+    # artifacts stay byte-identical only while the prediction block stays
+    # column-major, as numpy's column gather gives it, and the fit's
+    # [1 | X] row-major: another layout moves @ to another BLAS kernel
+    ds = make_dataset(500, 6, seed=2)
+    model, diag = pp.fit_ols(ds, ["C5", "C1", "C3"])
+    coefs = np.array([c for _, c in model.terms])
+    gathered = np.asfortranarray(ds.deltas[:, [4, 0, 2]], dtype=np.float64)
+    want = model.intercept_w + gathered @ coefs
+    assert np.array_equal(pp.predict_dataset(model, ds), want)
+    design = np.ones((ds.n_rows, 4))  # row-major, unlike np.column_stack's
+    design[:, 1:] = gathered
+    fitted = design @ np.array([model.intercept_w, *coefs])
+    assert diag.train_mape_pct == pp.mape(ds.power_w, fitted)
+
+
+def test_freq_baseline_is_the_linear_fit_on_the_frequency_column():
+    # the same values as a counter column and as FREQ_MHZ fit, score and
+    # predict alike, bit for bit
+    ds = make_dataset(40, 2, seed=5)
+    deltas = ds.deltas % 1000 + 1
+    freq = deltas[:, 1].astype(np.float64)
+    ds = dataclasses.replace(ds, deltas=deltas, freq_mhz=freq)
+    base, base_diag = pp.fit_freq_baseline(ds)
+    ols, ols_diag = pp.fit_ols(ds, ["C2"])
+    assert base.kind == "freq_baseline" and base.counter_names == ("FREQ_MHZ",)
+    assert (base.intercept_w, base.terms[0][1]) == (ols.intercept_w, ols.terms[0][1])
+    assert base_diag == ols_diag
+    assert np.array_equal(pp.predict_dataset(base, ds), pp.predict_dataset(ols, ds))
+    assert pp.predict(base, ds.row(3)) == pp.predict(ols, ds.row(3))
 
 
 def test_predict_missing_counter_errors():
@@ -281,11 +316,13 @@ _GOOD_MODEL = {
         (("training", "folds"), True, "folds must be int"),
         (("training", "cv_mape_pct"), "1.25", "cv_mape_pct must be float"),
         (("training", "train_mape_pct"), False, "train_mape_pct must be float"),
+        (("terms",), {}, "terms must be list"),
+        (("terms",), "A", "terms must be list"),
     ],
 )
 def test_model_json_values_must_have_the_field_type(path, value, message):
     # a value is checked, never cast: "1.5", true and 2.5 folds used to load
-    # as 1.5, 1.0 and 2
+    # as 1.5, 1.0 and 2, and "terms": {} as an intercept-only model
     with pytest.raises(pp.FormatError, match=f"bad model JSON: {message}"):
         pp.model_from_dict(edited_json(_GOOD_MODEL, path, value))
 

@@ -198,12 +198,60 @@ def test_search_config_integer_fields_take_only_integers(field, value):
         pp.SearchConfig(algorithm="bottom_up", **{field: value})
 
 
-def test_search_config_takes_numpy_integers():
+def test_search_config_takes_numpy_integers(tmp_path):
     cfg = pp.SearchConfig(
         algorithm="exhaustive", folds=np.int64(3), max_events=np.uint8(1),
         fold_seed=np.int32(2),
     )
     assert (cfg.folds, cfg.max_events, cfg.fold_seed) == (3, 1, 2)
+    assert {type(cfg.folds), type(cfg.max_events), type(cfg.fold_seed)} == {int}
+    # stored as plain ints, they write the files plain-int settings write
+    # (a numpy folds used to reach the JSON writer and fail there)
+    ds = _noisy_ds()
+    files = []
+    for folds, seed in ((np.int64(3), np.int32(2)), (3, 2)):
+        cfg = pp.SearchConfig(algorithm="top_down", folds=folds, fold_seed=seed)
+        report = pp.run_search(ds, cfg)
+        pp.write_report(report, tmp_path / "report.json")
+        pp.write_model(report.final_model, tmp_path / "model.json")
+        files.append(
+            [(tmp_path / n).read_bytes() for n in ("report.json", "model.json")]
+        )
+    assert files[0] == files[1]
+
+
+def test_settings_store_numpy_values_as_plain_python_values():
+    meta = pp.TrainingMeta(
+        algorithm="top_down", folds=np.int64(4), cv_mape_pct=np.float64(1.5),
+        train_mape_pct=np.int32(1),
+    )
+    assert [type(v) for v in (meta.folds, meta.cv_mape_pct, meta.train_mape_pct)] == [
+        int, float, int
+    ]
+    assert type(pp.SyncConfig(key_tolerance=np.uint64(2**63)).key_tolerance) is int
+    spec = pp.GenSpec(
+        true_model=TRUE_MODEL, n_samples=np.int64(5), counter_ranges=RANGES3,
+        noise_rel=np.float32(0.5), seed=np.uint8(1),
+    )
+    assert [type(v) for v in (spec.n_samples, spec.noise_rel, spec.seed)] == [
+        int, float, int
+    ]
+
+
+def test_a_string_is_not_a_name_list():
+    # "C1" used to be the names ('C', '1')
+    ds = _noisy_ds()
+    for field in ("candidate_pool", "initial_set"):
+        with pytest.raises(ValueError, match="must be a sequence, not 'CPU_OP'"):
+            pp.SearchConfig(algorithm="bottom_up", **{field: "CPU_OP"})
+    with pytest.raises(ValueError, match="must be a sequence, not 'CPU_OP'"):
+        pp.fit_ols(ds, "CPU_OP")
+    with pytest.raises(ValueError, match="must be a sequence, not 'CPU_OP'"):
+        pp.cv_score(ds, "CPU_OP", 4)
+    # and each name is a string: 1 used to reach ", ".join as a TypeError
+    with pytest.raises(ValueError, match="counter name must be str, got 1"):
+        pp.fit_ols(ds, ["CPU_OP", 1])
+    assert pp.fit_ols(ds, ["CPU_OP"])[0].counter_names == ("CPU_OP",)
 
 
 def test_bottom_up_recovers_true_counters():
@@ -488,6 +536,12 @@ def test_report_from_dict_rejects_garbage(tmp_path):
         (("iterations", 0, "cv_mape_pct"), False, "CV MAPE must be float"),
         (("iterations", 0, "candidate_scores", "IO_EVT"), "2", "CV MAPE must be float"),
         (("final_model", "intercept_w"), "1.5", "intercept_w must be float"),
+        # "C1C2" used to load as the pool ('C', '1', 'C', '2'), {} as no steps
+        (("pool",), "C1C2", "pool must be list"),
+        (("iterations",), {}, "iterations must be list"),
+        (("iterations", 0, "candidate_scores"), [], "candidate_scores must be dict"),
+        (("subset_scores",), [["IO_EVT", 1.0]], "subset_scores must be dict"),
+        (("final_model", "terms"), {}, "terms must be list"),
     ],
 )
 def test_report_json_values_must_have_the_field_type(path, value, message):
