@@ -46,7 +46,8 @@ ALGORITHMS = ("bottom_up", "top_down", "exhaustive")
 
 # |actual| below this is treated as a measurement error, not skipped
 MAPE_ZERO_GUARD_W = 1e-9
-# singular-value ratio above which a fit is flagged as ill-conditioned
+# singular-value ratio of the design with its columns scaled to unit norm
+# above which a fit is flagged as ill-conditioned
 CONDITION_WARN_RATIO = 1e8
 
 
@@ -165,7 +166,9 @@ def mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     if np.any(guard):
         idx = int(np.argmax(guard))
         raise ValueError(f"actual value below zero-guard at sample {idx}")
-    err = np.abs(actual - predicted) / np.abs(actual)
+    err = actual - predicted  # |err| / |actual|, in place: one temporary
+    np.abs(err, out=err)
+    err /= np.abs(actual)
     return (100.0 / actual.size) * err.sum(axis=1)
 
 
@@ -200,9 +203,12 @@ def _fit(ds: Dataset, names: Sequence[str], kind: str):
     n, cols = x.shape
     if n < cols:
         raise FitError(f"fewer rows ({n}) than parameters ({cols})")
-    beta, _, rank, svals = np.linalg.lstsq(x, ds.power_w, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(x, ds.power_w, rcond=None)
     if rank < cols:
         raise RankDeficientError("rank-deficient design, drop a predictor")
+    # counts dwarf the intercept column, so only the column-scaled design's
+    # condition number says whether the fit itself is ill-conditioned
+    svals = np.linalg.svd(x / np.linalg.norm(x, axis=0), compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
     fitted = x @ beta
     resid = ds.power_w - fitted

@@ -15,22 +15,24 @@ average the held-out MAPE over the k folds.  The fits never touch the n rows
 again: the evaluator takes one R-only QR of each fold's rows of
 ``[1 | X_pool | y]`` and stacks the k-1 small R blocks of every training
 complement into one more QR (TSQR), which gives R_f and z_f = Q^T y as its
-last column.  A subset is then an SVD least-squares solve on the few rows of
-``R_f[:, cols]`` against z_f, never the normal equations.  R_f[:, cols] has
-the singular values of the complement's design, and the rank cut-off is the
-one a full-height ``lstsq`` would use: eps * max(n_train, k) * s_max, with
-n_train the complement's row count, not R's.  Byte-identical pool columns
-share one R column, so copies of a counter score exactly alike.  All
-candidates of one search step are scored as one batch: per fold, one
-stacked SVD covers every candidate of a size, and held-out predictions and
-MAPEs are formed for all of them at once, in a way that gives each
-candidate the same bits it would get scored alone.  The one exception is
-a batch that its caller names as the one-column removals of one set, as
-every top_down step does: when that set repeats no column and is full rank
-on every fold, one SVD of the set per fold gives every removal in closed
-form, and those scores agree with the stacked-SVD ones within a tested
-bound set by the set's condition number, not to the last bit.  The final
-model is always refit on the full training set.
+last column; R_f[:, cols] has the singular values of the complement's
+design.  A subset is solved by appending its last column to the
+factorisation of its parent, the subset without that column (Gram-Schmidt
+run twice, CGS2), on every fold at once.  Subsets that share a prefix share
+its factorisation, so a batch, every subset in the exhaustive case, takes
+no LAPACK call per subset, and the normal equations are never formed.  The
+rank cut-off is the one a full-height ``lstsq`` would use:
+s_min > eps * max(n_train, k) * s_max, with n_train the complement's row
+count, not R's.  A cheap bound certifies most subsets; the rest are decided
+by the SVD of R_f[:, cols].  Byte-identical pool columns share one R column,
+so copies of a counter score exactly alike, and within one evaluator (one
+pool, one fold split) a subset's score has the same bits scored alone or in
+any batch.  The one exception is a batch that its caller names as the
+one-column removals of one set, as every top_down step does: when that set
+repeats no column and is full rank on every fold, one SVD of the set per
+fold gives every removal in closed form, and those scores agree with the
+appended ones within a tested bound set by the set's condition number, not
+to the last bit.  The final model is always refit on the full training set.
 
 Fold assignment is by whole benchmark run when at least k distinct runs
 exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
@@ -78,6 +80,10 @@ EXHAUSTIVE_POOL_LIMIT = 20
 _EPS = float(np.finfo(np.float64).eps)
 # bounds the float64 cells of the arrays one batch step of scoring holds
 _BATCH_CELLS = 1 << 16
+# safety factor of the full-rank certificate over the SVD cut-off: a bound
+# this far above the cut-off stays above it through the rounding in T^-1,
+# ||A||_F and the singular values the cut-off is otherwise checked on
+_CERT = 4.0
 
 
 @dataclass(frozen=True)
@@ -190,6 +196,22 @@ def kfold_split(ds: Dataset, k: int, seed: int = 0) -> list[np.ndarray]:
     )
 
 
+class _Prefixes(NamedTuple):
+    """Key prefixes scored by _CvEvaluator._append, one row each, per fold:
+    Q (orthonormal rows spanning ``R_f[:, prefix]``, which is ``Q^T T``),
+    T^-1, the least-squares beta, ||R_f[:, prefix]||_F^2 and
+    ||T^-1||_F^2; and each prefix's first failed fold.  The first three
+    have room for a whole key of up to W columns and hold the prefix's k
+    in their leading entries."""
+
+    q_rows: np.ndarray  # (n, F, W, P)
+    t_inv: np.ndarray  # (n, F, W, W)
+    beta: np.ndarray  # (n, F, W)
+    a_norm2: np.ndarray  # (n, F, 1)
+    t_norm2: np.ndarray  # (n, F, 1)
+    failed: np.ndarray  # (n,)
+
+
 class _CvEvaluator:
     """Per-fold R-factor cache for scoring many subsets on fixed folds.
 
@@ -203,14 +225,15 @@ class _CvEvaluator:
     A subset is scored on the key ``sort(col_map[[0] + selection + 1])``
     and on nothing else, so copies of a counter, one subset listed in two
     orders, and one subset scored alone or among others all give the same
-    bits.  ``score_many`` scores a whole batch: per fold it takes one
-    stacked SVD of ``R_f[:, cols]`` for all subsets of one size, solves
-    beta = V (U^T z_f / s), predicts the held-out rows as
-    (subsets x rows) with one fixed sequence of elementwise products, and
-    averages the fold MAPEs.  A subset is full rank when
-    s_min > eps * max(n_train, k) * s_max, the cut-off a full-height
+    bits.  ``score_many`` scores a whole batch: each distinct key once, the
+    keys in lexicographic order, which walks their prefix tree depth first.
+    ``_solve`` builds each prefix from its parent by ``_append`` on every
+    fold at once and ``_held_out_mape`` predicts the held-out rows with one
+    fixed sequence of elementwise products per key.  A key is full rank
+    when s_min > eps * max(n_train, k) * s_max, the cut-off a full-height
     ``lstsq`` on the complement would use (n_train is the complement's row
-    count, not R's).  The normal equations are never formed.
+    count, not R's): a bound certifies it, else the SVD of ``R_f[:, key]``
+    decides, and a prefix that fails a fold fails it for every key below.
 
     The exception is a batch named as the one-column removals of one set
     with no repeated key column that is full rank on every fold:
@@ -241,8 +264,24 @@ class _CvEvaluator:
             )
             for fi, (a, b) in enumerate(spans)
         ]
+        # column c of fold f's R factor, zero rows padding a short one
+        p, n_folds = len(self.columns), len(self.folds)
+        self._r_cols = np.zeros((p, n_folds, 1, p))
+        for fi, (_, r, _) in enumerate(self.folds):
+            self._r_cols[:, fi, 0, : len(r)] = r.T
+        self._r_norm2 = (self._r_cols**2).sum(-1)
+        # per prefix length k: the squared certificate cut-off of each fold,
+        # and the first fold with fewer training rows than k
+        n_train = np.array([n for n, _, _ in self.folds])
+        k = np.arange(p + 1)[:, None]
+        self._cut2 = (_CERT * _EPS * np.maximum(n_train, k))[:, :, None] ** 2
+        short = n_train < k
+        self._short = np.where(short.any(axis=1), short.argmax(axis=1), n_folds)
+        self._fold_ids = np.arange(n_folds)[:, None]
         # a subset's cells in one batch step: its held-out predictions or its
-        # (m x k) SVD factors, m and k at most the column count
+        # (m x k) SVD factors, m and k at most the column count; _solve
+        # takes batch // folds keys at a time, as a prefix holds Q and T^-1
+        # on every fold
         cells = max(max(b - a for a, b in spans), len(self.columns) ** 2)
         self.batch = max(1, _BATCH_CELLS // cells)
         # scores of the batch score_many is handing out, keyed by selection
@@ -329,52 +368,198 @@ class _CvEvaluator:
         return (total / len(self.folds)).tolist()
 
     def _score_batch(self, selections: Sequence[Sequence[int]]) -> list[float]:
-        """CV MAPE of every selection, in order, +inf where infeasible,
-        computed per size group and batch step."""
-        out = np.empty(len(selections))
-        sizes: dict[int, list[int]] = {}
-        for pos, sel in enumerate(selections):
-            sizes.setdefault(len(sel), []).append(pos)
-        for positions in sizes.values():
-            keys = self._keys([selections[p] for p in positions])
-            for lo in range(0, len(positions), self.batch):
-                scores, failed = self._score_keys(keys[lo : lo + self.batch])
-                scores[failed < len(self.folds)] = math.inf
-                out[positions[lo : lo + self.batch]] = scores
-        return out.tolist()
+        """CV MAPE of every selection, in order, +inf where infeasible."""
+        scores, failed = self._score_keys(self._keys(selections))
+        scores[failed < len(self.folds)] = math.inf
+        return scores.tolist()
 
     def _keys(self, selections: Sequence[Sequence[int]]) -> np.ndarray:
-        """Sorted design columns of equally long selections, one per row."""
-        sel = np.array(selections, dtype=np.intp).reshape(len(selections), -1)
-        cols = np.column_stack([np.zeros(len(sel), dtype=np.intp), sel + 1])
-        return np.sort(self.col_map[cols], axis=1)
+        """Sorted design columns of each selection, one per row, in the
+        smallest integer type; rows of shorter selections end in
+        ``len(self.columns)`` padding."""
+        lengths = np.fromiter(map(len, selections), np.intp, len(selections))
+        flat = np.fromiter(itertools.chain.from_iterable(selections), np.intp)
+        pad = len(self.columns)
+        keys = np.full(
+            (len(lengths), 1 + lengths.max(initial=0)), pad, np.min_scalar_type(pad)
+        )
+        keys[:, 0] = 0
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        keys[rows, np.arange(len(flat)) - starts + 1] = self.col_map[flat + 1]
+        return np.sort(keys, axis=1)
 
     def _score_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean fold MAPE of every key row, and the first fold whose fit
         failed (``len(self.folds)`` when none did); a failed key's score is
-        left partial."""
-        n_keys, k = keys.shape
-        total = np.zeros(n_keys)
-        failed = np.full(n_keys, len(self.folds))
-        live = np.arange(n_keys)
-        for fi, (n_train, r, test) in enumerate(self.folds):
-            if n_train < k:
-                failed[live] = fi
+        left partial.
+
+        Each distinct key is scored once.  Sorted lexicographically, the
+        keys walk their prefix tree depth first; that order is cut into
+        chunks of ``self.batch // folds`` keys, so that the prefix states of
+        a chunk stay within a small multiple of _BATCH_CELLS.
+        """
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        slot = np.empty(len(keys), dtype=np.intp)
+        slot[order] = np.cumsum(new) - 1
+        keys = keys[new]
+        total = np.zeros(len(keys))
+        failed = np.empty(len(keys), dtype=np.intp)
+        chunk = max(1, self.batch // len(self.folds))
+        for lo in range(0, len(keys), chunk):
+            part = slice(lo, lo + chunk)
+            betas, failed[part] = self._solve(keys[part])
+            total[part] = self._held_out_mape(keys[part], betas, failed[part])
+        return total[slot] / len(self.folds), failed[slot]
+
+    def _solve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-fold beta (zero-padded to the key width) and first failed
+        fold of distinct, sorted, padded key rows.
+
+        Every prefix of the keys is built once, one depth at a time, from
+        its parent prefix by ``_append``.  A prefix that fails fold 0
+        fails every fold for its whole subtree, which takes no further
+        work.
+        """
+        n_keys, width = keys.shape
+        n_folds, p = len(self.folds), len(self.columns)
+        valid = keys < p
+        # new[i, d]: key i opens a prefix of depth d + 1, leaving key i-1's;
+        # ids[i, d] numbers the prefixes of that depth
+        new = valid.copy()
+        new[1:] &= np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1)
+        ids = np.cumsum(new, axis=0) - 1
+        ends_at = valid.sum(axis=1) - 1  # each key's last depth, -1 once dead
+        betas = np.zeros((n_keys, n_folds, width))
+        failed = np.zeros(n_keys, dtype=np.intp)
+        # the empty prefix, with room for width columns
+        prefixes = _Prefixes(
+            np.zeros((1, n_folds, width, p)),
+            np.zeros((1, n_folds, width, width)),
+            np.zeros((1, n_folds, width)),
+            np.zeros((1, n_folds, 1)),
+            np.zeros((1, n_folds, 1)),
+            np.full(1, n_folds),
+        )
+        for d in range(width):
+            rows = np.flatnonzero(new[:, d])
+            if not rows.size:
                 break
-            cols = keys[live]
-            u, s, vt = np.linalg.svd(np.moveaxis(r[:, cols], 0, 1), full_matrices=False)
-            full = s[:, -1] > _EPS * max(n_train, k) * s[:, 0]
-            failed[live[~full]] = fi
-            live, cols, u, s, vt = live[full], cols[full], u[full], s[full], vt[full]
-            if not live.size:
-                break
-            beta = ((r[:, -1] @ u / s)[:, None, :] @ vt)[:, 0]
-            held_out = self.columns[:, test]
-            pred = np.zeros((live.size, held_out.shape[1]))
-            for j in range(k):
-                pred += beta[:, j : j + 1] * held_out[cols[:, j]]
-            total[live] += mape_rows(held_out[-1], pred)
-        return total / len(self.folds), failed
+            parent = ids[rows, d - 1] if d else np.zeros(1, dtype=np.intp)
+            # a prefix with one child is extended in place
+            if parent.tolist() != list(range(len(prefixes.failed))):
+                prefixes = _Prefixes(*(s[parent] for s in prefixes))
+            prefixes = self._append(prefixes, keys[rows, : d + 1])
+            ends = np.flatnonzero(ends_at == d)
+            betas[ends, :, : d + 1] = prefixes.beta[ids[ends, d], :, : d + 1]
+            failed[ends] = prefixes.failed[ids[ends, d]]
+            dead = prefixes.failed == 0
+            if dead.any():
+                gone = valid[:, d] & dead[ids[:, d]]
+                ends_at[gone] = -1
+                new[gone, d + 1 :] = False
+                ids[:, d + 1 :] = np.cumsum(new[:, d + 1 :], axis=0) - 1
+                ids[:, d] = (np.cumsum(~dead) - 1)[ids[:, d]]
+                prefixes = _Prefixes(*(s[~dead] for s in prefixes))
+        return betas, failed
+
+    def _held_out_mape(self, keys, betas, failed) -> np.ndarray:
+        """Summed held-out MAPE over the folds each key passes.
+
+        A key's prediction is the sum, in column order, of its
+        ``beta_j * x_j`` products, the same fixed sequence of elementwise
+        operations in any batch, so its score keeps its bits.  Keys run
+        longest first, in blocks whose (columns x keys x rows) products fit
+        in _BATCH_CELLS; a shorter key's missing columns add 0.0.
+        """
+        total = np.zeros(len(keys))
+        lengths = (keys < len(self.columns)).sum(axis=1)
+        order = np.argsort(-lengths, kind="stable")
+        cols = np.where(keys < len(self.columns), keys, 0).T
+        rows = max(test.stop - test.start for _, _, test in self.folds)
+        block = max(1, _BATCH_CELLS // (keys.shape[1] * rows))
+        buf = np.empty(keys.shape[1] * min(block, len(keys)) * rows)
+        for lo in range(0, len(keys), block):
+            part = order[lo : lo + block]
+            width = lengths[part[0]]
+            for fi, (_, _, test) in enumerate(self.folds):
+                live = part[failed[part] > fi]
+                if not live.size:
+                    break
+                held_out = self.columns[:, test]
+                terms = buf[: width * live.size * held_out.shape[1]].reshape(
+                    width, live.size, held_out.shape[1]
+                )
+                held_out.take(cols[:width, live], axis=0, out=terms, mode="clip")
+                terms *= betas[live, fi, :width].T[:, :, None]
+                pred = terms[0]
+                for term in terms[1:]:  # in order; add.reduce may pair terms up
+                    pred += term
+                total[live] += mape_rows(held_out[-1], pred)
+        return total
+
+    def _append(self, prefixes: _Prefixes, keys: np.ndarray) -> _Prefixes:
+        """Each prefix row extended, in place, by the last column a of its
+        row of ``keys``, on every fold at once.
+
+        a is orthogonalised against Q twice (CGS2): w = Q a,
+        q = a - Q^T w, rho = ||q||.  Then gamma = q.z / rho^2,
+        beta' = [beta - gamma T^-1 w, gamma] and
+        T^-1' = [[T^-1, -T^-1 w / rho], [0, 1 / rho]].  A fold is certified
+        full rank when 1 / ||T^-1'||_F > _CERT * eps * max(n_train, k) *
+        ||A'||_F, a lower bound on s_min against an upper bound on s_max;
+        any other fold before the first failed one is decided by the SVD
+        cut-off itself (``_decide``).  Adding a column cannot raise s_min
+        or lower s_max, so a failed fold stays failed below; its entries
+        keep the parent's values (rho is taken as +inf there).
+        """
+        q_rows, t_inv, beta, a_norm2, t_norm2, failed = prefixes
+        k = keys.shape[1]
+        d, col = k - 1, keys[:, -1]
+        basis = q_rows[:, :, :d]
+        a = self._r_cols[col]  # (n, F, 1, P)
+        w = a @ basis.swapaxes(-1, -2)  # (Q a)^T
+        q = a - w @ basis
+        w2 = q @ basis.swapaxes(-1, -2)
+        q -= w2 @ basis
+        w += w2
+        rho2 = (q * q).sum(-1)  # (n, F, 1), as are the norms below
+        u = w @ t_inv[:, :, :d, :d].swapaxes(-1, -2)  # (T^-1 w)^T
+        uu1 = (u * u).sum(-1) + 1.0
+        a_norm2 = a_norm2 + self._r_norm2[col]
+        certified = self._cut2[k] * a_norm2 * (t_norm2 * rho2 + uu1) < rho2
+        if self._short[k] < len(self.folds):
+            failed = np.minimum(failed, self._short[k])
+        if not certified.all():
+            failed = self._decide(keys, ~certified[..., 0], failed, rho2[..., 0])
+        if failed.min() < len(self.folds):
+            rho2 = np.where(self._fold_ids < failed[:, None, None], rho2, np.inf)
+        rho = np.sqrt(rho2)
+        q_rows[:, :, d] = q[:, :, 0] / rho
+        gamma = (q_rows[:, :, d : d + 1] * self._r_cols[-1]).sum(-1) / rho
+        t_inv[:, :, :d, d] = u[:, :, 0] / -rho
+        t_inv[:, :, d, d] = 1.0 / rho[..., 0]
+        beta[:, :, :d] -= gamma * u[:, :, 0]
+        beta[:, :, d] = gamma[..., 0]
+        return _Prefixes(q_rows, t_inv, beta, a_norm2, t_norm2 + uu1 / rho2, failed)
+
+    def _decide(self, keys, undecided, failed, rho2) -> np.ndarray:
+        """``failed`` lowered, per prefix, to the first earlier fold on
+        which an ``undecided`` prefix fails the SVD cut-off or has rho 0:
+        one stacked SVD of ``R_f[:, key]`` per fold that has any."""
+        failed = failed.copy()
+        k = keys.shape[1]
+        for fi in np.flatnonzero(undecided.any(axis=0)):
+            rows = np.flatnonzero(undecided[:, fi] & (failed > fi))
+            if rows.size:
+                n_train, r, _ = self.folds[fi]
+                s = np.linalg.svd(np.moveaxis(r[:, keys[rows]], 0, 1), compute_uv=False)
+                full = (s[:, -1] > _EPS * max(n_train, k) * s[:, 0]) & (rho2[rows, fi] > 0)
+                failed[rows[~full]] = fi
+        return failed
 
 
 def cv_score(

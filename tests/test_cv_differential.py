@@ -3,6 +3,7 @@ oracle, and against itself scored alone or in other batches."""
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,3 +352,113 @@ def test_rank_cutoff_scales_with_training_rows_not_r_rows():
     assert fast.score_or_inf((0, 1)) == ref.score_or_inf((0, 1)) == np.inf
     _assert_close(fast.score_or_inf((0,)), ref.score_or_inf((0,)))
     _assert_close(fast.score_or_inf((1,)), ref.score_or_inf((1,)))
+
+
+def _first_failure(ref, cols):
+    """The first fold whose full-height complement fit fails under
+    ``lstsq``'s own rank rule, with the error ``score`` raises for it, or
+    None when every fold fits."""
+    for fi, test in enumerate(ref.folds):
+        x = np.delete(ref.design, test, axis=0)[:, cols]
+        if len(x) < len(cols):
+            return fi, pp.FitError
+        if np.linalg.lstsq(x, np.delete(ref.y, test), rcond=None)[2] < len(cols):
+            return fi, pp.RankDeficientError
+    return None
+
+
+def test_a_failing_prefix_fails_every_superset():
+    # a counter seen only in fold 1's rows (C1), a copy (C4 of C3) and an
+    # all-zero counter (C5): a prefix that fails a fold fails it below, yet
+    # score() still names the first fold a per-fold lstsq fails, which for
+    # {C1, C5} is fold 0, before the fold 1 that its prefix {C1} fails
+    ds = make_dataset(60, 5, seed=3, n_runs=6)
+    folds = pp.kfold_split(ds, 3)
+    deltas = ds.deltas.copy()
+    outside = np.ones(ds.n_rows, dtype=bool)
+    outside[folds[1]] = False
+    deltas[outside, 0] = 0
+    deltas[:, 3] = deltas[:, 2]
+    deltas[:, 4] = 0
+    ds = dataclasses.replace(ds, deltas=deltas)
+    fast = search._CvEvaluator(ds, ds.counters, folds)
+    ref = _RefEvaluator(ds, ds.counters, folds)
+    subsets = _all_subsets(5)
+    scores = dict(zip(subsets, fast.score_many(subsets)))
+    failing = {sel for sel, score in scores.items() if score == np.inf}
+    assert {(0,), (2, 3), (4,)} <= failing
+    for sel in subsets:
+        if any(set(f) < set(sel) for f in failing):
+            assert sel in failing, sel
+        want = _first_failure(ref, [0] + [i + 1 for i in sel])
+        assert (want is None) == (sel not in failing), sel
+        if want is None:
+            assert fast.score(sel) == scores[sel]
+        else:
+            fold, error = want
+            with pytest.raises(error, match=f"^fold {fold}: rank-deficient design"):
+                fast.score(sel)
+    with pytest.raises(pp.RankDeficientError, match="^fold 1:"):
+        fast.score((0, 1))
+    with pytest.raises(pp.RankDeficientError, match="^fold 0:"):
+        fast.score((0, 4))
+
+
+def _counting_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *args, **kw: calls.append(args[0].shape) or svd(*args, **kw)
+    )
+    return calls
+
+
+def test_certified_subsets_take_no_svd(monkeypatch):
+    # the certificate 1 / ||T^-1||_F > 4 eps n ||A||_F vouches for every
+    # subset of a well-conditioned pool, so the whole lattice is scored
+    # without one SVD
+    ds = make_dataset(60, 4, seed=3, n_runs=6)
+    fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
+    calls = _counting_svd(monkeypatch)
+    scores = fast.score_many(_all_subsets(4))
+    assert np.all(np.isfinite(scores))
+    assert calls == []
+
+
+def test_an_uncertified_subset_falls_back_to_one_svd(monkeypatch):
+    # the near-copy pair of test_rank_cutoff_scales_with_training_rows_not_r_rows
+    # sits below the certificate: one SVD of R_f[:, key] on fold 0 rejects
+    # it, and no later fold needs deciding
+    n = 40000
+    rng = np.random.default_rng(11)
+    a = rng.integers(2**31, 2**32 - 2, size=n, dtype=np.uint64)
+    b = a.copy()
+    b[[n // 4, 3 * n // 4]] += 1
+    ds = _dataset(np.column_stack([a, b]), rng.uniform(1.0, 2.0, size=n), 1)
+    fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 2))
+    calls = _counting_svd(monkeypatch)
+    assert fast.score_or_inf((0, 1)) == np.inf
+    assert calls == [(1, 4, 3)]
+    calls.clear()
+    assert np.isfinite(fast.score_or_inf((0,))) and np.isfinite(fast.score_or_inf((1,)))
+    assert calls == []
+
+
+def test_exhaustive_memory_is_bounded_by_the_batch_cells():
+    # the widest level of a 14-counter lattice holds 3,432 prefixes; scored
+    # unchunked, the prefixes' Q and T^-1 on 3 folds reached 82 MB of peak
+    # traced memory.  Chunks of batch // folds keys keep the scorer to a few
+    # _BATCH_CELLS beyond its per-key bookkeeping: the sorted and the
+    # distinct copies of the keys and two index arrays
+    ds = make_dataset(200, 14, seed=5, n_runs=10)
+    fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
+    keys = fast._keys(_all_subsets(14))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fast._score_keys(keys)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bookkeeping = 2 * keys.nbytes + 2 * np.dtype(np.intp).itemsize * len(keys)
+    assert peak < bookkeeping + 4 * 8 * search._BATCH_CELLS

@@ -96,6 +96,22 @@ def test_condition_warning_on_near_collinear_columns(caplog):
     assert CONDITION_WARN_RATIO == 1e8
 
 
+def test_no_condition_warning_for_one_counter_at_pmc_scale(caplog):
+    # counts of 1e7-1e9 put the unscaled [1 | X] near a condition number of
+    # 1e9, but that is column scale, not ill-conditioning: scaled to unit
+    # columns the design is well conditioned, and so is the fit
+    n = 200
+    rng = np.random.default_rng(7)
+    x = rng.integers(10**7, 10**9, size=n).astype(np.uint64)
+    ds = _ds(x, 2.0 + 1e-9 * x.astype(np.float64) + rng.uniform(0.0, 0.01, size=n))
+    design = np.column_stack([np.ones(n), x.astype(np.float64)])
+    assert np.linalg.cond(design) > CONDITION_WARN_RATIO
+    with caplog.at_level(logging.WARNING, logger="pmcpower.regress"):
+        _, diag = pp.fit_ols(ds, ["X0"])
+    assert not diag.condition_warning
+    assert caplog.records == []
+
+
 def test_mape_hand_value():
     got = pp.mape([1.0, 2.0, 4.0], [1.1, 1.8, 4.4])
     assert got == pytest.approx(10.0, rel=1e-12)
