@@ -13,10 +13,10 @@ gives, per workload and metric, each side's runs with their median and
 quartiles (linear interpolation), how many pairs the change was lower in,
 the median relative change; plus the failed and attempted counts, the pass
 counts, the environment, each side's commit and ``src/pmcpower`` hash.
-``--traced-seed`` adds one traced run per side of each of
-``--traced-workloads`` with its per-layer metrics; ``--claim WORKLOAD:METRIC`` checks the rule
-"change lower in at least 9 of 10 pairs (scaled to the pair count) and
-the median gap larger than the parent's interquartile range".
+``--traced-seed`` adds one traced run per side of every workload with its
+per-layer metrics; ``--claim WORKLOAD:METRIC`` checks the rule "change
+lower in at least 9 of 10 pairs (scaled to the pair count) and the median
+gap larger than the parent's interquartile range".
 """
 
 import argparse
@@ -103,9 +103,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--size", choices=("full", "smoke"), default="full")
     ap.add_argument("--traced-seed", type=int, help="also run one traced pair at this seed")
-    ap.add_argument("--traced-workloads", default="oracle", help="comma-separated")
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
-    ap.add_argument("--what", default="", help="what the change does, for the summary")
     ap.add_argument("--out", type=Path, help="write the summary here (default: stdout)")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -125,7 +123,6 @@ def main(argv=None) -> int:
     first = pairs[workloads[0]][0]
     env = first["change"]["env"]
     summary = {
-        "what": args.what,
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
                    f"--seconds {args.seconds} --trace 0 --size {args.size}",
         "run_seconds": args.seconds,
@@ -146,7 +143,7 @@ def main(argv=None) -> int:
             for w in workloads
         },
     }
-    for w in args.traced_workloads.split(",") if args.traced_seed is not None else ():
+    for w in workloads if args.traced_seed is not None else ():
         summary[f"traced_{w}_seed_{args.traced_seed}"] = {
             "command": f"python3 perfbench/run.py --workload {w} --seed {args.traced_seed} "
                        f"--seconds {args.seconds} --trace 1",

@@ -378,15 +378,15 @@ class _CvEvaluator:
         smallest integer type; rows of shorter selections end in
         ``len(self.columns)`` padding."""
         lengths = np.fromiter(map(len, selections), np.intp, len(selections))
-        flat = np.fromiter(itertools.chain.from_iterable(selections), np.intp)
         pad = len(self.columns)
-        keys = np.full(
-            (len(lengths), 1 + lengths.max(initial=0)), pad, np.min_scalar_type(pad)
-        )
+        dtype = np.min_scalar_type(pad)
+        flat = np.fromiter(itertools.chain.from_iterable(selections), dtype)
+        width = lengths.max(initial=0)
+        keys = np.full((len(lengths), 1 + width), pad, dtype)
         keys[:, 0] = 0
-        rows = np.repeat(np.arange(len(lengths)), lengths)
-        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        keys[rows, np.arange(len(flat)) - starts + 1] = self.col_map[flat + 1]
+        # a boolean mask fills its cells in row order, as flat lists them
+        filled = np.arange(width) < lengths[:, None]
+        keys[:, 1:][filled] = self.col_map.astype(dtype)[flat + 1]
         return np.sort(keys, axis=1)
 
     def _score_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,9 +449,7 @@ class _CvEvaluator:
             if not rows.size:
                 break
             parent = ids[rows, d - 1] if d else np.zeros(1, dtype=np.intp)
-            # a prefix with one child is extended in place
-            if parent.tolist() != list(range(len(prefixes.failed))):
-                prefixes = _Prefixes(*(s[parent] for s in prefixes))
+            prefixes = _Prefixes(*(s[parent] for s in prefixes))
             prefixes = self._append(prefixes, keys[rows, : d + 1])
             ends = np.flatnonzero(ends_at == d)
             betas[ends, :, : d + 1] = prefixes.beta[ids[ends, d], :, : d + 1]
@@ -481,7 +479,6 @@ class _CvEvaluator:
         cols = np.where(keys < len(self.columns), keys, 0).T
         rows = max(test.stop - test.start for _, _, test in self.folds)
         block = max(1, _BATCH_CELLS // (keys.shape[1] * rows))
-        buf = np.empty(keys.shape[1] * min(block, len(keys)) * rows)
         for lo in range(0, len(keys), block):
             part = order[lo : lo + block]
             width = lengths[part[0]]
@@ -490,10 +487,7 @@ class _CvEvaluator:
                 if not live.size:
                     break
                 held_out = self.columns[:, test]
-                terms = buf[: width * live.size * held_out.shape[1]].reshape(
-                    width, live.size, held_out.shape[1]
-                )
-                held_out.take(cols[:width, live], axis=0, out=terms, mode="clip")
+                terms = held_out[cols[:width, live]]
                 terms *= betas[live, fi, :width].T[:, :, None]
                 pred = terms[0]
                 for term in terms[1:]:  # in order; add.reduce may pair terms up
@@ -502,8 +496,9 @@ class _CvEvaluator:
         return total
 
     def _append(self, prefixes: _Prefixes, keys: np.ndarray) -> _Prefixes:
-        """Each prefix row extended, in place, by the last column a of its
-        row of ``keys``, on every fold at once.
+        """Each prefix row extended by the last column a of its row of
+        ``keys``, on every fold at once; the arrays of ``prefixes``, which
+        the caller owns, are updated in place.
 
         a is orthogonalised against Q twice (CGS2): w = Q a,
         q = a - Q^T w, rho = ||q||.  Then gamma = q.z / rho^2,
