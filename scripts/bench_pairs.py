@@ -14,7 +14,8 @@ quartiles (linear interpolation), how many pairs the change was lower in,
 the median relative change; plus the failed and attempted counts, the pass
 counts, the environment, each side's commit and ``src/pmcpower`` hash.
 ``--traced-seed`` adds one traced run per side of every workload with its
-per-layer metrics; ``--claim WORKLOAD:METRIC`` checks the rule "change
+per-layer metrics, as a pointer to where time goes: one run per side
+cannot resolve per-layer moves of 10-20%; ``--claim WORKLOAD:METRIC`` checks the rule "change
 lower in at least 9 of 10 pairs (scaled to the pair count) and the median
 gap larger than the parent's interquartile range".
 """
@@ -102,7 +103,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
     ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--size", choices=("full", "smoke"), default="full")
-    ap.add_argument("--traced-seed", type=int, help="also run one traced pair at this seed")
+    ap.add_argument("--traced-seed", type=int,
+                    help="also run one traced pair at this seed; one run per side cannot "
+                         "resolve per-layer moves of 10-20%%")
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     ap.add_argument("--out", type=Path, help="write the summary here (default: stdout)")
     args = ap.parse_args(argv)
@@ -148,7 +151,8 @@ def main(argv=None) -> int:
             "command": f"python3 perfbench/run.py --workload {w} --seed {args.traced_seed} "
                        f"--seconds {args.seconds} --trace 1",
             "note": "per-layer figures are self time, median over traced passes; "
-                    "pipeline_s is the median of the untraced passes between them",
+                    "pipeline_s is the median of the untraced passes between them; "
+                    "one traced run per side cannot resolve per-layer moves of 10-20%",
             **{side: run_once(roots[side], w, args.traced_seed, args.seconds, args.size,
                               1)["metrics"] for side in SIDES},
         }

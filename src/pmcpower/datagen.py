@@ -12,6 +12,10 @@ surviving intervals span several PMC sample periods; the returned Dataset
 is the exact synchronisation of the two traces, merged intervals included.
 At zero noise the true model therefore scores 0% MAPE on the returned
 Dataset, and at zero drop rate ``synchronize`` reproduces it exactly.
+
+The random draws come in one fixed order: each run's deltas, then its
+power-sample drops, run by run, then the noise of every row at once.  A
+spec therefore always yields the same bytes.
 """
 
 from __future__ import annotations
@@ -128,7 +132,12 @@ class GenResult:
 
 
 def generate(spec: GenSpec) -> GenResult:
-    """Draw the trace pair(s) and their exact synchronised dataset."""
+    """Draw the trace pair(s) and their exact synchronised dataset.
+
+    One pass per run draws its deltas and then its dropped power samples;
+    the true power and the noise of every row follow in one draw, split
+    back into runs for the power traces.
+    """
     rng = np.random.default_rng(spec.seed)
     counters = spec.counters
     p = len(counters)
@@ -138,10 +147,9 @@ def generate(spec: GenSpec) -> GenResult:
     hi = np.array([spec.counter_ranges[c][1] for c in counters], dtype=np.int64)
 
     pmc_traces: list[CounterTrace] = []
-    per_run: list[dict] = []
-
+    kept_keys: list[np.ndarray] = []
+    merged: list[np.ndarray] = []
     for run in range(spec.n_runs):
-        run_id = f"r{run}"
         # separate each run's key range so concatenated rows stay unique
         base = period * (1 + run * (n + 7))
         keys = base + period * np.arange(n, dtype=np.uint64)
@@ -161,10 +169,7 @@ def generate(spec: GenSpec) -> GenResult:
         cumulative %= COUNTER_MODULUS
         pmc_traces.append(
             CounterTrace(
-                time_keys=keys,
-                counters=counters,
-                values=cumulative,
-                run_id=run_id,
+                time_keys=keys, counters=counters, values=cumulative, run_id=f"r{run}"
             )
         )
 
@@ -174,28 +179,16 @@ def generate(spec: GenSpec) -> GenResult:
         if spec.drop_rate > 0:
             kept[1:-1] = rng.random(n - 2) >= spec.drop_rate
         kept_idx = np.flatnonzero(kept)
+        kept_keys.append(keys[kept_idx])
 
         # event counts over the surviving (possibly merged) intervals,
         # wrap-corrected exactly as synchronisation reconstructs them
-        ends = kept_idx[1:]
-        starts = kept_idx[:-1]
-        merged = (csum[ends] - csum[starts]) % COUNTER_MODULUS
-        per_run.append(
-            {
-                "run_id": run_id,
-                "keys": keys,
-                "kept_idx": kept_idx,
-                "ends": ends,
-                "merged": merged,
-            }
-        )
+        merged.append((csum[kept_idx[1:]] - csum[kept_idx[:-1]]) % COUNTER_MODULUS)
 
     # true power over ALL rows in one pass, through predict_dataset's own
     # expression, so the true model scores exactly 0% MAPE on the
     # noiseless dataset
-    all_deltas = np.concatenate(
-        [r["merged"] for r in per_run], axis=0
-    ).astype(np.uint64)
+    all_deltas = np.concatenate(merged, axis=0).astype(np.uint64)
     truth = linear_power(spec.true_model, counters, all_deltas)
     if np.any(truth <= 0):
         raise GenError(
@@ -213,43 +206,32 @@ def generate(spec: GenSpec) -> GenResult:
             "check model coefficients, ranges and noise_rel"
         )
 
-    power_traces: list[PowerTrace] = []
-    rows_time: list[int] = []
-    rows_run: list[str] = []
-    row0 = 0
-    for r in per_run:
-        n_rows = len(r["ends"])
-        seg_truth = truth[row0 : row0 + n_rows]
-        seg_measured = measured[row0 : row0 + n_rows]
-        row0 += n_rows
-        # the first kept sample has no preceding interval; give it the
-        # first interval's true power so the trace stays positive (it is
-        # never consumed by synchronisation)
-        first = (
-            float(seg_truth[0]) if n_rows else spec.true_model.intercept_w
+    # the first kept sample has no preceding interval; give it the first
+    # interval's true power so the trace stays positive (it is never
+    # consumed by synchronisation)
+    cuts = np.cumsum([len(m) for m in merged])[:-1]
+    power_traces = tuple(
+        PowerTrace(
+            time_keys=keys,
+            power_w=np.concatenate([seg_truth[:1], seg_measured]),
+            run_id=pmc.run_id,
         )
-        power_traces.append(
-            PowerTrace(
-                time_keys=r["keys"][r["kept_idx"]],
-                power_w=np.concatenate([[first], seg_measured]),
-                run_id=r["run_id"],
-            )
+        for pmc, keys, seg_truth, seg_measured in zip(
+            pmc_traces, kept_keys, np.split(truth, cuts), np.split(measured, cuts)
         )
-        rows_time.extend(int(k) for k in r["keys"][r["ends"]])
-        rows_run.extend([r["run_id"]] * n_rows)
-
+    )
     dataset = Dataset(
         counters=counters,
-        time_keys=np.array(rows_time, dtype=np.uint64),
-        run_ids=tuple(rows_run),
+        time_keys=np.concatenate([keys[1:] for keys in kept_keys]),
+        run_ids=tuple(
+            pmc.run_id for pmc, m in zip(pmc_traces, merged) for _ in range(len(m))
+        ),
         power_w=measured,
         deltas=all_deltas,
         source=f"datagen(seed={spec.seed})",
     )
     return GenResult(
-        pmc_traces=tuple(pmc_traces),
-        power_traces=tuple(power_traces),
-        dataset=dataset,
+        pmc_traces=tuple(pmc_traces), power_traces=power_traces, dataset=dataset
     )
 
 

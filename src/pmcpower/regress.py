@@ -207,8 +207,10 @@ def _fit(ds: Dataset, names: Sequence[str], kind: str):
     if rank < cols:
         raise RankDeficientError("rank-deficient design, drop a predictor")
     # counts dwarf the intercept column, so only the column-scaled design's
-    # condition number says whether the fit itself is ill-conditioned
-    svals = np.linalg.svd(x / np.linalg.norm(x, axis=0), compute_uv=False)
+    # condition number says whether the fit itself is ill-conditioned; its
+    # k x k R factor, scaled to unit-norm columns, has the same one
+    r = np.linalg.qr(x, mode="r")
+    svals = np.linalg.svd(r / np.linalg.norm(r, axis=0), compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
     fitted = x @ beta
     resid = ds.power_w - fitted

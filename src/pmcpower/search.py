@@ -217,16 +217,18 @@ class _CvEvaluator:
 
     ``columns`` holds ``[1 | X_pool | y]`` as rows (intercept, pool counter
     j in row j+1, power last), its samples grouped by test fold so that
-    each fold's held-out samples are one slice; it is the only full-height
-    array kept.  ``folds`` holds, per fold, the complement's row count, the
-    R factor of the complement's rows and the held-out slice.  ``col_map``
-    sends every column to its first byte-identical copy.
+    each fold's held-out samples are one slice of ``tests``; it is the only
+    full-height array kept.  ``n_train`` holds each fold's complement row
+    count and ``r[f]`` the R factor of fold f's complement, whose own
+    min(n_train, P) rows are followed by zero rows.  ``col_map`` sends
+    every column to its first byte-identical copy.
 
     A subset is scored on the key ``sort(col_map[[0] + selection + 1])``
     and on nothing else, so copies of a counter, one subset listed in two
     orders, and one subset scored alone or among others all give the same
-    bits.  ``score_many`` scores a whole batch: each distinct key once, the
-    keys in lexicographic order, which walks their prefix tree depth first.
+    bits.  ``score_many`` scores a whole batch, its keys in lexicographic
+    order, which walks their prefix tree depth first; a key the batch holds
+    twice is scored twice, to the same bits.
     ``_solve`` builds each prefix from its parent by ``_append`` on every
     fold at once and ``_held_out_mape`` predicts the held-out rows with one
     fixed sequence of elementwise products per key.  A key is full rank
@@ -254,35 +256,30 @@ class _CvEvaluator:
             [first.setdefault(c.tobytes(), j) for j, c in enumerate(self.columns[:-1])],
             dtype=np.intp,
         )
-        spans = list(zip(edges[:-1], edges[1:]))
-        blocks = [np.linalg.qr(self.columns[:, a:b].T, mode="r") for a, b in spans]
-        self.folds = [
-            (
-                len(order) - (b - a),
-                np.linalg.qr(np.vstack(blocks[:fi] + blocks[fi + 1 :]), mode="r"),
-                slice(a, b),
-            )
-            for fi, (a, b) in enumerate(spans)
-        ]
-        # column c of fold f's R factor, zero rows padding a short one
-        p, n_folds = len(self.columns), len(self.folds)
-        self._r_cols = np.zeros((p, n_folds, 1, p))
-        for fi, (_, r, _) in enumerate(self.folds):
-            self._r_cols[:, fi, 0, : len(r)] = r.T
+        self.tests = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        self.n_train = len(order) - np.diff(edges)
+        blocks = [np.linalg.qr(self.columns[:, test].T, mode="r") for test in self.tests]
+        # a complement's R has min(n_train, P) rows, as its stacked blocks do
+        p, n_folds = len(self.columns), len(folds)
+        self.r = np.zeros((n_folds, p, p))
+        for fi in range(n_folds):
+            r = np.linalg.qr(np.vstack(blocks[:fi] + blocks[fi + 1 :]), mode="r")
+            self.r[fi, : len(r)] = r
+        # column c of fold f's R factor, as _append takes it
+        self._r_cols = np.ascontiguousarray(self.r.transpose(2, 0, 1)[:, :, None])
         self._r_norm2 = (self._r_cols**2).sum(-1)
         # per prefix length k: the squared certificate cut-off of each fold,
         # and the first fold with fewer training rows than k
-        n_train = np.array([n for n, _, _ in self.folds])
         k = np.arange(p + 1)[:, None]
-        self._cut2 = (_CERT * _EPS * np.maximum(n_train, k))[:, :, None] ** 2
-        short = n_train < k
+        self._cut2 = (_CERT * _EPS * np.maximum(self.n_train, k))[:, :, None] ** 2
+        short = self.n_train < k
         self._short = np.where(short.any(axis=1), short.argmax(axis=1), n_folds)
         self._fold_ids = np.arange(n_folds)[:, None]
         # a subset's cells in one batch step: its held-out predictions or its
         # (m x k) SVD factors, m and k at most the column count; _solve
         # takes batch // folds keys at a time, as a prefix holds Q and T^-1
         # on every fold
-        cells = max(max(b - a for a, b in spans), len(self.columns) ** 2)
+        cells = max(int(np.diff(edges).max()), p**2)
         self.batch = max(1, _BATCH_CELLS // cells)
         # scores of the batch score_many is handing out, keyed by selection
         self._batch_scores: dict[tuple, float] = {}
@@ -291,8 +288,8 @@ class _CvEvaluator:
         """CV MAPE of the pool columns in ``selection``; raises on fit failure."""
         scores, failed = self._score_keys(self._keys([selection]))
         fi = int(failed[0])
-        if fi < len(self.folds):
-            n_train, k = self.folds[fi][0], len(selection) + 1
+        if fi < len(self.tests):
+            n_train, k = self.n_train[fi], len(selection) + 1
             if n_train < k:
                 raise FitError(
                     f"fold {fi}: fewer rows ({n_train}) than parameters ({k})"
@@ -344,14 +341,13 @@ class _CvEvaluator:
             return None
         dropped = np.array(selected, dtype=np.intp)
         key = np.sort(self.col_map[np.concatenate([[0], dropped + 1])])
-        if np.any(key[1:] == key[:-1]):
-            return None
         k, rows = len(key), np.arange(m)
+        if np.any(key[1:] == key[:-1]) or self._short[k] < len(self.tests):
+            return None
         pos = np.searchsorted(key, self.col_map[dropped + 1])
         total = np.zeros(m)
-        for n_train, r, test in self.folds:
-            if n_train < k:
-                return None
+        for test, n_train, r in zip(self.tests, self.n_train, self.r):
+            r = r[:n_train]  # R's own rows
             u, s, vt = np.linalg.svd(r[:, key], full_matrices=False)
             if not s[-1] > _EPS * max(n_train, k) * s[0]:
                 return None
@@ -365,12 +361,12 @@ class _CvEvaluator:
             for lo in range(0, m, self.batch):
                 pred = betas[lo : lo + self.batch] @ x
                 total[lo : lo + self.batch] += mape_rows(held_out[-1], pred)
-        return (total / len(self.folds)).tolist()
+        return (total / len(self.tests)).tolist()
 
     def _score_batch(self, selections: Sequence[Sequence[int]]) -> list[float]:
         """CV MAPE of every selection, in order, +inf where infeasible."""
         scores, failed = self._score_keys(self._keys(selections))
-        scores[failed < len(self.folds)] = math.inf
+        scores[failed < len(self.tests)] = math.inf
         return scores.tolist()
 
     def _keys(self, selections: Sequence[Sequence[int]]) -> np.ndarray:
@@ -391,50 +387,46 @@ class _CvEvaluator:
 
     def _score_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean fold MAPE of every key row, and the first fold whose fit
-        failed (``len(self.folds)`` when none did); a failed key's score is
+        failed (``len(self.tests)`` when none did); a failed key's score is
         left partial.
 
-        Each distinct key is scored once.  Sorted lexicographically, the
-        keys walk their prefix tree depth first; that order is cut into
-        chunks of ``self.batch // folds`` keys, so that the prefix states of
-        a chunk stay within a small multiple of _BATCH_CELLS.
+        Sorted lexicographically, the keys walk their prefix tree depth
+        first; that order is cut into chunks of ``self.batch // folds``
+        keys, so that the prefix states of a chunk stay within a small
+        multiple of _BATCH_CELLS.  Equal keys share their prefixes within a
+        chunk and are predicted one by one.
         """
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-        slot = np.empty(len(keys), dtype=np.intp)
-        slot[order] = np.cumsum(new) - 1
-        keys = keys[new]
         total = np.zeros(len(keys))
         failed = np.empty(len(keys), dtype=np.intp)
-        chunk = max(1, self.batch // len(self.folds))
+        chunk = max(1, self.batch // len(self.tests))
         for lo in range(0, len(keys), chunk):
             part = slice(lo, lo + chunk)
             betas, failed[part] = self._solve(keys[part])
             total[part] = self._held_out_mape(keys[part], betas, failed[part])
-        return total[slot] / len(self.folds), failed[slot]
+        back = np.argsort(order)
+        return total[back] / len(self.tests), failed[back]
 
     def _solve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-fold beta (zero-padded to the key width) and first failed
-        fold of distinct, sorted, padded key rows.
+        fold of sorted, padded key rows.
 
-        Every prefix of the keys is built once, one depth at a time, from
-        its parent prefix by ``_append``.  A prefix that fails fold 0
-        fails every fold for its whole subtree, which takes no further
-        work.
+        Every distinct prefix of the keys is built once, one depth at a
+        time, from its parent prefix by ``_append``.  A prefix that fails a
+        fold fails it for its whole subtree, which takes no SVD on it.
         """
         n_keys, width = keys.shape
-        n_folds, p = len(self.folds), len(self.columns)
+        n_folds, p = len(self.tests), len(self.columns)
         valid = keys < p
         # new[i, d]: key i opens a prefix of depth d + 1, leaving key i-1's;
         # ids[i, d] numbers the prefixes of that depth
         new = valid.copy()
         new[1:] &= np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1)
         ids = np.cumsum(new, axis=0) - 1
-        ends_at = valid.sum(axis=1) - 1  # each key's last depth, -1 once dead
+        ends_at = valid.sum(axis=1) - 1  # each key's last depth
         betas = np.zeros((n_keys, n_folds, width))
-        failed = np.zeros(n_keys, dtype=np.intp)
+        failed = np.empty(n_keys, dtype=np.intp)
         # the empty prefix, with room for width columns
         prefixes = _Prefixes(
             np.zeros((1, n_folds, width, p)),
@@ -454,14 +446,6 @@ class _CvEvaluator:
             ends = np.flatnonzero(ends_at == d)
             betas[ends, :, : d + 1] = prefixes.beta[ids[ends, d], :, : d + 1]
             failed[ends] = prefixes.failed[ids[ends, d]]
-            dead = prefixes.failed == 0
-            if dead.any():
-                gone = valid[:, d] & dead[ids[:, d]]
-                ends_at[gone] = -1
-                new[gone, d + 1 :] = False
-                ids[:, d + 1 :] = np.cumsum(new[:, d + 1 :], axis=0) - 1
-                ids[:, d] = (np.cumsum(~dead) - 1)[ids[:, d]]
-                prefixes = _Prefixes(*(s[~dead] for s in prefixes))
         return betas, failed
 
     def _held_out_mape(self, keys, betas, failed) -> np.ndarray:
@@ -477,12 +461,12 @@ class _CvEvaluator:
         lengths = (keys < len(self.columns)).sum(axis=1)
         order = np.argsort(-lengths, kind="stable")
         cols = np.where(keys < len(self.columns), keys, 0).T
-        rows = max(test.stop - test.start for _, _, test in self.folds)
+        rows = max(test.stop - test.start for test in self.tests)
         block = max(1, _BATCH_CELLS // (keys.shape[1] * rows))
         for lo in range(0, len(keys), block):
             part = order[lo : lo + block]
             width = lengths[part[0]]
-            for fi, (_, _, test) in enumerate(self.folds):
+            for fi, test in enumerate(self.tests):
                 live = part[failed[part] > fi]
                 if not live.size:
                     break
@@ -526,11 +510,11 @@ class _CvEvaluator:
         uu1 = (u * u).sum(-1) + 1.0
         a_norm2 = a_norm2 + self._r_norm2[col]
         certified = self._cut2[k] * a_norm2 * (t_norm2 * rho2 + uu1) < rho2
-        if self._short[k] < len(self.folds):
+        if self._short[k] < len(self.tests):
             failed = np.minimum(failed, self._short[k])
         if not certified.all():
             failed = self._decide(keys, ~certified[..., 0], failed, rho2[..., 0])
-        if failed.min() < len(self.folds):
+        if failed.min() < len(self.tests):
             rho2 = np.where(self._fold_ids < failed[:, None, None], rho2, np.inf)
         rho = np.sqrt(rho2)
         q_rows[:, :, d] = q[:, :, 0] / rho
@@ -550,7 +534,8 @@ class _CvEvaluator:
         for fi in np.flatnonzero(undecided.any(axis=0)):
             rows = np.flatnonzero(undecided[:, fi] & (failed > fi))
             if rows.size:
-                n_train, r, _ = self.folds[fi]
+                n_train = self.n_train[fi]
+                r = self.r[fi, :n_train]  # R's own rows
                 s = np.linalg.svd(np.moveaxis(r[:, keys[rows]], 0, 1), compute_uv=False)
                 full = (s[:, -1] > _EPS * max(n_train, k) * s[:, 0]) & (rho2[rows, fi] > 0)
                 failed[rows[~full]] = fi

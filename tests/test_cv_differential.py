@@ -189,17 +189,20 @@ def test_rfactor_scores_match_per_fold_lstsq(case):
 @given(case=cv_cases(), data=st.data())
 def test_scores_do_not_depend_on_the_batch(case, data):
     # a score is a function of its subset's columns alone: scored alone, in
-    # one batch of every subset, or shuffled into small batch steps, it
-    # carries the same bits
+    # one batch of every subset, or shuffled into small batch steps that
+    # repeat some subsets, it carries the same bits
     ds, folds = case
     fast = search._CvEvaluator(ds, ds.counters, folds)
     subsets = _all_subsets(len(ds.counters))
     alone = [fast.score_or_inf(sel) for sel in subsets]
     assert fast.score_many(subsets) == alone
     order = data.draw(st.permutations(range(len(subsets))))
-    fast.batch = data.draw(st.integers(1, 8))
-    shuffled = fast.score_many([subsets[i] for i in order])
-    assert shuffled == [alone[i] for i in order]
+    order += data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=len(order)))
+    order = data.draw(st.permutations(order))
+    for batch in (fast.batch, data.draw(st.integers(1, 8))):
+        fast.batch = batch
+        shuffled = fast.score_many([subsets[i] for i in order])
+        assert shuffled == [alone[i] for i in order]
     # byte-identical counters tie exactly within one batch
     first = {}
     copy_of = [first.setdefault(ds.deltas[:, j].tobytes(), j) for j in range(len(ds.counters))]
@@ -260,7 +263,7 @@ def test_removal_batches_agree_with_scores_alone(case):
     # apart against a trial bound of 1.29e-12, in a square 3 x 3 set with
     # a bound of 1.2e-10).  It runs exactly when the set's key repeats no
     # column and the set scores finite; otherwise the batch keeps the
-    # stacked-SVD bits
+    # appended bits
     ds, folds = case
     fast = search._CvEvaluator(ds, ds.counters, folds)
     ref = _RefEvaluator(ds, ds.counters, folds)
@@ -288,9 +291,9 @@ def test_removal_batches_agree_with_scores_alone(case):
 
 
 @pytest.mark.parametrize("edit", ["duplicate", "all ones"])
-def test_a_set_that_repeats_a_key_column_keeps_the_svd_bits(edit):
+def test_a_set_that_repeats_a_key_column_keeps_the_append_bits(edit):
     # a copied counter, or one that aliases the intercept column, ties
-    # exactly with its twin only on the stacked-SVD path
+    # exactly with its twin only on the append path
     ds = make_dataset(60, 4, seed=3, n_runs=6)
     deltas = ds.deltas.copy()
     deltas[:, 3] = deltas[:, 1] if edit == "duplicate" else 1
@@ -303,9 +306,9 @@ def test_a_set_that_repeats_a_key_column_keeps_the_svd_bits(edit):
     assert fast.score_many(trials, selected) == alone
 
 
-def test_an_unnamed_removal_batch_keeps_the_svd_bits():
+def test_an_unnamed_removal_batch_keeps_the_append_bits():
     # the closed form runs only when the caller names the set: the same
-    # removals, or any batch, scored without it get the stacked-SVD bits
+    # removals, or any batch, scored without it get the appended bits
     ds = make_dataset(60, 4, seed=3, n_runs=6)
     fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
     selected = [3, 0, 2, 1]
@@ -343,7 +346,7 @@ def test_rank_cutoff_scales_with_training_rows_not_r_rows():
     folds = pp.kfold_split(ds, 2)
     fast = search._CvEvaluator(ds, ds.counters, folds)
     ref = _RefEvaluator(ds, ds.counters, folds)
-    for test, (n_train, r, _) in zip(folds, fast.folds):
+    for test, n_train, r in zip(folds, fast.n_train, fast.r):
         train = np.setdiff1d(np.arange(n), test)
         s = np.linalg.svd(ref.design[train], compute_uv=False)
         assert EPS * r.shape[0] < s[-1] / s[0] < EPS * n_train
@@ -448,8 +451,8 @@ def test_exhaustive_memory_is_bounded_by_the_batch_cells():
     # the widest level of a 14-counter lattice holds 3,432 prefixes; scored
     # unchunked, the prefixes' Q and T^-1 on 3 folds reached 82 MB of peak
     # traced memory.  Chunks of batch // folds keys keep the scorer to a few
-    # _BATCH_CELLS beyond its per-key bookkeeping: the sorted and the
-    # distinct copies of the keys and two index arrays
+    # _BATCH_CELLS beyond its per-key bookkeeping: the sorted copy of the
+    # keys, their sort order and its inverse
     ds = make_dataset(200, 14, seed=5, n_runs=10)
     fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
     keys = fast._keys(_all_subsets(14))
@@ -460,5 +463,5 @@ def test_exhaustive_memory_is_bounded_by_the_batch_cells():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    bookkeeping = 2 * keys.nbytes + 2 * np.dtype(np.intp).itemsize * len(keys)
+    bookkeeping = keys.nbytes + 2 * np.dtype(np.intp).itemsize * len(keys)
     assert peak < bookkeeping + 4 * 8 * search._BATCH_CELLS

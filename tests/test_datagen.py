@@ -1,5 +1,6 @@
 """Generator invariants: determinism, sync closure, ground-truth recovery."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -234,3 +235,58 @@ def test_sync_closure_property(seed, n, drop, wrap, noise):
     )
     res = pp.generate(spec)
     assert pp.synchronize(res.pmc, res.power) == res.dataset
+
+
+def _select_smoke_spec():
+    # the shape of the benchmark's select workload at smoke size: 10 runs x
+    # 31 samples, 8 counters of which C01 and C05 are true
+    names = [f"C{i:02d}" for i in range(8)]
+    return pp.GenSpec(
+        true_model=pp.PowerModel(
+            intercept_w=2.5, terms=(("C01", 1.0e-6), ("C05", 2.0e-6))
+        ),
+        n_samples=31,
+        counter_ranges={name: (0, 600_000) for name in names},
+        n_runs=10,
+        noise_rel=0.01,
+        drop_rate=0.1,
+        inject_wrap=True,
+        seed=6,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (
+            spec_of(n_samples=120, n_runs=3, drop_rate=0.3, noise_rel=0.05,
+                    inject_wrap=True, seed=21),
+            "f4388590b130e79713335d4f9d63fd152668980bb929a14cac79c7bada04d97a",
+        ),
+        (
+            pp.default_gen_spec(),
+            "8deb957b4463ee9986215b0b7b1430ebb41e0900eb87ea4cd199b1b7c307c1af",
+        ),
+        (
+            _select_smoke_spec(),
+            "93b89927ebbf10b0bec78e5b85ccff633eb2596274ec5d4e0e9d1cc0a93fc0f7",
+        ),
+    ],
+    ids=["drops-noise-wrap", "default", "select-smoke"],
+)
+def test_generated_files_keep_their_bytes(tmp_path, spec, digest):
+    # the bytes of every file gen writes are pinned: a change to the
+    # generator must leave existing specs' output as it is
+    res = pp.generate(spec)
+    paths = []
+    for pmc, power in zip(res.pmc_traces, res.power_traces):
+        paths.append(tmp_path / f"{pmc.run_id}_pmc.csv")
+        pp.write_counter_trace(pmc, paths[-1])
+        paths.append(tmp_path / f"{power.run_id}_power.csv")
+        pp.write_power_trace(power, paths[-1])
+    paths.append(tmp_path / "dataset.csv")
+    pp.write_dataset(res.dataset, paths[-1])
+    sha = hashlib.sha256()
+    for path in paths:
+        sha.update(path.read_bytes())
+    assert sha.hexdigest() == digest
