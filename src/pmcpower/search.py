@@ -414,7 +414,7 @@ class _CvEvaluator:
 
         Every distinct prefix of the keys is built once, one depth at a
         time, from its parent prefix by ``_append``.  A prefix that fails a
-        fold fails it for its whole subtree, which takes no SVD on it.
+        fold fails it for its whole subtree, which takes no SVD on that fold.
         """
         n_keys, width = keys.shape
         n_folds, p = len(self.tests), len(self.columns)
