@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -114,12 +115,17 @@ def cmd_predict(args) -> int:
     dataset.write_columns(
         sys.stdout,
         (dataset.TIME_KEY, "RUN", "PREDICTED_W"),
-        ((data.time_keys, str), (data.run_ids, str), (predicted, regress.format_watts)),
+        (
+            (data.time_keys, "%s"),
+            (data.run_ids, "%s"),
+            (predicted, regress.WATTS_SPEC),
+        ),
     )
     sys.stdout.flush()
     return 0
 
 
+@functools.cache  # one parser per process: building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmcpower",

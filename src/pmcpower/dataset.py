@@ -34,7 +34,9 @@ after the leading ``#`` block, no blank or comment line) and parses it with
 numpy a block at a time.  Any file it does not take, or whose values fail a
 check, is read again cell by cell from the same bytes; that path is the
 reference and the only one that reports where a body error is.  Writers
-format whole blocks of rows, with floats as ``repr``.
+format a whole block of rows with one printf-style ``%`` call: ``%s`` for
+run ids and integers, ``%r`` for floats, which read back exactly, and
+``%.6g`` (``regress.WATTS_SPEC``) for display watts.
 
 JSON artifacts (model, search report, gen spec) are written and read by
 ``write_json`` / ``read_json`` alone: indent 2, a final LF, and never a
@@ -400,6 +402,10 @@ def _read_bulk(data: bytes, fields_of, path) -> tuple[list[str], list] | None:
     ``_BULK_BYTES`` after the leading comment block, a blank line, a
     comment after the header, a cell numpy does not parse or a value that
     fails a check.  Raises only the header errors ``_read_cells`` raises.
+
+    loadtxt skips blank lines, so one shows as fewer rows than lines.  A
+    comment line in the body either fails to parse or puts a ``#`` at the
+    start of the text RUN column.
     """
     start = 0
     while data.startswith(b"#", start):
@@ -407,13 +413,7 @@ def _read_bulk(data: bytes, fields_of, path) -> tuple[list[str], list] | None:
         if start == 0:
             return None
     rest = data[start:]
-    if (
-        not rest
-        or rest.translate(None, _BULK_BYTES)
-        or rest.startswith(b"\n")
-        or b"\n\n" in rest
-        or b"\n#" in rest
-    ):
+    if not rest or rest.translate(None, _BULK_BYTES) or rest.startswith(b"\n"):
         return None
     try:
         data[:start].decode("utf-8")
@@ -434,6 +434,8 @@ def _read_bulk(data: bytes, fields_of, path) -> tuple[list[str], list] | None:
     cols = [np.empty((n_rows,) + f.shape, dtype=_DTYPES[f.kind]) for f in fields]
     row = 0
     while pos < len(rest):
+        if rest.startswith(b"\n", pos):
+            return None  # a blank line; a block of them alone makes loadtxt warn
         # a block ends at the first LF past the block size, or at the end
         end = rest.find(b"\n", pos + _PARSE_BLOCK_BYTES) + 1 or len(rest)
         try:
@@ -450,10 +452,14 @@ def _read_bulk(data: bytes, fields_of, path) -> tuple[list[str], list] | None:
             col[row : row + len(block)] = block[name]
         row += len(block)
         pos = end
+    if row < n_rows:
+        return None
 
     for i, (f, col) in enumerate(zip(fields, cols)):
         if f.kind == "text":
             cols[i] = tuple(col.tolist())
+            if any(v.startswith("#") for v in set(cols[i])):
+                return None
         else:
             try:
                 f.check(col, col.shape)
@@ -555,24 +561,35 @@ def _parse_cell(field: _Field, cell: str, path, lineno: int):
 def write_columns(f, header: Sequence[str], columns: Sequence[tuple]) -> None:
     """Write a CSV header and rows to the text file ``f``, a block at a time.
 
-    ``columns`` holds ``(values, fmt)`` pairs, all with one entry per row:
-    a sequence or 1-D array whose cells are written as ``fmt(cell)``, or a
-    2-D array that is one such column per array column.  Array cells reach
-    ``fmt`` as Python ints and floats.
+    ``columns`` holds ``(values, spec)`` pairs, all with one entry per row:
+    a sequence or 1-D array whose cells are written as ``spec % cell``, or
+    a 2-D array that is one such column per array column.  Array cells
+    reach ``spec`` as Python ints and floats.  A header that does not name
+    every column, or a column of another length, is a ValueError.
     """
-    f.write(",".join(header) + "\n")
+    specs, where = [], []  # where: the cells column, or slice, of a column
+    for values, spec in columns:
+        if isinstance(values, np.ndarray) and values.ndim == 2:
+            where.append(slice(len(specs), len(specs) + values.shape[1]))
+            specs += [spec] * values.shape[1]
+        else:
+            where.append(len(specs))
+            specs.append(spec)
+    if len(header) != len(specs):
+        raise ValueError(f"{len(header)} header names for {len(specs)} columns")
     n_rows = len(columns[0][0])
+    for (values, _), at in zip(columns, where):
+        if len(values) != n_rows:
+            name = header[at.start if isinstance(at, slice) else at]
+            raise ValueError(f"column {name!r} has {len(values)} rows, not {n_rows}")
+    row = ",".join(specs) + "\n"
+    f.write(",".join(header) + "\n")
+    cells = np.empty((min(n_rows, _WRITE_BLOCK_ROWS), len(specs)), dtype=object)
     for lo in range(0, n_rows, _WRITE_BLOCK_ROWS):
-        cells = []
-        for values, fmt in columns:
-            block = values[lo : lo + _WRITE_BLOCK_ROWS]
-            if isinstance(block, np.ndarray):
-                if block.ndim == 2:
-                    cells += [map(fmt, col) for col in block.T.tolist()]
-                    continue
-                block = block.tolist()
-            cells.append(map(fmt, block))
-        f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        n = min(n_rows - lo, _WRITE_BLOCK_ROWS)
+        for (values, _), at in zip(columns, where):
+            cells[:n, at] = values[lo : lo + n]
+        f.write((row * n) % tuple(cells[:n].ravel().tolist()))
 
 
 def read_counter_trace(path, run_id: str | None = None) -> CounterTrace:
@@ -591,7 +608,7 @@ def write_counter_trace(trace: CounterTrace, path) -> None:
         write_columns(
             f,
             (TIME_KEY,) + trace.counters,
-            ((trace.time_keys, str), (trace.values, str)),
+            ((trace.time_keys, "%s"), (trace.values, "%s")),
         )
 
 
@@ -608,10 +625,10 @@ def read_power_trace(path, run_id: str | None = None) -> PowerTrace:
 
 def write_power_trace(trace: PowerTrace, path) -> None:
     header = [TIME_KEY, POWER_COL]
-    columns = [(trace.time_keys, str), (trace.power_w, repr)]
+    columns = [(trace.time_keys, "%s"), (trace.power_w, "%r")]
     if trace.freq_mhz is not None:
         header.append(FREQ_COL)
-        columns.append((trace.freq_mhz, repr))
+        columns.append((trace.freq_mhz, "%r"))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         write_columns(f, header, columns)
 
@@ -641,12 +658,12 @@ def write_dataset(ds: Dataset, path) -> None:
     for run in set(ds.run_ids):
         _check_run_id(run)
     header = ["RUN", TIME_KEY, POWER_COL]
-    columns = [(ds.run_ids, str), (ds.time_keys, str), (ds.power_w, repr)]
+    columns = [(ds.run_ids, "%s"), (ds.time_keys, "%s"), (ds.power_w, "%r")]
     if ds.freq_mhz is not None:
         header.append(FREQ_COL)
-        columns.append((ds.freq_mhz, repr))
+        columns.append((ds.freq_mhz, "%r"))
     header += ds.counters
-    columns.append((ds.deltas, str))
+    columns.append((ds.deltas, "%s"))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         write_columns(f, header, columns)
 

@@ -290,9 +290,12 @@ def validate(model: PowerModel, ds: Dataset) -> ValidationResult:
 # ---------------------------------------------------------------------------
 
 
+WATTS_SPEC = "%.6g"  # display formatting for watt columns: 6 significant digits
+
+
 def format_watts(v: float) -> str:
-    """Display formatting for watt columns: 6 significant digits."""
-    return f"{v:.6g}"
+    """``v`` as a display watt cell, ``WATTS_SPEC``."""
+    return WATTS_SPEC % v
 
 
 def write_prediction_trace(result: ValidationResult, path) -> None:
@@ -302,10 +305,10 @@ def write_prediction_trace(result: ValidationResult, path) -> None:
             f,
             (TIME_KEY, "RUN", "ACTUAL_W", "PREDICTED_W"),
             (
-                (result.time_keys, str),
-                (result.run_ids, str),
-                (result.actual_w, format_watts),
-                (result.predicted_w, format_watts),
+                (result.time_keys, "%s"),
+                (result.run_ids, "%s"),
+                (result.actual_w, WATTS_SPEC),
+                (result.predicted_w, WATTS_SPEC),
             ),
         )
 

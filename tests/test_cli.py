@@ -193,6 +193,21 @@ def test_train_concatenates_datasets(tmp_path):
     assert pp.read_model(model_out).training.folds == 4
 
 
+def test_train_calls_in_one_process_get_their_own_dataset_lists(tmp_path):
+    """The parser is built once per process; each call's repeated
+    --dataset list must still start empty.  A list shared with the first
+    call would join two datasets with different counters, an error."""
+    paths = []
+    for p in (2, 3):
+        paths.append(tmp_path / f"d{p}.csv")
+        pp.write_dataset(make_dataset(40, p, seed=p), paths[-1])
+    for path in paths:
+        model_out = tmp_path / f"{path.stem}_model.json"
+        argv = ["train", "--dataset", str(path), "--folds", "4"]
+        assert main(argv + ["--model-out", str(model_out)]) == 0
+        assert pp.read_model(model_out).training.folds == 4
+
+
 def test_train_fold_seed_flag_changes_folds(tmp_path):
     prefix = gen_files(tmp_path, TWO_PLUS_JUNK, "fs", seed=2)
     outs = []

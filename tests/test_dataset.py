@@ -1,5 +1,6 @@
 """Dataset types and CSV IO: validation, round-trips, rejection messages."""
 
+import io
 import re
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmcpower as pp
+from pmcpower import dataset
 from pmcpower.dataset import check_counter_names
 
 from conftest import make_dataset
@@ -481,6 +483,126 @@ def test_csv_io_memory_is_bounded_by_file_size(tmp_path):
     assert back == ds
     assert write_peak < 0.5 * size
     assert read_peak < 5 * size
+
+
+# one formatter per cell: what write_columns' block-wide printf must equal
+_CELL_FORMATS = {
+    "%s": str,
+    "%r": repr,
+    pp.regress.WATTS_SPEC: lambda v: format(v, ".6g"),
+}
+_SPECIAL_UINTS = [0, 2**32, 2**64 - 1]
+_SPECIAL_FLOATS = [5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1e16, 1e-5, 0.1]
+_ODD_RUN_IDS = ["%", "%s", "%%d", "{", "{0}", "a\x0cb", "\u00e9\u2603", ""]
+
+
+def _reference_csv(header, columns) -> str:
+    lines = [",".join(header)]
+    for i in range(len(columns[0][0])):
+        cells = []
+        for values, spec in columns:
+            fmt = _CELL_FORMATS[spec]
+            if isinstance(values, np.ndarray):
+                cells += [fmt(v) for v in np.atleast_1d(values[i]).tolist()]
+            else:
+                cells.append(fmt(values[i]))
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 2, 1023, 1024, 1025]) | st.integers(0, 40),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    run_ids=st.lists(st.text() | st.sampled_from(_ODD_RUN_IDS), min_size=1, max_size=4),
+)
+def test_write_columns_matches_per_cell_formatting(n, width, seed, run_ids):
+    """One printf call per block writes what str, repr and the 6-digit watt
+    format write cell by cell, on either side of a block boundary."""
+    rng = np.random.default_rng(seed)
+    uints = np.frombuffer(rng.bytes(8 * n * (width + 1)), dtype=np.uint64)
+    floats = np.frombuffer(rng.bytes(8 * 2 * n), dtype=np.float64)
+    # every special value, where the rows allow, over the random bits
+    uints = uints.copy()
+    uints[: min(n, 3)] = _SPECIAL_UINTS[: min(n, 3)]
+    floats = floats.copy()
+    k = min(2 * n, len(_SPECIAL_FLOATS))
+    floats[:k] = _SPECIAL_FLOATS[:k]
+    header = ["RUN", "TIME", "X", "W"] + [f"C{j}" for j in range(width)]
+    columns = [
+        (tuple(run_ids[i % len(run_ids)] for i in range(n)), "%s"),
+        (uints[:n], "%s"),
+        (floats[:n], "%r"),
+        (floats[n:], pp.regress.WATTS_SPEC),
+        (uints[n:].reshape(n, width), "%s"),
+    ]
+    out = io.StringIO()
+    dataset.write_columns(out, header, columns)
+    assert out.getvalue() == _reference_csv(header, columns)
+
+
+def test_format_watts_is_the_writers_watt_format():
+    for v in _SPECIAL_FLOATS + [2.852397617, 123456789.0]:
+        assert pp.format_watts(v) == format(v, ".6g")
+
+
+def test_write_columns_rejects_mismatched_columns():
+    columns = [(np.arange(3, dtype=np.uint64), "%s"), (np.ones((4, 2)), "%r")]
+    with pytest.raises(ValueError, match="column 'A' has 4 rows, not 3"):
+        dataset.write_columns(io.StringIO(), ["TIME", "A", "B"], columns)
+    with pytest.raises(ValueError, match="column 'RUN' has 2 rows, not 3"):
+        dataset.write_columns(
+            io.StringIO(),
+            ["TIME", "RUN"],
+            [(np.arange(3, dtype=np.uint64), "%s"), (("a", "b"), "%s")],
+        )
+    with pytest.raises(ValueError, match="2 header names for 3 columns"):
+        dataset.write_columns(io.StringIO(), ["TIME", "A"], columns)
+
+
+def test_body_comment_line_goes_to_the_per_cell_reader(tmp_path):
+    """A body line ``#r0,...`` with valid cells parses under loadtxt as a
+    run named ``#r0``; the bulk path must leave it to the per-cell reader,
+    which skips it as a comment."""
+    ds = make_dataset(6, 2, seed=3)
+    path = tmp_path / "d.csv"
+    pp.write_dataset(ds, path)
+    lines = path.read_bytes().split(b"\n")
+    comment = b"#" + lines[3]
+    assert comment.startswith(b"#r0,") and comment.count(b",") == len(ds.counters) + 2
+    data = b"\n".join(lines[:3] + [comment] + lines[3:])
+    fields = dataset._dataset_fields(lines[0].decode().split(","), path)
+    dtype = [(str(i), dataset._DTYPES[f.kind], f.shape) for i, f in enumerate(fields)]
+    parsed = np.loadtxt(
+        io.BytesIO(comment), dtype=dtype, delimiter=",", comments=None, ndmin=1
+    )
+    assert parsed["0"].tolist() == ["#r0"]
+    assert dataset._read_bulk(data, dataset._dataset_fields, path) is None
+    path.write_bytes(data)
+    assert pp.read_dataset(path) == ds
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block_bytes", [1, dataset._PARSE_BLOCK_BYTES])
+@pytest.mark.parametrize("where", ["middle", "end"])
+def test_blank_line_goes_to_the_per_cell_reader(
+    tmp_path, monkeypatch, block_bytes, where
+):
+    """loadtxt skips blank lines, so the bulk path must hand a file that
+    has one to the per-cell reader, which names the line; with one-line
+    parse blocks a blank line is a block of its own."""
+    monkeypatch.setattr(dataset, "_PARSE_BLOCK_BYTES", block_bytes)
+    body = "".join(f"{t},{t % 7}\n" for t in range(1, 6))
+    if where == "middle":
+        body = body[:8] + "\n" + body[8:]
+    text = "TIME,A\n" + body + ("\n" if where == "end" else "")
+    blank = text.split("\n").index("", 1) + 1
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert dataset._read_bulk(text.encode(), dataset._counter_fields, path) is None
+    with pytest.raises(pp.FormatError, match=f"empty line at line {blank}$"):
+        pp.read_counter_trace(path)
 
 
 def test_concat_single_dataset_passthrough():
