@@ -11,8 +11,11 @@ checkout: the parent first on odd seeds, the change first on even ones,
 so that drift in host load falls on both sides alike.  The summary JSON
 gives, per workload and metric, each side's runs with their median and
 quartiles (linear interpolation), how many pairs the change was lower in,
-the median relative change; plus the failed and attempted counts, the pass
-counts, the environment, each side's commit and ``src/pmcpower`` hash.
+the median relative change and, for each end-to-end metric of
+``BENCHMARK.json``, whether the change median is within its bound
+(``within_bound``: change median <= parent median x (1 + bound)); plus the
+failed and attempted counts, the pass counts, the environment, each side's
+commit and ``src/pmcpower`` hash.
 ``--traced-seed`` adds one traced run per side of every workload with its
 per-layer metrics, as a pointer to where time goes: one run per side
 cannot resolve per-layer moves of 10-20%; ``--claim WORKLOAD:METRIC`` checks the rule "change
@@ -29,6 +32,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+EXTRA_METRICS = ("train_s",)  # kept from a run's extras besides the end-to-end ones
 
 
 def seed_list(text: str) -> list[int]:
@@ -52,7 +56,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: int, size: str, trac
     stem = f"{workload}-seed{seed}-trace{trace}" + ("-smoke" if size == "smoke" else "")
     result = json.loads((root / "perfbench" / "out" / f"{stem}.json").read_text())
     metrics = dict(result["end_to_end"])
-    metrics.update((k, v) for k, v in result["extra"].items() if k == "train_s")
+    metrics.update((k, v) for k, v in result["extra"].items() if k in EXTRA_METRICS)
     if trace:
         metrics.update((k, v["value"]) for k, v in line["metrics"].items())
     return {"metrics": metrics, "failed": line["failed"], "attempted": line["attempted"],
@@ -67,9 +71,10 @@ def spread(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": runs}
 
 
-def summarise(pairs: list[dict]) -> dict:
+def summarise(pairs: list[dict], bounds: dict) -> dict:
     """Per metric, each side's spread and the pairs the change was lower in
-    (every end-to-end metric is better lower)."""
+    (every end-to-end metric is better lower); a metric with a bound also
+    says whether the change median is within it."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         runs = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
@@ -79,6 +84,10 @@ def summarise(pairs: list[dict]) -> dict:
         rel = (change["median"] - parent["median"]) / parent["median"] if parent["median"] else 0.0
         out[name] = {"parent": parent, "change": change, "change_lower_in_pairs": wins,
                      "ties": ties, "median_change_rel": rel}
+        if name in bounds:
+            out[name]["bound"] = bounds[name]
+            out[name]["within_bound"] = (
+                change["median"] <= parent["median"] * (1 + bounds[name]))
     return out
 
 
@@ -111,6 +120,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = args.workloads.split(",")
+    benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    known = [*bounds, *EXTRA_METRICS]
+    claims = [c.split(":") for c in args.claim]
+    for text, parts in zip(args.claim, claims):
+        if len(parts) != 2 or parts[0] not in workloads or parts[1] not in known:
+            ap.error(f"--claim {text!r} is not WORKLOAD:METRIC with a workload of "
+                     f"--workloads and a metric of {', '.join(known)}")
 
     pairs = {w: [] for w in workloads}
     for seed in args.seeds:
@@ -139,7 +156,7 @@ def main(argv=None) -> int:
         "workloads": {
             w: {
                 "seeds": args.seeds,
-                "metrics": summarise(pairs[w]),
+                "metrics": summarise(pairs[w], bounds),
                 **{key: {side: [p[side][key] for p in pairs[w]] for side in SIDES}
                    for key in ("failed", "attempted", "passes")},
             }
@@ -156,8 +173,8 @@ def main(argv=None) -> int:
             **{side: run_once(roots[side], w, args.traced_seed, args.seconds, args.size,
                               1)["metrics"] for side in SIDES},
         }
-    if args.claim:
-        summary["claims"] = [claim(summary["workloads"], *c.split(":")) for c in args.claim]
+    if claims:
+        summary["claims"] = [claim(summary["workloads"], *c) for c in claims]
     text = json.dumps(summary, indent=2)
     if args.out:
         args.out.write_text(text + "\n")

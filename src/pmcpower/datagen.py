@@ -28,6 +28,7 @@ import numpy as np
 
 from .dataset import (
     COUNTER_MODULUS,
+    TIME_MODULUS,
     CounterTrace,
     Dataset,
     PowerTrace,
@@ -78,6 +79,15 @@ class GenSpec:
             raise ValueError("n_runs must be >= 1")
         if self.sample_period_cycles < 1:
             raise ValueError("sample_period_cycles must be >= 1")
+        # the last TIME key generate writes: the last run's last sample
+        last_key = self.sample_period_cycles * (
+            (self.n_runs - 1) * (self.n_samples + 7) + self.n_samples
+        )
+        if last_key >= TIME_MODULUS:
+            raise ValueError(
+                f"sample_period_cycles {self.sample_period_cycles} puts the last "
+                f"TIME key at {last_key}, past 2^64 - 1"
+            )
         if not self.noise_rel >= 0:
             raise ValueError("noise_rel must be >= 0")
         if not 0 <= self.drop_rate < 1:

@@ -733,8 +733,8 @@ def read_json(path, what: str):
     """The value of a JSON artifact, ``what`` naming it in errors.
 
     Bytes that are not UTF-8, malformed JSON, ``NaN`` / ``Infinity``
-    tokens and numbers too large for a float (``1e400``) raise
-    ``FormatError("bad <what> JSON: ...", path)``.
+    tokens, numbers too large for a float (``1e400``) and nesting too deep
+    for the parser raise ``FormatError("bad <what> JSON: ...", path)``.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8")
@@ -744,5 +744,5 @@ def read_json(path, what: str):
             parse_float=_finite(float),
             parse_constant=_finite(float),
         )
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+    except (ValueError, RecursionError) as exc:  # ValueError: bad bytes and JSON
         raise FormatError(f"bad {what} JSON: {exc}", path) from None

@@ -28,11 +28,11 @@ by the SVD of R_f[:, cols].  Byte-identical pool columns share one R column,
 so copies of a counter score exactly alike, and within one evaluator (one
 pool, one fold split) a subset's score has the same bits scored alone or in
 any batch.  The one exception is a batch that its caller names as the
-one-column removals of one set, as every top_down step does: when that set
-repeats no column and is full rank on every fold, one SVD of the set per
-fold gives every removal in closed form, and those scores agree with the
-appended ones within a tested bound set by the set's condition number, not
-to the last bit.  The final model is always refit on the full training set.
+one-column removals of one set, as every top_down step does: when the set
+scores finite, its own appended factorisation gives every removal in closed
+form, and those scores agree with the appended ones within a tested bound
+set by the set's condition number, not to the last bit.  The final model is
+always refit on the full training set.
 
 Fold assignment is by whole benchmark run when at least k distinct runs
 exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
@@ -237,10 +237,10 @@ class _CvEvaluator:
     count, not R's): a bound certifies it, else the SVD of ``R_f[:, key]``
     decides, and a prefix that fails a fold fails it for every key below.
 
-    The exception is a batch named as the one-column removals of one set
-    with no repeated key column that is full rank on every fold:
-    ``_removal_scores`` scores it from one SVD of the set per fold, within
-    the set's ``_mape_tolerance`` bound of the path above, not bit for bit.
+    The exception is a batch named as the one-column removals of one set:
+    when the set scores finite, its own appended factorisation gives every
+    removal in closed form (``_removal_scores``), within the set's
+    ``_mape_tolerance`` bound of the path above, not bit for bit.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
@@ -276,7 +276,7 @@ class _CvEvaluator:
         self._short = np.where(short.any(axis=1), short.argmax(axis=1), n_folds)
         self._fold_ids = np.arange(n_folds)[:, None]
         # a subset's cells in one batch step: its held-out predictions or its
-        # (m x k) SVD factors, m and k at most the column count; _solve
+        # (m x k) removal coefficients, m and k at most the column count; _solve
         # takes batch // folds keys at a time, as a prefix holds Q and T^-1
         # on every fold
         cells = max(int(np.diff(edges).max()), p**2)
@@ -327,39 +327,35 @@ class _CvEvaluator:
 
     def _removal_scores(self, selected: Sequence[int]) -> list[float] | None:
         """CV MAPE of each one-column removal of ``selected``, in its order,
-        when the set has at least two columns, its key repeats no column
-        and it is full rank on every fold; else None.
+        or None when the set has fewer than two columns or fails some fold.
 
-        Per fold, one SVD of the set's ``R_f[:, key]`` gives beta and
-        C = V S^-2 V^T = (R^T R)^-1, and dropping key column j gives
-        beta - (beta_j / C_jj) C[:, j] with entry j zeroed (Golub & Van
-        Loan, section 6.5).  Dropping a column cannot lower s_min or raise
-        s_max, so every removal passes the rank rule its set passes.
+        When the set scores finite, its own appended factorisation gives
+        every removal in closed form: with C = T^-1 T^-T = (R^T R)^-1,
+        dropping key column j gives beta - (beta_j / C_jj) C[:, j], entry j
+        zeroed (Golub & Van Loan, section 6.5).  Dropping a column cannot
+        lower s_min or raise s_max, so every removal passes its set's rule.
         """
         m = len(selected)
         if m < 2:
             return None
-        dropped = np.array(selected, dtype=np.intp)
-        key = np.sort(self.col_map[np.concatenate([[0], dropped + 1])])
-        k, rows = len(key), np.arange(m)
-        if np.any(key[1:] == key[:-1]) or self._short[k] < len(self.tests):
+        key = self._keys([selected])
+        prefixes = self._empty_prefix(key.shape[1])
+        for d in range(key.shape[1]):
+            prefixes = self._append(prefixes, key[:, : d + 1])
+        if prefixes.failed[0] < len(self.tests):
             return None
-        pos = np.searchsorted(key, self.col_map[dropped + 1])
+        key, rows = key[0], np.arange(m)
+        pos = np.searchsorted(key, self.col_map[np.array(selected, dtype=np.intp) + 1])
+        t_inv, beta = prefixes.t_inv[0], prefixes.beta[0]
+        c = t_inv[:, pos] @ t_inv.swapaxes(-1, -2)  # rows pos of C, per fold
+        betas = beta[:, None] - (beta[:, pos] / c[:, rows, pos])[..., None] * c
+        betas[:, rows, pos] = 0.0
         total = np.zeros(m)
-        for test, n_train, r in zip(self.tests, self.n_train, self.r):
-            r = r[:n_train]  # R's own rows
-            u, s, vt = np.linalg.svd(r[:, key], full_matrices=False)
-            if not s[-1] > _EPS * max(n_train, k) * s[0]:
-                return None
-            beta = (r[:, -1] @ u / s) @ vt
-            vs = vt.T / s
-            c = vs[pos] @ vs.T  # rows pos of C
-            betas = beta - (beta[pos] / c[rows, pos])[:, None] * c
-            betas[rows, pos] = 0.0
+        for test, fold_betas in zip(self.tests, betas):
             held_out = self.columns[:, test]
             x = held_out[key]
             for lo in range(0, m, self.batch):
-                pred = betas[lo : lo + self.batch] @ x
+                pred = fold_betas[lo : lo + self.batch] @ x
                 total[lo : lo + self.batch] += mape_rows(held_out[-1], pred)
         return (total / len(self.tests)).tolist()
 
@@ -427,15 +423,7 @@ class _CvEvaluator:
         ends_at = valid.sum(axis=1) - 1  # each key's last depth
         betas = np.zeros((n_keys, n_folds, width))
         failed = np.empty(n_keys, dtype=np.intp)
-        # the empty prefix, with room for width columns
-        prefixes = _Prefixes(
-            np.zeros((1, n_folds, width, p)),
-            np.zeros((1, n_folds, width, width)),
-            np.zeros((1, n_folds, width)),
-            np.zeros((1, n_folds, 1)),
-            np.zeros((1, n_folds, 1)),
-            np.full(1, n_folds),
-        )
+        prefixes = self._empty_prefix(width)
         for d in range(width):
             rows = np.flatnonzero(new[:, d])
             if not rows.size:
@@ -447,6 +435,18 @@ class _CvEvaluator:
             betas[ends, :, : d + 1] = prefixes.beta[ids[ends, d], :, : d + 1]
             failed[ends] = prefixes.failed[ids[ends, d]]
         return betas, failed
+
+    def _empty_prefix(self, width: int) -> _Prefixes:
+        """The empty prefix, with room for ``width`` columns."""
+        n_folds, p = len(self.tests), len(self.columns)
+        return _Prefixes(
+            np.zeros((1, n_folds, width, p)),
+            np.zeros((1, n_folds, width, width)),
+            np.zeros((1, n_folds, width)),
+            np.zeros((1, n_folds, 1)),
+            np.zeros((1, n_folds, 1)),
+            np.full(1, n_folds),
+        )
 
     def _held_out_mape(self, keys, betas, failed) -> np.ndarray:
         """Summed held-out MAPE over the folds each key passes.

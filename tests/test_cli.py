@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, driven in-process through main(argv)."""
 
+import dataclasses
 import json
 import logging
 
@@ -68,6 +69,37 @@ def test_gen_multi_run_files(tmp_path):
     for r in range(3):
         assert (tmp_path / f"multi_r{r}_pmc.csv").exists()
         assert (tmp_path / f"multi_r{r}_power.csv").exists()
+
+
+# the last TIME key is period * ((n_runs - 1) * (n_samples + 7) + n_samples),
+# 27 periods for 2 runs of 10 samples
+_TOP_PERIOD = (2**64 - 1) // 27
+
+
+@pytest.mark.parametrize(
+    "period, n_samples, n_runs",
+    [(2**63, 10, 1), (2**60, 2, 3), (_TOP_PERIOD + 1, 10, 2)],
+    ids=["wrapping keys", "overflowing keys", "one past the boundary"],
+)
+def test_gen_refuses_time_keys_past_2_64(tmp_path, capsys, period, n_samples, n_runs):
+    data = pp.genspec_to_dict(TWO_PLUS_JUNK)
+    data.update(sample_period_cycles=period, n_samples=n_samples, n_runs=n_runs)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data))
+    assert main(["gen", "--spec", str(spec_path), "--out-prefix", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert "bad gen spec JSON: sample_period_cycles" in err
+    assert "past 2^64 - 1" in err
+    assert not list(tmp_path.glob("g_*"))
+
+
+def test_gen_writes_time_keys_up_to_the_boundary(tmp_path):
+    spec = dataclasses.replace(
+        TWO_PLUS_JUNK, sample_period_cycles=_TOP_PERIOD, n_samples=10, n_runs=2
+    )
+    prefix = gen_files(tmp_path, spec, "top")
+    trace = pp.read_counter_trace(f"{prefix}_r1_pmc.csv")
+    assert int(trace.time_keys[-1]) == 27 * _TOP_PERIOD
 
 
 def test_sync_round_trips_generated_traces(tmp_path, capsys):
@@ -485,6 +517,24 @@ def test_bad_model_json_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "bad model JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "predict", "gen"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    if command == "gen":
+        argv = ["gen", "--spec", str(deep), "--out-prefix", str(tmp_path / "g")]
+        what = "gen spec"
+    else:
+        ds_path = tmp_path / "d.csv"
+        pp.write_dataset(make_dataset(5, 1), ds_path)
+        argv = [command, "--model", str(deep), "--dataset", str(ds_path)]
+        what = "model"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"bad {what} JSON: maximum recursion depth exceeded" in err
+    assert "internal error" not in err
 
 
 def test_model_json_with_a_cast_value_exits_2(tmp_path, capsys):

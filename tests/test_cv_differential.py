@@ -261,8 +261,8 @@ def test_removal_batches_agree_with_scores_alone(case):
     # starts from the set's factorisation, so the set's _mape_tolerance
     # bounds it: a trial's own kappa can be far smaller (1.3e-12 points
     # apart against a trial bound of 1.29e-12, in a square 3 x 3 set with
-    # a bound of 1.2e-10).  It runs exactly when the set's key repeats no
-    # column and the set scores finite; otherwise the batch keeps the
+    # a bound of 1.2e-10).  It runs exactly when the set scores finite (a
+    # repeated key column fails the set); otherwise the batch keeps the
     # appended bits
     ds, folds = case
     fast = search._CvEvaluator(ds, ds.counters, folds)
@@ -272,12 +272,7 @@ def test_removal_batches_agree_with_scores_alone(case):
         trials = _removals(selected)
         batch = fast.score_many(trials, selected)
         alone = [fast.score_or_inf(t) for t in trials]
-        key = fast._keys([selected])[0]
-        closed_form = (
-            len(selected) > 1
-            and len(set(key)) == len(key)
-            and np.isfinite(fast.score_or_inf(selected))
-        )
+        closed_form = len(selected) > 1 and np.isfinite(fast.score_or_inf(selected))
         assert (fast._removal_scores(selected) is not None) == closed_form
         if closed_form:
             tol = _mape_tolerance(ref, [0] + [i + 1 for i in selected])
@@ -425,6 +420,22 @@ def test_certified_subsets_take_no_svd(monkeypatch):
     calls = _counting_svd(monkeypatch)
     scores = fast.score_many(_all_subsets(4))
     assert np.all(np.isfinite(scores))
+    assert calls == []
+
+
+def test_removal_steps_take_no_svd(monkeypatch):
+    # a top_down walk from 4 certified counters down to 1: each removal
+    # batch is downdated from its set's appended factorisation, which the
+    # certificate vouches for, so no step takes an SVD
+    ds = make_dataset(60, 4, seed=3, n_runs=6)
+    fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
+    calls = _counting_svd(monkeypatch)
+    selected = list(range(4))
+    while len(selected) > 1:
+        trials = _removals(selected)
+        scores = fast.score_many(trials, selected)
+        assert np.all(np.isfinite(scores))
+        selected = trials[int(np.argmin(scores))]
     assert calls == []
 
 

@@ -717,6 +717,15 @@ def test_json_readers_reject_non_finite_numbers_and_bad_bytes(
         read(path)
 
 
+@pytest.mark.parametrize("what", _JSON_ARTIFACTS)
+def test_json_readers_reject_nesting_too_deep_to_parse(tmp_path, what):
+    path = tmp_path / "a.json"
+    path.write_text("[" * 200_000)
+    want = re.escape(f"{path}: bad {what} JSON: maximum recursion depth exceeded")
+    with pytest.raises(pp.FormatError, match=want):
+        _JSON_ARTIFACTS[what][1](path)
+
+
 def test_json_writer_refuses_non_finite_numbers(tmp_path):
     model = pp.PowerModel(
         intercept_w=1.5,

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pmcpower as pp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,7 +50,35 @@ def test_bench_pairs_summarises_one_smoke_pair(tmp_path):
     for metric in oracle["metrics"].values():
         assert len(metric["parent"]["runs"]) == len(metric["change"]["runs"]) == 1
     assert oracle["metrics"]["holdout_mape_pct"]["ties"] == 1
+    # every end-to-end metric of BENCHMARK.json states its no-regression verdict
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for spec in benchmark["end_to_end"]:
+        metric = oracle["metrics"][spec["name"]]
+        assert metric["bound"] == spec["bound"]
+        want = metric["change"]["median"] <= metric["parent"]["median"] * (1 + spec["bound"])
+        assert metric["within_bound"] is want
+    assert "within_bound" not in oracle["metrics"]["train_s"]
+    assert oracle["metrics"]["holdout_mape_pct"]["within_bound"] is True
     (claim,) = summary["claims"]
     assert claim["workload"] == "oracle" and claim["metric"] == "pipeline_s"
     assert claim["rule"].startswith("change lower in at least 1 of 1 pairs")
     assert isinstance(claim["met"], bool)
+
+
+@pytest.mark.parametrize(
+    "claim", ["oracle-pipeline_s", "select:pipeline_s", "oracle:wall_s", "oracle:pipeline_s:x"]
+)
+def test_bench_pairs_refuses_a_bad_claim_before_any_run(tmp_path, claim):
+    # a missing parent checkout would fail the first run; a bad claim is a
+    # usage error before it
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--parent", str(tmp_path / "missing"), "--change", str(ROOT),
+         "--workloads", "oracle", "--seeds", "1", "--seconds", "0", "--size", "smoke",
+         "--claim", "oracle:pipeline_s", "--claim", claim, "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"--claim {claim!r} is not WORKLOAD:METRIC" in done.stderr
+    assert not out.exists()
