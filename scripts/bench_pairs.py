@@ -14,8 +14,10 @@ quartiles (linear interpolation), how many pairs the change was lower in,
 the median relative change and, for each end-to-end metric of
 ``BENCHMARK.json``, whether the change median is within its bound
 (``within_bound``: change median <= parent median x (1 + bound)); plus the
-failed and attempted counts, the pass counts, the environment, each side's
-commit and ``src/pmcpower`` hash.
+failed and attempted counts, the pass counts, each run's selected counters
+per search (``selected``) and the count of pairs whose sides selected the
+same (``same_selected_pairs``), the environment, each side's commit and
+``src/pmcpower`` hash.
 ``--traced-seed`` adds one traced run per side of every workload with its
 per-layer metrics, as a pointer to where time goes: one run per side
 cannot resolve per-layer moves of 10-20%; ``--claim WORKLOAD:METRIC`` checks the rule "change
@@ -60,7 +62,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: int, size: str, trac
     if trace:
         metrics.update((k, v["value"]) for k, v in line["metrics"].items())
     return {"metrics": metrics, "failed": line["failed"], "attempted": line["attempted"],
-            "passes": len(result["passes"]), "env": result["env"]}
+            "passes": len(result["passes"]), "selected": result["selected"],
+            "env": result["env"]}
 
 
 def spread(runs: list[float]) -> dict:
@@ -158,7 +161,9 @@ def main(argv=None) -> int:
                 "seeds": args.seeds,
                 "metrics": summarise(pairs[w], bounds),
                 **{key: {side: [p[side][key] for p in pairs[w]] for side in SIDES}
-                   for key in ("failed", "attempted", "passes")},
+                   for key in ("failed", "attempted", "passes", "selected")},
+                "same_selected_pairs": sum(
+                    p["parent"]["selected"] == p["change"]["selected"] for p in pairs[w]),
             }
             for w in workloads
         },

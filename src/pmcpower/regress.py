@@ -172,6 +172,19 @@ def mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return (100.0 / actual.size) * err.sum(axis=1)
 
 
+def check_zero_guard(ds: Dataset) -> None:
+    """A ValueError naming the TIME key and run of the first row whose
+    |power| is below the zero-guard, which a MAPE would divide by."""
+    low = np.flatnonzero(np.abs(ds.power_w) < MAPE_ZERO_GUARD_W)
+    if low.size:
+        i = low[0]
+        raise ValueError(
+            f"{ds.source + ': ' if ds.source else ''}power {ds.power_w[i]:g} W "
+            f"below the MAPE zero-guard ({MAPE_ZERO_GUARD_W:g} W) at "
+            f"{TIME_KEY}={ds.time_keys[i]} in run {ds.run_ids[i]!r}"
+        )
+
+
 def design(names, counters, deltas, freq_mhz=None, intercept=False) -> np.ndarray:
     """The float64 (rows x terms) block of the named columns: FREQ_COL is
     ``freq_mhz`` and any other name that counter's ``deltas`` column (the
@@ -199,6 +212,7 @@ def _fit(ds: Dataset, names: Sequence[str], kind: str):
     exactly rank-deficient design, and the fit's diagnostics."""
     if ds.n_rows == 0:
         raise FitError("empty dataset")
+    check_zero_guard(ds)
     x = design(names, ds.counters, ds.deltas, ds.freq_mhz, intercept=True)
     n, cols = x.shape
     if n < cols:
@@ -275,6 +289,7 @@ def predict_dataset(model: PowerModel, ds: Dataset) -> np.ndarray:
 
 def validate(model: PowerModel, ds: Dataset) -> ValidationResult:
     """Score the model on a dataset and keep the per-sample trace."""
+    check_zero_guard(ds)
     predicted = predict_dataset(model, ds)
     return ValidationResult(
         mape_pct=mape(ds.power_w, predicted),

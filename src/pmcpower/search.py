@@ -24,15 +24,14 @@ no LAPACK call per subset, and the normal equations are never formed.  The
 rank cut-off is the one a full-height ``lstsq`` would use:
 s_min > eps * max(n_train, k) * s_max, with n_train the complement's row
 count, not R's.  A cheap bound certifies most subsets; the rest are decided
-by the SVD of R_f[:, cols].  Byte-identical pool columns share one R column,
-so copies of a counter score exactly alike, and within one evaluator (one
-pool, one fold split) a subset's score has the same bits scored alone or in
-any batch.  The one exception is a batch that its caller names as the
-one-column removals of one set, as every top_down step does: when the set
-scores finite, its own appended factorisation gives every removal in closed
-form, and those scores agree with the appended ones within a tested bound
-set by the set's condition number, not to the last bit.  The final model is
-always refit on the full training set.
+by the SVD of R_f[:, cols].  A top_down step's removals of a set that
+scores finite are downdated in closed form from the set's own
+factorisation.  Every score's held-out predictions are one GEMM per fold
+and batch step over the columns the step uses.  Equal column sets in one
+batch (copies of a counter, a subset listed twice) are scored once and
+tie exactly; across batches a score may move in its last bits, within a
+tested bound set by its condition number.  The final model is always
+refit on the full training set.
 
 Fold assignment is by whole benchmark run when at least k distinct runs
 exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
@@ -64,6 +63,7 @@ from .regress import (
     ALGORITHMS as SEARCH_ALGORITHMS,
     PowerModel,
     TrainingMeta,
+    check_zero_guard,
     fit_ols,
     mape_rows,
     model_from_dict,
@@ -223,27 +223,22 @@ class _CvEvaluator:
     min(n_train, P) rows are followed by zero rows.  ``col_map`` sends
     every column to its first byte-identical copy.
 
-    A subset is scored on the key ``sort(col_map[[0] + selection + 1])``
-    and on nothing else, so copies of a counter, one subset listed in two
-    orders, and one subset scored alone or among others all give the same
-    bits.  ``score_many`` scores a whole batch, its keys in lexicographic
-    order, which walks their prefix tree depth first; a key the batch holds
-    twice is scored twice, to the same bits.
+    A subset is scored on the key ``sort(col_map[[0] + selection + 1])``,
+    so copies of a counter and one subset listed in two orders are one
+    key.  ``score_many`` scores a whole batch, its distinct keys in
+    lexicographic order, which walks their prefix tree depth first.
     ``_solve`` builds each prefix from its parent by ``_append`` on every
-    fold at once and ``_held_out_mape`` predicts the held-out rows with one
-    fixed sequence of elementwise products per key.  A key is full rank
-    when s_min > eps * max(n_train, k) * s_max, the cut-off a full-height
-    ``lstsq`` on the complement would use (n_train is the complement's row
-    count, not R's): a bound certifies it, else the SVD of ``R_f[:, key]``
-    decides, and a prefix that fails a fold fails it for every key below.
-
-    The exception is a batch named as the one-column removals of one set:
-    when the set scores finite, its own appended factorisation gives every
-    removal in closed form (``_removal_scores``), within the set's
-    ``_mape_tolerance`` bound of the path above, not bit for bit.
+    fold at once, or ``_removal_scores`` downdates a set's removals, and
+    ``_held_out_mape`` predicts the held-out rows of every key by GEMM.  A
+    key is full rank when s_min > eps * max(n_train, k) * s_max, the
+    cut-off a full-height ``lstsq`` on the complement would use (n_train is
+    the complement's row count, not R's): a bound certifies it, else the
+    SVD of ``R_f[:, key]`` decides, and a prefix that fails a fold fails it
+    for every key below.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
+        check_zero_guard(ds)
         idx = [ds.counters.index(name) for name in pool]
         order = np.concatenate(folds)
         edges = np.cumsum([0] + [len(f) for f in folds])
@@ -350,13 +345,8 @@ class _CvEvaluator:
         c = t_inv[:, pos] @ t_inv.swapaxes(-1, -2)  # rows pos of C, per fold
         betas = beta[:, None] - (beta[:, pos] / c[:, rows, pos])[..., None] * c
         betas[:, rows, pos] = 0.0
-        total = np.zeros(m)
-        for test, fold_betas in zip(self.tests, betas):
-            held_out = self.columns[:, test]
-            x = held_out[key]
-            for lo in range(0, m, self.batch):
-                pred = fold_betas[lo : lo + self.batch] @ x
-                total[lo : lo + self.batch] += mape_rows(held_out[-1], pred)
+        keys = np.broadcast_to(key, (m, len(key)))
+        total = self._held_out_mape(keys, betas.swapaxes(0, 1), np.full(m, len(self.tests)))
         return (total / len(self.tests)).tolist()
 
     def _score_batch(self, selections: Sequence[Sequence[int]]) -> list[float]:
@@ -384,16 +374,19 @@ class _CvEvaluator:
     def _score_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean fold MAPE of every key row, and the first fold whose fit
         failed (``len(self.tests)`` when none did); a failed key's score is
-        left partial.
+        not computed.
 
         Sorted lexicographically, the keys walk their prefix tree depth
-        first; that order is cut into chunks of ``self.batch // folds``
-        keys, so that the prefix states of a chunk stay within a small
-        multiple of _BATCH_CELLS.  Equal keys share their prefixes within a
-        chunk and are predicted one by one.
+        first, and equal keys are neighbours, scored once and sharing that
+        score.  The distinct keys are cut into chunks of
+        ``self.batch // folds``, so that the prefix states of a chunk stay
+        within a small multiple of _BATCH_CELLS.
         """
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        keys = keys[new]
         total = np.zeros(len(keys))
         failed = np.empty(len(keys), dtype=np.intp)
         chunk = max(1, self.batch // len(self.tests))
@@ -401,7 +394,7 @@ class _CvEvaluator:
             part = slice(lo, lo + chunk)
             betas, failed[part] = self._solve(keys[part])
             total[part] = self._held_out_mape(keys[part], betas, failed[part])
-        back = np.argsort(order)
+        back = (np.cumsum(new) - 1)[np.argsort(order)]  # each key's distinct key
         return total[back] / len(self.tests), failed[back]
 
     def _solve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,34 +442,24 @@ class _CvEvaluator:
         )
 
     def _held_out_mape(self, keys, betas, failed) -> np.ndarray:
-        """Summed held-out MAPE over the folds each key passes.
-
-        A key's prediction is the sum, in column order, of its
-        ``beta_j * x_j`` products, the same fixed sequence of elementwise
-        operations in any batch, so its score keeps its bits.  Keys run
-        longest first, in blocks whose (columns x keys x rows) products fit
-        in _BATCH_CELLS; a shorter key's missing columns add 0.0.
-        """
+        """Summed held-out MAPE over the folds of every key that fails none
+        (0.0 for a key that fails one), from its per-fold ``betas``: per
+        fold, one GEMM per ``self.batch`` keys of their zero-padded rows
+        over the columns some key weights (over every pool column, a narrow
+        key's GEMM on 20k held-out rows was memory bound, twice as slow)."""
+        n_folds, p = len(self.tests), len(self.columns)
+        live = np.flatnonzero(failed == n_folds)
+        # column p takes the key padding
+        rows = np.zeros((n_folds, len(live), p + 1))
+        rows[:, np.arange(len(live))[:, None], keys[live]] = betas[live].swapaxes(0, 1)
+        cols = np.flatnonzero(rows.any(axis=(0, 1)))
+        rows = rows[..., cols]
         total = np.zeros(len(keys))
-        lengths = (keys < len(self.columns)).sum(axis=1)
-        order = np.argsort(-lengths, kind="stable")
-        cols = np.where(keys < len(self.columns), keys, 0).T
-        rows = max(test.stop - test.start for test in self.tests)
-        block = max(1, _BATCH_CELLS // (keys.shape[1] * rows))
-        for lo in range(0, len(keys), block):
-            part = order[lo : lo + block]
-            width = lengths[part[0]]
-            for fi, test in enumerate(self.tests):
-                live = part[failed[part] > fi]
-                if not live.size:
-                    break
-                held_out = self.columns[:, test]
-                terms = held_out[cols[:width, live]]
-                terms *= betas[live, fi, :width].T[:, :, None]
-                pred = terms[0]
-                for term in terms[1:]:  # in order; add.reduce may pair terms up
-                    pred += term
-                total[live] += mape_rows(held_out[-1], pred)
+        for fold_rows, test in zip(rows, self.tests):
+            x, y = self.columns[cols, test], self.columns[-1, test]
+            for lo in range(0, len(live), self.batch):
+                part = slice(lo, lo + self.batch)
+                total[live[part]] += mape_rows(y, fold_rows[part] @ x)
         return total
 
     def _append(self, prefixes: _Prefixes, keys: np.ndarray) -> _Prefixes:

@@ -495,6 +495,29 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "validate"])
+def test_power_below_the_zero_guard_names_its_time_key(tmp_path, capsys, command):
+    # the row is named by its TIME key and run, not by its index in a fold
+    # or in the file
+    prefix = gen_files(tmp_path, TWO_PLUS_JUNK, "z", seed=3)
+    path = f"{prefix}_dataset.csv"
+    lines = open(path).read().splitlines()
+    run, time_key, _, *deltas = lines[100].split(",")
+    lines[100] = ",".join([run, time_key, "1e-10", *deltas])
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--dataset", path, "--folds", "4",
+                "--model-out", str(tmp_path / "m.json")]
+    else:
+        argv = ["validate", "--model", f"{prefix}_model.json", "--dataset", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: power 1e-10 W below the MAPE zero-guard (1e-09 W) " in err
+    assert f"at TIME={time_key} in run {run!r}" in err
+
+
 def test_bad_csv_reports_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("RUN,TIME,POWER_W,A\nr0,1,2.0,5\nr0,2,oops,5\n")

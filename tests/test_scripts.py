@@ -44,6 +44,12 @@ def test_bench_pairs_summarises_one_smoke_pair(tmp_path):
     oracle = summary["workloads"]["oracle"]
     assert oracle["seeds"] == [1]
     assert oracle["failed"] == {"parent": [0], "change": [0]}
+    # each run's picks, per side and pair, and the pairs that picked alike
+    picks = oracle["selected"]["parent"]
+    assert oracle["selected"]["change"] == picks
+    assert len(picks) == 1 and set(picks[0]) == {"exhaustive"}
+    assert picks[0]["exhaustive"] and all(c.startswith("C") for c in picks[0]["exhaustive"])
+    assert oracle["same_selected_pairs"] == 1
     assert set(oracle["metrics"]) == {
         "pipeline_s", "setup_s", "peak_rss_mb", "holdout_mape_pct", "train_s"
     }
