@@ -612,14 +612,14 @@ def write_counter_trace(trace: CounterTrace, path) -> None:
         )
 
 
-def read_power_trace(path, run_id: str | None = None) -> PowerTrace:
-    """Read and validate a power trace CSV."""
+def read_power_trace(path) -> PowerTrace:
+    """Read and validate a power trace CSV; its run_id is the file stem."""
     _, (keys, power, *freq) = _read_table(path, _power_fields)
     return PowerTrace(
         time_keys=keys,
         power_w=power,
         freq_mhz=freq[0] if freq else None,
-        run_id=Path(path).stem if run_id is None else run_id,
+        run_id=Path(path).stem,
     )
 
 
@@ -639,7 +639,7 @@ def _check_run_id(run_id: str) -> str:
     return run_id
 
 
-def read_dataset(path, source: str | None = None) -> Dataset:
+def read_dataset(path) -> Dataset:
     """Read and validate a synchronised dataset CSV."""
     header, (runs, keys, power, *freq, deltas) = _read_table(path, _dataset_fields)
     return Dataset(
@@ -649,7 +649,7 @@ def read_dataset(path, source: str | None = None) -> Dataset:
         power_w=power,
         deltas=deltas,
         freq_mhz=freq[0] if freq else None,
-        source=str(path) if source is None else source,
+        source=str(path),
     )
 
 

@@ -153,19 +153,19 @@ def mape(actual, predicted) -> float:
         raise ValueError(f"length mismatch: {a.shape} vs {p.shape}")
     if a.size == 0:
         raise ValueError("mape of empty sequences")
+    guard = np.abs(a) < MAPE_ZERO_GUARD_W
+    if np.any(guard):
+        raise ValueError(f"actual value below zero-guard at sample {int(np.argmax(guard))}")
     return float(mape_rows(a, p[None, :])[0])
 
 
 def mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """``mape(actual, row)`` for every row of the 2-D ``predicted``.
+    """``mape(actual, row)`` for every row of the 2-D ``predicted``; the
+    caller has guarded ``actual`` (a dataset's by ``check_zero_guard``).
 
     Each row is summed on its own along the contiguous axis, so a row's
     value does not depend on which other rows share the array.
     """
-    guard = np.abs(actual) < MAPE_ZERO_GUARD_W
-    if np.any(guard):
-        idx = int(np.argmax(guard))
-        raise ValueError(f"actual value below zero-guard at sample {idx}")
     err = actual - predicted  # |err| / |actual|, in place: one temporary
     np.abs(err, out=err)
     err /= np.abs(actual)

@@ -31,12 +31,15 @@ and batch step over the columns the step uses.  Equal column sets in one
 batch (copies of a counter, a subset listed twice) are scored once and
 tie exactly; across batches a score may move in its last bits, within a
 tested bound set by its condition number.  The final model is always
-refit on the full training set.
+refit on the full training set.  One owner per decision: searches score
+only through ``score_many``, ``_solve`` builds every factorisation and
+``check_zero_guard`` checks each dataset once (``_CvEvaluator`` has the rest).
 
 Fold assignment is by whole benchmark run when at least k distinct runs
 exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
 some fold (rank deficiency) scores +infinity rather than aborting the
-search.  Ties are broken by candidate-pool order, lowest index first.
+search; a search that ends there raises, naming the first failing fold.
+Ties are broken by candidate-pool order, lowest index first.
 """
 
 from __future__ import annotations
@@ -225,16 +228,17 @@ class _CvEvaluator:
 
     A subset is scored on the key ``sort(col_map[[0] + selection + 1])``,
     so copies of a counter and one subset listed in two orders are one
-    key.  ``score_many`` scores a whole batch, its distinct keys in
-    lexicographic order, which walks their prefix tree depth first.
-    ``_solve`` builds each prefix from its parent by ``_append`` on every
-    fold at once, or ``_removal_scores`` downdates a set's removals, and
-    ``_held_out_mape`` predicts the held-out rows of every key by GEMM.  A
-    key is full rank when s_min > eps * max(n_train, k) * s_max, the
-    cut-off a full-height ``lstsq`` on the complement would use (n_train is
-    the complement's row count, not R's): a bound certifies it, else the
-    SVD of ``R_f[:, key]`` decides, and a prefix that fails a fold fails it
-    for every key below.
+    key.  One method owns each decision: ``score_many``, the searches' one
+    entry, scores a batch's distinct keys in lexicographic order (a depth
+    first walk of their prefix tree), +inf where a fold fails (``score``
+    raises instead); ``_solve`` alone builds factorisations, each prefix
+    from its parent by ``_append`` on every fold at once, and
+    ``_removal_scores`` downdates a set's removals from its beta and T^-1;
+    ``_held_out_mape`` predicts held-out rows by GEMM.  A key is full rank
+    when s_min > eps * max(n_train, k) * s_max, the cut-off a full-height
+    ``lstsq`` on the complement would use (n_train is the complement's row
+    count, not R's): a bound certifies it, else the SVD of ``R_f[:, key]``
+    decides, and a prefix that fails a fold fails it for every key below.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
@@ -270,10 +274,10 @@ class _CvEvaluator:
         short = self.n_train < k
         self._short = np.where(short.any(axis=1), short.argmax(axis=1), n_folds)
         self._fold_ids = np.arange(n_folds)[:, None]
-        # a subset's cells in one batch step: its held-out predictions or its
-        # (m x k) removal coefficients, m and k at most the column count; _solve
-        # takes batch // folds keys at a time, as a prefix holds Q and T^-1
-        # on every fold
+        # a key's cells in one batch step: its held-out predictions or its Q
+        # and T^-1 on one fold (at most p x p each); _held_out_mape predicts
+        # batch keys per GEMM and _solve builds batch // folds keys at once,
+        # as a prefix holds Q and T^-1 on every fold
         cells = max(int(np.diff(edges).max()), p**2)
         self.batch = max(1, _BATCH_CELLS // cells)
         # scores of the batch score_many is handing out, keyed by selection
@@ -300,7 +304,7 @@ class _CvEvaluator:
         key = tuple(selection)
         if key in self._batch_scores:
             return self._batch_scores[key]
-        return self._score_batch([selection])[0]
+        return self.score_many([selection])[0]
 
     def score_many(self, selections, removing_from=()) -> list[float]:
         """CV MAPE of every selection, in order; infeasible ones score +inf.
@@ -313,7 +317,8 @@ class _CvEvaluator:
         """
         scores = self._removal_scores(removing_from)
         if scores is None:
-            scores = self._score_batch(selections)
+            scores, failed = self._score_keys(self._keys(selections))
+            scores = np.where(failed < len(self.tests), math.inf, scores).tolist()
         self._batch_scores = dict(zip(map(tuple, selections), scores))
         try:
             return [self.score_or_inf(sel) for sel in selections]
@@ -334,26 +339,17 @@ class _CvEvaluator:
         if m < 2:
             return None
         key = self._keys([selected])
-        prefixes = self._empty_prefix(key.shape[1])
-        for d in range(key.shape[1]):
-            prefixes = self._append(prefixes, key[:, : d + 1])
-        if prefixes.failed[0] < len(self.tests):
+        (beta,), (t_inv,), failed = self._solve(key, t_inv=True)
+        if failed[0] < len(self.tests):
             return None
         key, rows = key[0], np.arange(m)
         pos = np.searchsorted(key, self.col_map[np.array(selected, dtype=np.intp) + 1])
-        t_inv, beta = prefixes.t_inv[0], prefixes.beta[0]
         c = t_inv[:, pos] @ t_inv.swapaxes(-1, -2)  # rows pos of C, per fold
         betas = beta[:, None] - (beta[:, pos] / c[:, rows, pos])[..., None] * c
         betas[:, rows, pos] = 0.0
         keys = np.broadcast_to(key, (m, len(key)))
         total = self._held_out_mape(keys, betas.swapaxes(0, 1), np.full(m, len(self.tests)))
         return (total / len(self.tests)).tolist()
-
-    def _score_batch(self, selections: Sequence[Sequence[int]]) -> list[float]:
-        """CV MAPE of every selection, in order, +inf where infeasible."""
-        scores, failed = self._score_keys(self._keys(selections))
-        scores[failed < len(self.tests)] = math.inf
-        return scores.tolist()
 
     def _keys(self, selections: Sequence[Sequence[int]]) -> np.ndarray:
         """Sorted design columns of each selection, one per row, in the
@@ -392,14 +388,15 @@ class _CvEvaluator:
         chunk = max(1, self.batch // len(self.tests))
         for lo in range(0, len(keys), chunk):
             part = slice(lo, lo + chunk)
-            betas, failed[part] = self._solve(keys[part])
+            betas, _, failed[part] = self._solve(keys[part])
             total[part] = self._held_out_mape(keys[part], betas, failed[part])
         back = (np.cumsum(new) - 1)[np.argsort(order)]  # each key's distinct key
         return total[back] / len(self.tests), failed[back]
 
-    def _solve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-fold beta (zero-padded to the key width) and first failed
-        fold of sorted, padded key rows.
+    def _solve(self, keys: np.ndarray, t_inv: bool = False) -> tuple:
+        """Per-fold beta, per-fold T^-1 when ``t_inv`` (else None), both
+        zero-padded to the key width, and first failed fold of sorted, padded
+        key rows.
 
         Every distinct prefix of the keys is built once, one depth at a
         time, from its parent prefix by ``_append``.  A prefix that fails a
@@ -414,9 +411,15 @@ class _CvEvaluator:
         new[1:] &= np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1)
         ids = np.cumsum(new, axis=0) - 1
         ends_at = valid.sum(axis=1) - 1  # each key's last depth
-        betas = np.zeros((n_keys, n_folds, width))
+        # every key takes its whole rows, zeros past its end included
+        betas = np.empty((n_keys, n_folds, width))
+        t_invs = np.empty((n_keys, n_folds, width, width)) if t_inv else None
         failed = np.empty(n_keys, dtype=np.intp)
-        prefixes = self._empty_prefix(width)
+        prefixes = _Prefixes(
+            np.zeros((1, n_folds, width, p)), np.zeros((1, n_folds, width, width)),
+            np.zeros((1, n_folds, width)), np.zeros((1, n_folds, 1)),
+            np.zeros((1, n_folds, 1)), np.full(1, n_folds),
+        )
         for d in range(width):
             rows = np.flatnonzero(new[:, d])
             if not rows.size:
@@ -425,21 +428,13 @@ class _CvEvaluator:
             prefixes = _Prefixes(*(s[parent] for s in prefixes))
             prefixes = self._append(prefixes, keys[rows, : d + 1])
             ends = np.flatnonzero(ends_at == d)
-            betas[ends, :, : d + 1] = prefixes.beta[ids[ends, d], :, : d + 1]
-            failed[ends] = prefixes.failed[ids[ends, d]]
-        return betas, failed
-
-    def _empty_prefix(self, width: int) -> _Prefixes:
-        """The empty prefix, with room for ``width`` columns."""
-        n_folds, p = len(self.tests), len(self.columns)
-        return _Prefixes(
-            np.zeros((1, n_folds, width, p)),
-            np.zeros((1, n_folds, width, width)),
-            np.zeros((1, n_folds, width)),
-            np.zeros((1, n_folds, 1)),
-            np.zeros((1, n_folds, 1)),
-            np.full(1, n_folds),
-        )
+            if ends.size:
+                end_ids = ids[ends, d]
+                betas[ends] = prefixes.beta[end_ids]
+                if t_inv:
+                    t_invs[ends] = prefixes.t_inv[end_ids]
+                failed[ends] = prefixes.failed[end_ids]
+        return betas, t_invs, failed
 
     def _held_out_mape(self, keys, betas, failed) -> np.ndarray:
         """Summed held-out MAPE over the folds of every key that fails none
@@ -569,7 +564,7 @@ def _search(ds: Dataset, cfg: SearchConfig, algorithm: str, walk) -> SearchRepor
     Checks the algorithm, resolves the pool and the initial set, builds the
     evaluator on the configured folds, runs ``walk(evaluator, pool,
     initial pool indices)`` and refits its pick on the whole dataset.  A
-    pick without a finite CV score is a SearchError, not a model.
+    pick without a finite CV score is a SearchError naming its failing fold.
     """
     if cfg.algorithm != algorithm:
         raise SearchError(f"config algorithm is {cfg.algorithm!r}, not {algorithm}")
@@ -578,11 +573,13 @@ def _search(ds: Dataset, cfg: SearchConfig, algorithm: str, walk) -> SearchRepor
     found = walk(evaluator, pool, [pool.index(n) for n in cfg.initial_set])
     names = [pool[i] for i in found.selected]
     if not math.isfinite(found.final_cv):
-        raise SearchError(
-            f"{algorithm} stopped ({found.stop_reason}) at "
-            f"[{', '.join(names)}] with no finite CV score: "
-            "its fit fails on some fold"
-        )
+        try:  # the pick fails some fold, so score raises that fold's error
+            evaluator.score(found.selected)
+        except FitError as exc:
+            raise SearchError(
+                f"{algorithm} stopped ({found.stop_reason}) at "
+                f"[{', '.join(names)}] with no finite CV score: {exc}"
+            ) from exc
     # coefficients come from the full training set, never from a fold fit
     model, diag = fit_ols(ds, names)
     meta = TrainingMeta(
@@ -614,7 +611,7 @@ def _greedy(evaluator, pool, selected, action, moves, accepts) -> _Walk:
     ``accepts(current, best)`` holds.  A "remove" step names its batch as
     the removals of the incumbent, in the incumbent's order.
     """
-    current = initial_cv = evaluator.score_or_inf(selected)
+    current = initial_cv = evaluator.score_many([selected])[0]
     iterations: list[SearchIteration] = []
     while True:
         trials = moves(selected, len(pool))
@@ -671,10 +668,10 @@ def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
 def top_down(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     """Greedy backward elimination from cfg.initial_set (default: whole pool).
 
-    A removal is accepted when the best resulting score is no worse than
-    the incumbent: equal-score removals are taken to prefer the simpler
-    model.  Stops when no removal is accepted or the model is empty.  Term
-    order in the final model is pool order.
+    A removal is accepted when the best resulting score is finite and no
+    worse than the incumbent: equal-score removals are taken to prefer the
+    simpler model.  Stops when no removal is accepted (so when all fail) or
+    the model is empty.  Term order in the final model is pool order.
     """
 
     def removals(selected, n):
@@ -684,7 +681,7 @@ def top_down(ds: Dataset, cfg: SearchConfig) -> SearchReport:
         return _greedy(
             evaluator, pool, sorted(selected) or list(range(len(pool))),
             "remove", removals,
-            lambda current, best: best <= current + IMPROVEMENT_EPS,
+            lambda current, best: math.isfinite(best) and best <= current + IMPROVEMENT_EPS,
         )
 
     return _search(ds, cfg, TOP_DOWN, walk)

@@ -48,6 +48,24 @@ def linear_dataset(model, n, ranges, seed=0, n_runs=1, noise_rel=0.0):
     return generate(spec).dataset
 
 
+def twin_pairs_dataset():
+    """400 rows in 10 runs of P = 2 + 4e-6 A + 1e-6 B + 2e-6 C at 1 % noise,
+    with B2 a copy of B and C2 a copy of C: every set that holds both
+    copies of a pair is rank deficient on every fold."""
+    model = PowerModel(intercept_w=2.0, terms=(("A", 4e-6), ("B", 1e-6), ("C", 2e-6)))
+    ds = linear_dataset(
+        model, 400, {n: (0, 600_000) for n in "ABC"}, seed=7, n_runs=10, noise_rel=0.01
+    )
+    a, b, c = ds.deltas.T
+    return Dataset(
+        counters=("A", "B", "B2", "C", "C2"),
+        time_keys=ds.time_keys,
+        run_ids=ds.run_ids,
+        power_w=ds.power_w,
+        deltas=np.column_stack([a, b, b, c, c]),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

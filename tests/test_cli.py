@@ -10,7 +10,7 @@ import pytest
 import pmcpower as pp
 from pmcpower.cli import main
 
-from conftest import make_dataset
+from conftest import make_dataset, twin_pairs_dataset
 
 TWO_PLUS_JUNK = pp.GenSpec(
     true_model=pp.PowerModel(
@@ -365,9 +365,34 @@ def test_train_without_a_finite_cv_score_writes_no_model(tmp_path, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "bottom_up stopped (converged) at [A] with no finite CV score" in err
+    # the error names the first fold that holds r0 out, and why it fails
+    folds = pp.kfold_split(ds, 4)
+    fold = next(f for f, rows in enumerate(folds) if ds.run_ids[rows[0]] == "r0")
+    assert (
+        "bottom_up stopped (converged) at [A] with no finite CV score: "
+        f"fold {fold}: rank-deficient design, drop a predictor\n"
+    ) in err
     assert not model_out.exists()
     assert not (tmp_path / "r.json").exists()
+
+
+def test_train_top_down_stops_where_every_removal_fails(tmp_path, capsys):
+    # two copied pairs: every removal from the full pool scores +inf, so
+    # top_down takes none and train writes no model
+    path = tmp_path / "d.csv"
+    pp.write_dataset(twin_pairs_dataset(), path)
+    model_out = tmp_path / "m.json"
+    code = main(
+        ["train", "--dataset", str(path), "--algorithm", "top_down", "--folds", "5",
+         "--model-out", str(model_out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (
+        "top_down stopped (converged) at [A, B, B2, C, C2] with no finite CV "
+        "score: fold 0: rank-deficient design, drop a predictor\n"
+    ) in err
+    assert not model_out.exists()
 
 
 def test_train_jobs_flag_is_deterministic(tmp_path):

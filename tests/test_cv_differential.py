@@ -49,9 +49,24 @@ class _RefEvaluator:
         columns = [self.design[:, j].tolist() for j in range(self.design.shape[1])]
         self.first_copy = [columns.index(col) for col in columns]
 
+    def _cols(self, selection):
+        return sorted(self.first_copy[j] for j in [0] + [i + 1 for i in selection])
+
+    def score(self, selection):
+        """The oracle's CV MAPE, or the error _CvEvaluator.score raises for
+        the first fold whose complement fit fails."""
+        cols = self._cols(selection)
+        failure = _first_failure(self, cols)
+        if failure is None:
+            return ref_cv_score(self.design, self.y, self.folds, cols)
+        fold, error = failure
+        if error is pp.FitError:
+            n_train = self.y.size - len(self.folds[fold])
+            raise error(f"fold {fold}: fewer rows ({n_train}) than parameters ({len(cols)})")
+        raise error(f"fold {fold}: rank-deficient design, drop a predictor")
+
     def score_or_inf(self, selection):
-        cols = sorted(self.first_copy[j] for j in [0] + [i + 1 for i in selection])
-        return ref_cv_score(self.design, self.y, self.folds, cols)
+        return ref_cv_score(self.design, self.y, self.folds, self._cols(selection))
 
     def score_many(self, selections, removing_from=()):
         return [self.score_or_inf(s) for s in selections]
@@ -261,6 +276,14 @@ def test_zero_guard_holds_through_every_search():
             pp.run_search(ds, pp.SearchConfig(algorithm=algorithm, folds=5))
 
 
+def _search_outcome(ds, cfg):
+    """The search's report, or its SearchError's message."""
+    try:
+        return pp.run_search(ds, cfg)
+    except pp.SearchError as exc:
+        return str(exc)
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=cv_cases(edits=("dup", "zero")))
 @example(case=_pinned_search_case())
@@ -270,10 +293,15 @@ def test_searches_pick_what_the_oracle_picks(case):
     ds, folds = case
     for algorithm in pp.SEARCH_ALGORITHMS:
         cfg = pp.SearchConfig(algorithm=algorithm, folds=len(folds), fold_seed=0)
-        got = pp.run_search(ds, cfg)
+        got = _search_outcome(ds, cfg)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_CvEvaluator", _RefEvaluator)
-            want = pp.run_search(ds, cfg)
+            want = _search_outcome(ds, cfg)
+        # a search that ends with no finite CV score raises, in both paths
+        # with the same message: the stop, the set and its first failing fold
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            continue
         chosen = want.final_model.counter_names
         assert got.final_model.counter_names == chosen
         # an absolute bound: a MAPE near zero can break a relative 1e-12

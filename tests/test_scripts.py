@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -88,3 +89,38 @@ def test_bench_pairs_refuses_a_bad_claim_before_any_run(tmp_path, claim):
     assert done.returncode == 2, done.stderr
     assert f"--claim {claim!r} is not WORKLOAD:METRIC" in done.stderr
     assert not out.exists()
+
+
+def _same_outputs(parent, change, *flags):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "same_outputs.py"),
+         "--parent", str(parent), "--change", str(change), "--size", "smoke", *flags],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_same_outputs_finds_one_checkout_identical_to_itself():
+    done = _same_outputs(ROOT, ROOT, "--seed", "3")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["apply", "select", "oracle"]
+    assert all(line.endswith("artifacts byte-identical") for line in lines)
+
+
+def test_same_outputs_lists_what_a_changed_watt_format_writes(tmp_path):
+    # display watts with 5 significant digits instead of 6: the fit traces
+    # and predictions differ, the synced datasets (repr floats) do not
+    copy = tmp_path / "copy"
+    ignore = shutil.ignore_patterns("__pycache__", "out")
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+    regress = copy / "src" / "pmcpower" / "regress.py"
+    text = regress.read_text()
+    assert text.count('WATTS_SPEC = "%.6g"') == 1
+    regress.write_text(text.replace('WATTS_SPEC = "%.6g"', 'WATTS_SPEC = "%.5g"'))
+    done = _same_outputs(ROOT, copy, "--workloads", "apply")
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    differs = {line.split()[1] for line in lines if line.endswith(" differs")}
+    assert {f"pass/{kind}_r{r}.csv" for kind in ("fit", "pred") for r in (0, 1)} <= differs
+    assert not any(name.startswith(("inputs/", "pass/ds_")) for name in differs)

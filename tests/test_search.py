@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import pmcpower as pp
 
-from conftest import edited_json, make_dataset, linear_dataset
+from conftest import edited_json, linear_dataset, make_dataset, twin_pairs_dataset
 
 TRUE_MODEL = pp.PowerModel(
     intercept_w=1.5, terms=(("CPU_OP", 2.0e-06), ("MEM_ACC", 5.0e-07))
@@ -380,8 +380,28 @@ def test_top_down_default_initial_is_whole_pool():
 
 
 def test_top_down_can_empty_the_model():
+    # power is constant, so every subset fits it to rounding and each
+    # removal ties the incumbent within IMPROVEMENT_EPS
+    rng = np.random.default_rng(0)
+    ds = pp.Dataset(
+        counters=("A", "B"),
+        time_keys=np.arange(1, 13, dtype=np.uint64),
+        run_ids=("r0",) * 12,
+        power_w=np.full(12, 2.5),
+        deltas=rng.integers(0, 1000, size=(12, 2), dtype=np.uint64),
+    )
+    report = pp.top_down(ds, pp.SearchConfig(algorithm="top_down", folds=3))
+    assert report.stop_reason == "emptied"
+    assert report.final_model.terms == ()
+    assert report.final_cv_mape_pct == pytest.approx(0.0, abs=1e-9)
+    assert [it.counter for it in report.iterations] == ["A", "B"]
+
+
+def test_top_down_stops_when_every_removal_fails():
     # every counter column is zero: any fit with a counter is rank-deficient
-    # (scores +inf), the intercept-only model is exact
+    # (scores +inf), so no removal is accepted, although the intercept-only
+    # model two removals away is exact; the walk stops on the full set and
+    # the error names its first failing fold
     ds = pp.Dataset(
         counters=("A", "B"),
         time_keys=np.arange(1, 13, dtype=np.uint64),
@@ -389,12 +409,36 @@ def test_top_down_can_empty_the_model():
         power_w=np.full(12, 2.5),
         deltas=np.zeros((12, 2), dtype=np.uint64),
     )
-    report = pp.top_down(ds, pp.SearchConfig(algorithm="top_down", folds=3))
-    assert report.stop_reason == "emptied"
-    assert report.final_model.terms == ()
-    assert report.initial_cv_mape_pct == np.inf
-    assert report.final_cv_mape_pct == pytest.approx(0.0, abs=1e-9)
-    assert len(report.iterations) == 2
+    with pytest.raises(
+        pp.SearchError,
+        match=r"^top_down stopped \(converged\) at \[A, B\] with no finite CV "
+        r"score: fold 0: rank-deficient design, drop a predictor$",
+    ):
+        pp.top_down(ds, pp.SearchConfig(algorithm="top_down", folds=3))
+
+
+def test_top_down_takes_no_removal_when_every_one_fails():
+    # two copied pairs: every removal from the full set keeps one pair and
+    # scores +inf.  Taking such a removal anyway used to drop A, then B, then
+    # C (the first counter in pool order each time), three true counters,
+    # and return (B2, C2) at about 15 % CV MAPE.
+    ds = twin_pairs_dataset()
+    with pytest.raises(
+        pp.SearchError,
+        match=r"at \[A, B, B2, C, C2\] with no finite CV score: "
+        r"fold 0: rank-deficient design",
+    ):
+        pp.top_down(ds, pp.SearchConfig(algorithm="top_down", folds=5))
+    report = pp.bottom_up(ds, pp.SearchConfig(algorithm="bottom_up", folds=5))
+    assert report.final_model.counter_names == ("A", "C", "B")
+    assert report.final_cv_mape_pct < 1.0
+    # with one pair, the removals of either copy tie and the first in pool
+    # order is taken; the true counters stay
+    report = pp.top_down(
+        ds, pp.SearchConfig(algorithm="top_down", folds=5, initial_set=("A", "B", "C", "C2"))
+    )
+    assert report.final_model.counter_names == ("A", "B", "C2")
+    assert report.iterations[0].candidate_scores["A"] == np.inf
 
 
 def test_exhaustive_single_counter_pool():
