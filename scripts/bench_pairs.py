@@ -38,11 +38,15 @@ EXTRA_METRICS = ("train_s",)  # kept from a run's extras besides the end-to-end 
 
 
 def seed_list(text: str) -> list[int]:
-    """``"1-10"`` or ``"1,2,7919"`` (ranges and single seeds mixed)."""
+    """``"1-10"`` or ``"1,2,7919"`` (ranges and single seeds mixed); a
+    range must not run backwards."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
     return seeds
 
 

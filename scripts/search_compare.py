@@ -52,6 +52,8 @@ def main(argv=None):
     ap.add_argument("--folds", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    if args.cases < 1:
+        ap.error("--cases must be >= 1")
 
     algos = ("bottom_up", "top_down", "exhaustive")
     hits_oracle = defaultdict(int)

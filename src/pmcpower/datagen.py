@@ -32,6 +32,7 @@ from .dataset import (
     CounterTrace,
     Dataset,
     PowerTrace,
+    check_counter_names,
     check_type,
     is_integer,
     read_json,
@@ -49,9 +50,10 @@ class GenSpec:
     """Everything needed to generate a reproducible trace pair.
 
     counter_ranges maps counter name to an inclusive (lo, hi) bound on the
-    per-interval delta; every model counter must have a range.  n_samples
-    counts trace samples per run, so each run yields n_samples - 1 dataset
-    rows.  drop_rate thins the power trace only.
+    per-interval delta; every model counter must have a range, and names
+    follow ``check_counter_names`` (strings, neither TIME nor FREQ_MHZ).
+    n_samples counts trace samples per run, so each run yields
+    n_samples - 1 dataset rows.  drop_rate thins the power trace only.
     """
 
     true_model: PowerModel
@@ -69,7 +71,8 @@ class GenSpec:
             if kind in (int, float, bool):
                 value = check_type(name, getattr(self, name), kind)
                 object.__setattr__(self, name, value)
-        ranges = {str(n): (lo, hi) for n, (lo, hi) in self.counter_ranges.items()}
+        check_counter_names(self.counter_ranges)
+        ranges = {n: (lo, hi) for n, (lo, hi) in self.counter_ranges.items()}
         object.__setattr__(self, "counter_ranges", ranges)
         if self.true_model.kind != KIND_PMC:
             raise ValueError("true_model must be a pmc model")

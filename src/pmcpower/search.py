@@ -26,14 +26,18 @@ s_min > eps * max(n_train, k) * s_max, with n_train the complement's row
 count, not R's.  A cheap bound certifies most subsets; the rest are decided
 by the SVD of R_f[:, cols].  A top_down step's removals of a set that
 scores finite are downdated in closed form from the set's own
-factorisation.  Every score's held-out predictions are one GEMM per fold
-and batch step over the columns the step uses.  Equal column sets in one
-batch (copies of a counter, a subset listed twice) are scored once and
-tie exactly; across batches a score may move in its last bits, within a
-tested bound set by its condition number.  The final model is always
-refit on the full training set.  One owner per decision: searches score
-only through ``score_many``, ``_solve`` builds every factorisation and
-``check_zero_guard`` checks each dataset once (``_CvEvaluator`` has the rest).
+factorisation.  Each scoring call predicts its keys' held-out rows by one
+GEMM per fold over the columns those keys use: a chunk of keys, whose
+size bounds both its prefix states and that block, or one removal batch,
+whose block on a fold (m <= pool keys) is no larger than the fold's slice
+of the data.  Equal column sets in one batch (copies of a counter, a
+subset listed twice) are scored once and tie exactly; across batches a
+score may move in its last bits, within a tested bound set by its
+condition number.  The final model is always refit on the full training
+set.  One owner per decision: searches score only through
+``score_many``, ``_solve`` builds every factorisation and
+``check_zero_guard`` checks each dataset once (``_CvEvaluator`` has the
+rest).
 
 Fold assignment is by whole benchmark run when at least k distinct runs
 exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
@@ -175,12 +179,15 @@ def kfold_split(ds: Dataset, k: int, seed: int = 0) -> list[np.ndarray]:
     Whole run_id groups are shuffled (deterministically per seed) and dealt
     round-robin when at least k distinct runs exist; otherwise rows are cut
     into k contiguous blocks.  Fold sizes differ by at most one group/block.
-    k is an integer, not a bool.
+    k and seed are integers, not bools, and seed is >= 0, else a
+    SearchError.
     """
     if not is_integer(k):
         raise SearchError(f"folds must be an integer, got {k!r}")
     if k < 2:
         raise SearchError("folds must be >= 2")
+    if not (is_integer(seed) and seed >= 0):
+        raise SearchError(f"seed must be an integer >= 0, got {seed!r}")
     n = ds.n_rows
     runs = sorted(set(ds.run_ids))
     if len(runs) >= k:
@@ -234,11 +241,15 @@ class _CvEvaluator:
     raises instead); ``_solve`` alone builds factorisations, each prefix
     from its parent by ``_append`` on every fold at once, and
     ``_removal_scores`` downdates a set's removals from its beta and T^-1;
-    ``_held_out_mape`` predicts held-out rows by GEMM.  A key is full rank
-    when s_min > eps * max(n_train, k) * s_max, the cut-off a full-height
-    ``lstsq`` on the complement would use (n_train is the complement's row
-    count, not R's): a bound certifies it, else the SVD of ``R_f[:, key]``
-    decides, and a prefix that fails a fold fails it for every key below.
+    ``_held_out_mape`` predicts held-out rows by one GEMM per fold.  Memory
+    has two bounds: ``chunk`` keys at a time bound the prefix states and
+    the prediction block of ``_score_keys``, and a removal batch of m <=
+    pool keys predicts a block per fold no larger than that fold's slice
+    of ``columns``.  A key is full rank when s_min > eps * max(n_train, k)
+    * s_max, the cut-off a full-height ``lstsq`` on the complement would
+    use (n_train is the complement's row count, not R's): a bound
+    certifies it, else the SVD of ``R_f[:, key]`` decides, and a prefix
+    that fails a fold fails it for every key below.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
@@ -274,12 +285,12 @@ class _CvEvaluator:
         short = self.n_train < k
         self._short = np.where(short.any(axis=1), short.argmax(axis=1), n_folds)
         self._fold_ids = np.arange(n_folds)[:, None]
-        # a key's cells in one batch step: its held-out predictions or its Q
-        # and T^-1 on one fold (at most p x p each); _held_out_mape predicts
-        # batch keys per GEMM and _solve builds batch // folds keys at once,
-        # as a prefix holds Q and T^-1 on every fold
+        # a key's cells on one fold: its Q and T^-1 (at most p x p each) or
+        # its held-out predictions (at most the largest fold's rows).  A
+        # chunk of keys solved and predicted at once holds these on every
+        # fold, so _score_keys steps by chunk keys to stay near _BATCH_CELLS
         cells = max(int(np.diff(edges).max()), p**2)
-        self.batch = max(1, _BATCH_CELLS // cells)
+        self.chunk = max(1, _BATCH_CELLS // (cells * n_folds))
         # scores of the batch score_many is handing out, keyed by selection
         self._batch_scores: dict[tuple, float] = {}
 
@@ -374,9 +385,9 @@ class _CvEvaluator:
 
         Sorted lexicographically, the keys walk their prefix tree depth
         first, and equal keys are neighbours, scored once and sharing that
-        score.  The distinct keys are cut into chunks of
-        ``self.batch // folds``, so that the prefix states of a chunk stay
-        within a small multiple of _BATCH_CELLS.
+        score.  The distinct keys are solved and predicted ``self.chunk`` at
+        a time, which keeps both the prefix states of a chunk and its
+        prediction block within a small multiple of _BATCH_CELLS.
         """
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
@@ -385,9 +396,8 @@ class _CvEvaluator:
         keys = keys[new]
         total = np.zeros(len(keys))
         failed = np.empty(len(keys), dtype=np.intp)
-        chunk = max(1, self.batch // len(self.tests))
-        for lo in range(0, len(keys), chunk):
-            part = slice(lo, lo + chunk)
+        for lo in range(0, len(keys), self.chunk):
+            part = slice(lo, lo + self.chunk)
             betas, _, failed[part] = self._solve(keys[part])
             total[part] = self._held_out_mape(keys[part], betas, failed[part])
         back = (np.cumsum(new) - 1)[np.argsort(order)]  # each key's distinct key
@@ -439,9 +449,11 @@ class _CvEvaluator:
     def _held_out_mape(self, keys, betas, failed) -> np.ndarray:
         """Summed held-out MAPE over the folds of every key that fails none
         (0.0 for a key that fails one), from its per-fold ``betas``: per
-        fold, one GEMM per ``self.batch`` keys of their zero-padded rows
-        over the columns some key weights (over every pool column, a narrow
-        key's GEMM on 20k held-out rows was memory bound, twice as slow)."""
+        fold, one GEMM of their zero-padded rows over the columns some key
+        weights (over every pool column, a narrow key's GEMM on 20k
+        held-out rows was memory bound, twice as slow).  The caller bounds
+        the (keys x fold rows) block: ``_score_keys`` by its chunk,
+        ``_removal_scores`` by the pool width."""
         n_folds, p = len(self.tests), len(self.columns)
         live = np.flatnonzero(failed == n_folds)
         # column p takes the key padding
@@ -452,9 +464,7 @@ class _CvEvaluator:
         total = np.zeros(len(keys))
         for fold_rows, test in zip(rows, self.tests):
             x, y = self.columns[cols, test], self.columns[-1, test]
-            for lo in range(0, len(live), self.batch):
-                part = slice(lo, lo + self.batch)
-                total[live[part]] += mape_rows(y, fold_rows[part] @ x)
+            total[live] += mape_rows(y, fold_rows @ x)
         return total
 
     def _append(self, prefixes: _Prefixes, keys: np.ndarray) -> _Prefixes:

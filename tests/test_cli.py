@@ -585,6 +585,29 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "gen"])
+def test_json_with_a_duplicate_key_exits_2(tmp_path, capsys, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"true_model": {"kind": "pmc", "intercept_w": 1.0, "terms": []},'
+        ' "counter_ranges": {"A": [0, 10], "A": [0, 99]}, "n_samples": 5}'
+    )
+    if command == "gen":
+        argv = ["gen", "--spec", str(spec), "--out-prefix", str(tmp_path / "g")]
+        what, key = "gen spec", "A"
+    else:
+        model = tmp_path / "m.json"
+        model.write_text('{"kind": "pmc", "intercept_w": 1.0, "intercept_w": 2.0, "terms": []}')
+        ds_path = tmp_path / "d.csv"
+        pp.write_dataset(make_dataset(5, 1), ds_path)
+        argv = ["validate", "--model", str(model), "--dataset", str(ds_path)]
+        what, key = "model", "intercept_w"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"bad {what} JSON: duplicate key '{key}'" in err
+    assert not list(tmp_path.glob("g*"))
+
+
 def test_model_json_with_a_cast_value_exits_2(tmp_path, capsys):
     model_path = tmp_path / "m.json"
     model = {"kind": "pmc", "intercept_w": "1.5", "terms": []}

@@ -160,3 +160,26 @@ def test_bulk_reader_agrees_with_per_cell_reader(
         assert public[0] == strict[0], edit
         if strict[0] == "error":
             assert public[1] == strict[1], edit
+
+
+def test_bulk_reader_takes_any_header_the_format_allows(tmp_path):
+    # counter names with a space or a non-ASCII letter are read under the
+    # per-cell header rules, not sent to the per-cell reader whole; a
+    # comment line after the header still is
+    rng = np.random.default_rng(5)
+    names = ("L1 miss", "café", "C\x0c2")
+    n = 20
+    keys = np.cumsum(rng.integers(1, 2**40, size=n, dtype=np.uint64))
+    counts = rng.integers(0, 2**32, size=(n, 3), dtype=np.uint64)
+    pmc, ds = tmp_path / "pmc.csv", tmp_path / "ds.csv"
+    pp.write_counter_trace(pp.CounterTrace(keys, names, counts), pmc)
+    pp.write_dataset(
+        pp.Dataset(names, keys, ("r0",) * n, rng.uniform(1, 2, size=n), counts), ds
+    )
+    for path, fields_of in ((pmc, dataset._counter_fields), (ds, dataset._dataset_fields)):
+        raw = path.read_bytes()
+        bulk = dataset._read_bulk(raw, fields_of, path)
+        assert bulk is not None, path
+        assert _same_table(bulk, dataset._read_cells(raw, fields_of, path)), path
+        head, _, body = raw.partition(b"\n")
+        assert dataset._read_bulk(head + b"\n# note\n" + body, fields_of, path) is None

@@ -237,17 +237,17 @@ def test_scores_do_not_depend_on_the_batch(case, data):
     order = data.draw(st.permutations(range(len(subsets))))
     order += data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=len(order)))
     order = data.draw(st.permutations(order))
-    for batch in (fast.batch, data.draw(st.integers(1, 8))):
-        fast.batch = batch
+    for chunk in (fast.chunk, data.draw(st.integers(1, 8))):
+        fast.chunk = chunk
         check(order, fast.score_many([subsets[i] for i in order]))
 
 
 def test_equal_keys_in_one_batch_share_one_score():
     # a repeated subset and the subsets of a copied counter (C4 of C1) are
-    # one key, scored once, however the batch steps cut the batch.  Scored
-    # per listing in steps of two keys, {C1, C2, C3} would be predicted
-    # beside {C0} in one GEMM and alone in the next, which round
-    # differently on OpenBLAS (at batch 6-8 on this case)
+    # one key, scored once, however the chunks cut the batch.  Scored per
+    # listing in chunks of two keys, {C1, C2, C3} would be predicted beside
+    # {C0} in one GEMM and alone in the next, which round differently on
+    # OpenBLAS
     rng = np.random.default_rng(0)
     deltas = rng.integers(0, 2**20, size=(60, 5), dtype=np.uint64)
     deltas[:, 4] = deltas[:, 1]
@@ -255,10 +255,10 @@ def test_equal_keys_in_one_batch_share_one_score():
     power *= rng.uniform(0.99, 1.01, size=60)
     ds = _dataset(deltas, power, 6)
     fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
-    for batch, twin in itertools.product(range(1, 9), [(2, 3, 4), (3, 2, 1)]):
-        fast.batch = batch
+    for chunk, twin in itertools.product(range(1, 9), [(2, 3, 4), (3, 2, 1)]):
+        fast.chunk = chunk
         scores = fast.score_many([(0,), (1, 2, 3), twin])
-        assert scores[1] == scores[2], (batch, twin)
+        assert scores[1] == scores[2], (chunk, twin)
 
 
 def test_zero_guard_holds_through_every_search():
@@ -559,3 +559,44 @@ def test_exhaustive_memory_is_bounded_by_the_batch_cells():
         tracemalloc.stop()
     bookkeeping = keys.nbytes + 2 * np.dtype(np.intp).itemsize * len(keys)
     assert peak < bookkeeping + 4 * 8 * search._BATCH_CELLS
+
+
+def _wide_removal_case():
+    # 20 counters on 10 folds of 3,500 rows: a removal batch of m = 20
+    # keys predicts 20 x 3,500 cells per fold, more than _BATCH_CELLS
+    ds = make_dataset(35000, 20, seed=8, n_runs=10)
+    fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 10))
+    selected = list(range(20))
+    assert min(t.stop - t.start for t in fast.tests) > search._BATCH_CELLS // len(selected)
+    return fast, selected
+
+
+def test_a_removal_batch_is_one_gemm_per_fold(monkeypatch):
+    # a removal batch predicts all of its keys in one block per fold,
+    # however many held-out rows the fold holds
+    fast, selected = _wide_removal_case()
+    calls = []
+    mape_rows = search.mape_rows
+    monkeypatch.setattr(
+        search, "mape_rows", lambda y, y_hat: calls.append(y_hat.shape) or mape_rows(y, y_hat)
+    )
+    scores = fast.score_many(_removals(selected), selected)
+    assert np.all(np.isfinite(scores))
+    assert calls == [(len(selected), t.stop - t.start) for t in fast.tests]
+
+
+def test_a_removal_batch_holds_less_than_the_data():
+    # a removal batch's block on one fold (m <= pool keys by fold rows) is
+    # no larger than the fold's slice of the data; with the fold's gathered
+    # columns and the MAPE temporary beside it, the peak is about three
+    # such slices, below the evaluator's copy of all ten
+    fast, selected = _wide_removal_case()
+    trials = _removals(selected)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fast.score_many(trials, selected)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < fast.columns.nbytes

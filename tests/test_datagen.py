@@ -144,6 +144,22 @@ def test_spec_validation():
         spec_of(true_model=freq)
 
 
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        # a name is not cast, so 1 and "1" cannot collapse into one range
+        ({1: (0, 10), "1": (0, 20)}, "counter name must be str, got 1"),
+        # refused by the spec itself, before generate builds a trace
+        ({"TIME": (0, 10)}, "'TIME' is reserved for the sync key"),
+        ({"FREQ_MHZ": (0, 10)}, "'FREQ_MHZ' is reserved"),
+        ({"": (0, 10)}, "empty counter name"),
+    ],
+)
+def test_spec_counter_names_are_checked(ranges, message):
+    with pytest.raises(ValueError, match=message):
+        spec_of(counter_ranges={**TWO_RANGES, **ranges})
+
+
 def test_nonpositive_truth_is_an_error():
     bad = pp.PowerModel(intercept_w=-1.0, terms=(("CPU_OP", 1e-09),))
     with pytest.raises(pp.GenError, match="non-positive power"):

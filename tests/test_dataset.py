@@ -726,6 +726,32 @@ def test_json_readers_reject_nesting_too_deep_to_parse(tmp_path, what):
         _JSON_ARTIFACTS[what][1](path)
 
 
+@pytest.mark.parametrize(
+    "what, key",
+    [
+        ("model", "intercept_w"),
+        ("model", "cv_mape_pct"),  # in "training"
+        ("search report", "final_cv_mape_pct"),
+        ("search report", "intercept_w"),  # in "final_model"
+        ("gen spec", "noise_rel"),
+        ("gen spec", "intercept_w"),  # in "true_model"
+    ],
+)
+def test_json_readers_reject_a_duplicate_key(tmp_path, what, key):
+    # the parser would keep the last value; a repeated key, even with an
+    # equal value, is an error wherever it sits
+    write, read, _ = _JSON_ARTIFACTS[what]
+    path = tmp_path / "a.json"
+    write(path)
+    pattern = rb'( *"%s": [^,\n]+)(,?)\n' % key.encode()
+    data, n = re.subn(pattern, rb"\1,\n\1\2\n", path.read_bytes())
+    assert n == 1
+    path.write_bytes(data)
+    want = re.escape(f"{path}: bad {what} JSON: duplicate key '{key}'")
+    with pytest.raises(pp.FormatError, match=want):
+        read(path)
+
+
 def test_json_writer_refuses_non_finite_numbers(tmp_path):
     model = pp.PowerModel(
         intercept_w=1.5,

@@ -25,6 +25,27 @@ def test_search_compare_prints_one_row_per_algorithm():
     assert rows == list(pp.SEARCH_ALGORITHMS)
 
 
+@pytest.mark.parametrize(
+    "script, flags, message",
+    [
+        ("search_compare.py", ["--cases", "0"], "--cases must be >= 1"),
+        ("bench_pairs.py", ["--parent", str(ROOT), "--change", str(ROOT), "--seeds", "5-1"],
+         "empty seed range '5-1'"),
+    ],
+)
+def test_scripts_refuse_an_empty_run_as_a_usage_error(tmp_path, script, flags, message):
+    # a run over no cases or no seeds has nothing to summarise: a usage
+    # error, not a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(pp.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *flags],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert done.returncode == 2, done.stderr
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_bench_pairs_summarises_one_smoke_pair(tmp_path):
     # one pair with the same checkout on both sides: the summary has the
     # BENCH_*.json shape, one run per side and tied accuracy

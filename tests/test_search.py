@@ -85,6 +85,19 @@ def test_folds_must_be_an_integer(k):
         pp.cv_score(ds, ("C1",), k)
 
 
+@pytest.mark.parametrize("seed", [True, 2.5, "3", -1, None])
+@pytest.mark.parametrize("n_runs", [1, 5])
+def test_fold_seed_must_be_a_non_negative_integer(seed, n_runs):
+    # checked as SearchConfig checks fold_seed, before numpy sees it, and
+    # on row-block folds too, which do not use it
+    ds = make_dataset(20, 2, seed=0, n_runs=n_runs)
+    with pytest.raises(pp.SearchError, match="seed must be an integer >= 0"):
+        pp.kfold_split(ds, 4, seed)
+    with pytest.raises(pp.SearchError, match="seed must be an integer >= 0"):
+        pp.cv_score(ds, ("C1",), 4, seed)
+    assert len(pp.kfold_split(ds, 4, np.int64(3))) == 4
+
+
 def test_folds_take_a_numpy_integer():
     ds = make_dataset(20, 2, seed=0)
     assert len(pp.kfold_split(ds, np.int64(3))) == 3
