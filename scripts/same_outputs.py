@@ -16,6 +16,13 @@ datasets, models, reports, fit traces, predictions) and of each stage's
 stdout is compared; every artifact that differs, or exists on one side
 only, is listed.  Exit 0 when all match, 1 when any differs, 2 when a
 side fails to run.
+
+With ``--memory`` each child also traces its stages with tracemalloc, and
+one more line per workload gives both sides' largest traced peak for each
+stage kind (gen, sync, train, validate, predict), so a memory change shows
+which stage it moved.  A stage's peak counts what it allocates beyond what
+was live when it started.  Tracing makes a full-size run about 15x slower
+(2.6 -> 39 s for all three workloads on 2 cores), so it is not the default.
 """
 
 import argparse
@@ -26,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -40,16 +48,25 @@ def _digest(data: bytes) -> str:
 
 class _Recorder:
     """The ``stages`` object ``run_pass`` drives: runs each CLI stage and
-    keeps the sha256 of its stdout, numbered in run order."""
+    keeps the sha256 of its stdout, numbered in run order, and with
+    ``memory`` the largest tracemalloc peak of each stage kind."""
 
-    def __init__(self, cli_main):
+    def __init__(self, cli_main, memory: bool = False):
         self.cli_main = cli_main
+        self.memory = memory
         self.stdout: dict[str, str] = {}
+        self.peaks: dict[str, int] = {}
 
     def run(self, stage: str, argv: list[str], stdout=None) -> str:
         buf = io.StringIO()
+        if self.memory:
+            tracemalloc.start()
         with redirect_stdout(buf):
             rc = self.cli_main(argv)
+        if self.memory:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            self.peaks[stage] = max(peak, self.peaks.get(stage, 0))
         if rc != 0:
             raise SystemExit(f"stage {stage} exited {rc}: {argv}")
         name = f"stdout/{len(self.stdout):02d}-{stage}"
@@ -60,15 +77,17 @@ class _Recorder:
         return buf.getvalue()
 
 
-def run_side(workload: str, seed: int, size_name: str) -> dict[str, str]:
+def run_side(workload: str, seed: int, size_name: str, memory: bool = False) -> dict:
     """Gen plus one pass of ``workload`` in the current directory, with the
-    checkout's ``src/`` and ``perfbench/`` importable: artifact -> sha256."""
+    checkout's ``src/`` and ``perfbench/`` importable: ``{"artifacts":
+    artifact -> sha256, "peaks": stage kind -> traced peak bytes}``, the
+    peaks empty without ``memory``."""
     from pmcpower import cli
     from workloads import WORKLOADS, Layout, spec_dict
 
     w = WORKLOADS[workload]
     size = w.size(size_name == "smoke")
-    stages = _Recorder(cli.main)
+    stages = _Recorder(cli.main, memory)
     layout = Layout(Path("inputs"))
     layout.root.mkdir()
     for holdout in [False] + ([True] if size.holdout_runs else []):
@@ -79,10 +98,11 @@ def run_side(workload: str, seed: int, size_name: str) -> dict[str, str]:
     out.mkdir()
     w.run_pass(stages, layout, size, out)
     files = {str(p): _digest(p.read_bytes()) for p in sorted(Path().rglob("*")) if p.is_file()}
-    return {**files, **stages.stdout}
+    return {"artifacts": {**files, **stages.stdout}, "peaks": stages.peaks}
 
 
-def side_manifest(checkout: Path, workload: str, seed: int, size: str) -> dict[str, str]:
+def side_manifest(checkout: Path, workload: str, seed: int, size: str,
+                  memory: bool = False) -> dict:
     """``run_side`` in a child process of ``checkout``, in a fresh directory."""
     env = dict(os.environ, **BLAS_PINS)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -91,11 +111,12 @@ def side_manifest(checkout: Path, workload: str, seed: int, size: str) -> dict[s
     )
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
             "from same_outputs import run_side; "
-            "print(json.dumps(run_side(sys.argv[2], int(sys.argv[3]), sys.argv[4])))")
+            "print(json.dumps(run_side(sys.argv[2], int(sys.argv[3]), sys.argv[4], "
+            "sys.argv[5] == '1')))")
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as work:
         proc = subprocess.run(
             [sys.executable, "-c", code, str(Path(__file__).resolve().parent),
-             workload, str(seed), size],
+             workload, str(seed), size, str(int(memory))],
             cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     if proc.returncode != 0:
@@ -108,6 +129,15 @@ def differing(parent: dict[str, str], change: dict[str, str]) -> list[str]:
     return sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
 
 
+def peak_line(workload: str, parent: dict[str, int], change: dict[str, int]) -> str:
+    """Both sides' largest traced peak per stage kind, in MB."""
+    cells = [
+        f"{stage} {parent[stage] / 1e6:.2f} -> {change[stage] / 1e6:.2f}"
+        for stage in parent if stage in change
+    ]
+    return f"{workload}: traced peak MB, parent -> change: {', '.join(cells)}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -115,6 +145,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default="apply,select,oracle")
     ap.add_argument("--seed", type=int, default=7919)
     ap.add_argument("--size", choices=("full", "smoke"), default="full")
+    ap.add_argument("--memory", action="store_true",
+                    help="also print each stage kind's traced peak on both sides")
     args = ap.parse_args(argv)
     if args.seed < 0:
         ap.error("--seed must be >= 0")
@@ -122,16 +154,19 @@ def main(argv=None) -> int:
     for workload in args.workloads.split(","):
         try:
             parent, change = [side_manifest(getattr(args, side).resolve(), workload,
-                                            args.seed, args.size) for side in SIDES]
+                                            args.seed, args.size, args.memory)
+                              for side in SIDES]
         except SystemExit as exc:
             print(exc, file=sys.stderr)
             return 2
-        diff = differing(parent, change)
+        diff = differing(parent["artifacts"], change["artifacts"])
         failed = failed or bool(diff)
         for name in diff:
             print(f"{workload}: {name} differs")
-        print(f"{workload}: {len(parent.keys() | change.keys()) - len(diff)} of "
-              f"{len(parent.keys() | change.keys())} artifacts byte-identical")
+        names = parent["artifacts"].keys() | change["artifacts"].keys()
+        print(f"{workload}: {len(names) - len(diff)} of {len(names)} artifacts byte-identical")
+        if args.memory:
+            print(peak_line(workload, parent["peaks"], change["peaks"]))
     return 1 if failed else 0
 
 

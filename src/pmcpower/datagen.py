@@ -201,7 +201,7 @@ def generate(spec: GenSpec) -> GenResult:
     # true power over ALL rows in one pass, through predict_dataset's own
     # expression, so the true model scores exactly 0% MAPE on the
     # noiseless dataset
-    all_deltas = np.concatenate(merged, axis=0).astype(np.uint64)
+    all_deltas = np.concatenate(merged, axis=0).astype(np.uint32)
     truth = linear_power(spec.true_model, counters, all_deltas)
     if np.any(truth <= 0):
         raise GenError(

@@ -28,17 +28,21 @@ sign, padding, fraction or exponent); float cells are what ``float()``
 reads without padding, ``_``, a leading ``+`` or non-ASCII characters, and
 must be finite and > 0.
 
-Reading takes one of two paths over one read of the file's bytes.  The bulk
-path reads the header under the per-cell rules, checks the body cheaply
-(printable ASCII without space or ``+``, no blank or comment line) and
-parses it with numpy a block at a time.  Any file it does not take, or
-whose values fail a check, is read again cell by cell from the same bytes;
-that path is the reference and the only one that reports where a body
-error is.  So a comment line after the header, which the format allows,
-costs a file the bulk path: 18,000 rows x 16 counters read about 5x
-slower.  Writers format a whole block of rows with one printf-style ``%``
-call: ``%s`` for run ids and integers, ``%r`` for floats, which read back
-exactly, and ``%.6g`` (``regress.WATTS_SPEC``) for display watts.
+Reading takes one of two paths.  The bulk path streams the file twice and
+holds one block of it at a time: the first pass reads the header under the
+per-cell rules, checks the body cheaply (printable ASCII without space or
+``+``) and counts its rows; the second parses the body with numpy a block
+at a time, straight into each field's storage dtype.  Counts and deltas
+are stored as uint32, TIME keys as uint64.  A file that cannot seek, such
+as a pipe, is read into memory once.  Any file the bulk path does not take
+(a blank or comment line in the body, say), or whose values fail a check,
+is read again cell by cell from its start; that path is the reference and
+the only one that reports where a body error is.  So a comment line after
+the header, which the format allows, costs a file the bulk path: 18,000
+rows x 16 counters read about 5x slower.  Writers format a whole block of
+rows with one printf-style ``%`` call: ``%s`` for run ids and integers,
+``%r`` for floats, which read back exactly, and ``%.6g``
+(``regress.WATTS_SPEC``) for display watts.
 
 JSON artifacts (model, search report, gen spec) are written and read by
 ``write_json`` / ``read_json`` alone: indent 2, a final LF, and never a
@@ -112,6 +116,10 @@ def check_counter_names(counters: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
+# each kind's storage dtype, unless a field names its own
+_DTYPES = {"text": object, "uint": np.uint64, "float": np.float64}
+
+
 @dataclass(frozen=True)
 class _Field:
     """The rules for one column, or for ``shape[0]`` adjacent CSV columns.
@@ -120,7 +128,7 @@ class _Field:
     ``[0, bound)`` and "float" a finite number > 0.  ``what`` names the
     column in error messages; an ``increasing`` column must strictly
     increase down the file.  A field reads as an array of shape
-    ``(rows,) + shape``, or a tuple for text.
+    ``(rows,) + shape`` and storage ``dtype``, or a tuple for text.
     """
 
     what: str
@@ -128,14 +136,19 @@ class _Field:
     bound: int = 0
     shape: tuple[int, ...] = ()
     increasing: bool = False
+    dtype: type | None = None  # None: the kind's, from _DTYPES
+
+    def __post_init__(self):
+        if self.dtype is None:
+            object.__setattr__(self, "dtype", _DTYPES[self.kind])
 
     @property
     def width(self) -> int:
         return self.shape[0] if self.shape else 1
 
-    def check(self, values, shape: tuple[int, ...], dtype=None) -> np.ndarray:
-        """``values`` as an array of ``dtype`` (default: the kind's), once
-        it has ``shape`` and every value keeps this field's rules.
+    def check(self, values, shape: tuple[int, ...]) -> np.ndarray:
+        """``values`` as an array of this field's dtype, once it has
+        ``shape`` and every value keeps this field's rules.
 
         A uint field takes only an integer dtype, so a float, however
         whole, is refused rather than cast.  An empty array passes.
@@ -159,16 +172,14 @@ class _Field:
             )
         elif self.increasing and np.any(values[1:] <= values[:-1]):
             raise ValueError(f"{self.what} not strictly increasing")
-        return values.astype(dtype or _DTYPES[self.kind], copy=False)
+        return values.astype(self.dtype, copy=False)
 
-
-_DTYPES = {"text": object, "uint": np.uint64, "float": np.float64}
 
 _RUN = _Field("RUN", "text")
 _TIME = _Field(TIME_KEY, "uint", TIME_MODULUS, increasing=True)
 _END_TIME = _Field(TIME_KEY, "uint", TIME_MODULUS)  # concatenated runs may repeat keys
-_COUNTS = _Field("counter", "uint", COUNTER_MODULUS)
-_DELTAS = _Field("delta", "uint", COUNTER_MODULUS)
+_COUNTS = _Field("counter", "uint", COUNTER_MODULUS, dtype=np.uint32)
+_DELTAS = _Field("delta", "uint", COUNTER_MODULUS, dtype=np.uint32)
 _POWER = _Field("power", "float")
 _FREQ = _Field("frequency", "float")
 
@@ -192,9 +203,7 @@ class CounterTrace:
         n = len(self.time_keys)
         object.__setattr__(self, "time_keys", _TIME.check(self.time_keys, (n,)))
         object.__setattr__(self, "counters", names)
-        object.__setattr__(
-            self, "values", _COUNTS.check(self.values, (n, len(names)), np.uint32)
-        )
+        object.__setattr__(self, "values", _COUNTS.check(self.values, (n, len(names))))
 
     def __len__(self) -> int:
         return len(self.time_keys)
@@ -263,7 +272,7 @@ class Dataset:
     time_keys: np.ndarray  # uint64, end-of-interval keys
     run_ids: tuple[str, ...]
     power_w: np.ndarray  # float64, > 0
-    deltas: np.ndarray  # uint64, shape (n_rows, len(counters)), < 2^32
+    deltas: np.ndarray  # uint32, shape (n_rows, len(counters))
     freq_mhz: np.ndarray | None = None
     source: str = field(default="", compare=False)
 
@@ -392,80 +401,105 @@ def _read_table(path, fields_of) -> tuple[list[str], list]:
     """(header, one array per field) of a CSV file.
 
     ``fields_of(header, path)`` checks the header and returns its fields.
+    A file that cannot seek, such as a pipe, is read into memory once.
     """
-    data = Path(path).read_bytes()
-    return _read_bulk(data, fields_of, path) or _read_cells(data, fields_of, path)
+    with open(path, "rb") as f:
+        stream = f if f.seekable() else io.BytesIO(f.read())
+        table = _read_bulk(stream, fields_of, path)
+        if table is None:
+            stream.seek(0)
+            table = _read_cells(stream.read(), fields_of, path)
+    return table
 
 
-def _read_bulk(data: bytes, fields_of, path) -> tuple[list[str], list] | None:
+def _blocks(stream):
+    """The rest of ``stream`` in blocks of ``_PARSE_BLOCK_BYTES``, each
+    extended to the end of the line it stops in."""
+    while block := stream.read(_PARSE_BLOCK_BYTES):
+        yield block if block.endswith(b"\n") else block + stream.readline()
+
+
+def _read_bulk(stream, fields_of, path) -> tuple[list[str], list] | None:
     """``_read_cells``' result for a well-formed file, parsed by numpy.
 
-    The header is read under the per-cell rules (UTF-8, no CR, not blank,
-    split on ``,``), so any counter name the format allows takes this path.
-    Returns None where the per-cell reader has to decide: a header that is
-    not UTF-8, a byte outside ``_BULK_BYTES`` in the body, a blank line, a
-    comment after the header, a cell numpy does not parse or a value that
-    fails a check.  Raises only the header errors ``_read_cells`` raises.
+    ``stream`` is a seekable binary file, read from its start in two passes
+    of ``_PARSE_BLOCK_BYTES`` blocks.  The first checks the body's bytes
+    and counts its rows; the second parses each block into the
+    preallocated columns, and stores each distinct text cell as one shared
+    ``str``.  The header is read under the per-cell rules (UTF-8, no CR,
+    not blank, split on ``,``), so any counter name the format allows takes
+    this path.  Returns None where the per-cell reader has to decide: a
+    header that is not UTF-8, a byte outside ``_BULK_BYTES`` in the body, a
+    blank line, a comment after the header, a cell numpy does not parse or
+    a value that fails a check.  Raises only the header errors
+    ``_read_cells`` raises, and only once the body's bytes have passed, as
+    that reader first rejects a body that is not UTF-8.
 
     loadtxt skips blank lines, so one shows as fewer rows than lines.  A
     comment line in the body either fails to parse or puts a ``#`` at the
     start of the text RUN column.
     """
-    start = 0
-    while data.startswith(b"#", start):
-        start = data.find(b"\n", start) + 1
-        if start == 0:
+    lineno = 1
+    line = stream.readline()
+    while line.startswith(b"#"):
+        if not line.endswith(b"\n"):
             return None
-    rest = data[start:]  # no copy when the file has no leading comment
-    head_end = rest.find(b"\n")
-    if head_end < 0:
-        head_end = len(rest)
-    # any byte outside _BULK_BYTES must be in the header
-    outside = len(rest.translate(None, _BULK_BYTES))
-    if not rest or outside > len(rest[:head_end].translate(None, _BULK_BYTES)):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        lineno += 1
+        line = stream.readline()
+    if not line:
         return None
     try:
-        data[:start].decode("utf-8")
-        head = rest[:head_end].decode("utf-8")
+        head = line.removesuffix(b"\n").decode("utf-8")
     except UnicodeDecodeError:
         return None
-    header = _split_row(head, None, path, data.count(b"\n", 0, start) + 1)
+    body = stream.tell()
+    n_rows, last = 0, b"\n"
+    for block in iter(lambda: stream.read(_PARSE_BLOCK_BYTES), b""):
+        if block.translate(None, _BULK_BYTES):
+            return None
+        n_rows += block.count(b"\n")
+        last = block[-1:]
+    n_rows += last != b"\n"  # the last line has no LF
+    header = _split_row(head, None, path, lineno)
     fields = fields_of(header, path)
-    pos = head_end + 1
-    n_rows = rest.count(b"\n", pos)
-    if pos < len(rest) and not rest.endswith(b"\n"):
-        n_rows += 1  # the last line has no LF
+
     names = [str(i) for i in range(len(fields))]
-    dtype = np.dtype([(n, _DTYPES[f.kind], f.shape) for n, f in zip(names, fields)])
-    cols = [np.empty((n_rows,) + f.shape, dtype=_DTYPES[f.kind]) for f in fields]
+    dtype = np.dtype([(n, f.dtype, f.shape) for n, f in zip(names, fields)])
+    cols = [np.empty((n_rows,) + f.shape, dtype=f.dtype) for f in fields]
+    shared: dict[str, str] = {}  # one str per distinct text cell
     row = 0
-    while pos < len(rest):
-        if rest.startswith(b"\n", pos):
+    stream.seek(body)
+    for block in _blocks(stream):
+        if block.startswith(b"\n"):
             return None  # a blank line; a block of them alone makes loadtxt warn
-        # a block ends at the first LF past the block size, or at the end
-        end = rest.find(b"\n", pos + _PARSE_BLOCK_BYTES) + 1 or len(rest)
         try:
-            block = np.loadtxt(
-                io.StringIO(rest[pos:end].decode("ascii")),
+            parsed = np.loadtxt(
+                io.BytesIO(block),
                 dtype=dtype,
                 delimiter=",",
                 comments=None,
                 ndmin=1,
             )
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: older numpy
             return None
-        for name, col in zip(names, cols):
-            col[row : row + len(block)] = block[name]
-        row += len(block)
-        pos = end
-    if row < n_rows:
+        if len(parsed) > n_rows - row:
+            return None  # the file grew since the first pass
+        for name, f, col in zip(names, fields, cols):
+            cells = parsed[name]
+            if f.kind == "text":
+                cells = list(map(shared.setdefault, cells, cells))
+            col[row : row + len(parsed)] = cells
+        row += len(parsed)
+    if row < n_rows or any(v.startswith("#") for v in shared):
         return None
 
     for i, (f, col) in enumerate(zip(fields, cols)):
         if f.kind == "text":
-            cols[i] = tuple(col.tolist())
-            if any(v.startswith("#") for v in set(cols[i])):
-                return None
+            cols[i] = tuple(col)
         else:
             try:
                 f.check(col, col.shape)
@@ -517,7 +551,7 @@ def _read_cells(data: bytes, fields_of, path) -> tuple[list[str], list]:
         if f.kind == "text":
             cols.append(tuple(values[j]))
         else:
-            block = np.array(values[j : j + f.width], dtype=_DTYPES[f.kind])
+            block = np.array(values[j : j + f.width], dtype=f.dtype)
             block = block.reshape(f.width, n_rows).T
             cols.append(np.ascontiguousarray(block) if f.shape else block[:, 0])
         j += f.width
@@ -694,7 +728,8 @@ def concat_datasets(datasets: Sequence[Dataset], source: str = "") -> Dataset:
             raise ValueError("frequency channel present in some datasets only")
     run_ids: list[str] = []
     for i, ds in enumerate(datasets):
-        run_ids += [f"d{i}:{r}" for r in ds.run_ids]
+        labels = {r: f"d{i}:{r}" for r in set(ds.run_ids)}  # one str per run
+        run_ids += map(labels.__getitem__, ds.run_ids)
     return Dataset(
         counters=head.counters,
         time_keys=np.concatenate([ds.time_keys for ds in datasets]),

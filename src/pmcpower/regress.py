@@ -276,7 +276,7 @@ def _check_columns(model: PowerModel, counters, has_freq: bool, where: str) -> N
 def predict(model: PowerModel, row: SampleRow) -> float:
     """``predict_dataset``'s expression on one sample row."""
     _check_columns(model, row.counters, row.freq_mhz is not None, "row")
-    deltas = np.array(row.deltas, dtype=np.uint64)[None, :]
+    deltas = np.array([row.deltas])
     freq = None if row.freq_mhz is None else np.array([row.freq_mhz])
     return float(linear_power(model, row.counters, deltas, freq)[0])
 

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (
-    COUNTER_MODULUS, TIME_MODULUS, CounterTrace, Dataset, PowerTrace, is_integer
+    TIME_MODULUS, CounterTrace, Dataset, PowerTrace, is_integer
 )
 from .errors import SyncError
 
 log = logging.getLogger(__name__)
+
+_BLOCK_ROWS = 4096  # matched readings gathered at a time to form deltas
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,12 @@ def synchronize(
             "dropped unmatched keys: %d PMC, %d power", dropped[0], dropped[1]
         )
 
-    vals = pmc.values[pmc_idx].astype(np.int64)
-    deltas = ((vals[1:] - vals[:-1]) % COUNTER_MODULUS).astype(np.uint64)
+    # uint32 arithmetic wraps mod 2^32: the wrap-corrected difference.  The
+    # readings are gathered a block at a time, so only the deltas are full size
+    deltas = np.empty((len(pmc_idx) - 1, len(pmc.counters)), dtype=np.uint32)
+    for lo in range(0, len(deltas), _BLOCK_ROWS):
+        vals = pmc.values[pmc_idx[lo : lo + _BLOCK_ROWS + 1]]
+        np.subtract(vals[1:], vals[:-1], out=deltas[lo : lo + _BLOCK_ROWS])
     return Dataset(
         counters=pmc.counters,
         time_keys=pmc.time_keys[pmc_idx[1:]],

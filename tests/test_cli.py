@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import logging
+import os
+import threading
 
 import numpy as np
 import pytest
 
 import pmcpower as pp
+from pmcpower import dataset
 from pmcpower.cli import main
 
 from conftest import make_dataset, twin_pairs_dataset
@@ -541,6 +544,77 @@ def test_power_below_the_zero_guard_names_its_time_key(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert f"{path}: power 1e-10 W below the MAPE zero-guard (1e-09 W) " in err
     assert f"at TIME={time_key} in run {run!r}" in err
+
+
+def _feed(fifo, data: bytes) -> threading.Thread:
+    """A thread that writes ``data`` into the FIFO once a reader opens it."""
+
+    def write():
+        try:
+            with open(fifo, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    return thread
+
+
+def _sync_files(directory, capsys) -> tuple[int, str, bytes | None]:
+    """(exit code, stderr, dataset bytes) of ``sync`` on the trace pair in
+    ``directory``, which may be FIFOs, with the directory taken out of
+    stderr."""
+    out = directory.parent / f"{directory.name}.csv"
+    code = main(["sync", "--pmc", str(directory / "s_r0_pmc.csv"),
+                 "--power", str(directory / "s_r0_power.csv"), "--out", str(out)])
+    err = capsys.readouterr().err.replace(str(directory), "<dir>")
+    return code, err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+@pytest.mark.parametrize("edit", ["none", "comment after the header", "bad power cell"])
+def test_sync_reads_traces_through_pipes(tmp_path, capsys, monkeypatch, edit):
+    """A pipe, such as ``--pmc <(zcat f)``, cannot seek: it is read once,
+    and both the bulk path and the per-cell path it falls back to read the
+    same bytes as from a file.  Small parse blocks make the bulk path read
+    several."""
+    monkeypatch.setattr(dataset, "_PARSE_BLOCK_BYTES", 64)
+    spec = dataclasses.replace(TWO_PLUS_JUNK, n_runs=1)
+    gen_files(tmp_path, spec, "s")
+    plain, piped = tmp_path / "plain", tmp_path / "piped"
+    plain.mkdir()
+    piped.mkdir()
+    for kind in ("pmc", "power"):
+        text = (tmp_path / f"s_r0_{kind}.csv").read_bytes()
+        head, body = text.split(b"\n", 1)
+        if edit == "comment after the header" and kind == "pmc":
+            text = head + b"\n# resumed\n" + body
+        if edit == "bad power cell" and kind == "power":
+            lines = text.split(b"\n")
+            lines[3] = lines[3].split(b",")[0] + b",oops"
+            text = b"\n".join(lines)
+        (plain / f"s_r0_{kind}.csv").write_bytes(text)
+    capsys.readouterr()
+    want = _sync_files(plain, capsys)
+
+    writers = []
+    for path in sorted(plain.iterdir()):
+        os.mkfifo(piped / path.name)
+        writers.append((piped / path.name, _feed(piped / path.name, path.read_bytes())))
+    got = _sync_files(piped, capsys)
+    for fifo, thread in writers:
+        if thread.is_alive():  # a reader that never opened this FIFO
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        thread.join(10)
+        assert not thread.is_alive()
+
+    assert got == want
+    if edit == "bad power cell":
+        assert want[0] == 2 and "<dir>/s_r0_power.csv: " in want[1]
+        assert want[1].rstrip().endswith("at line 4")
+    else:
+        assert want[0] == 0 and want[2]
 
 
 def test_bad_csv_reports_line_number(tmp_path, capsys):

@@ -7,6 +7,8 @@ with the same values; wherever the per-cell reader rejects, the public
 reader must raise its exact error, line number included.
 """
 
+import io
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,13 +145,13 @@ def test_bulk_reader_agrees_with_per_cell_reader(
     _write(kind, np.random.default_rng(seed), n, p, with_freq, path)
     valid = path.read_bytes()
     # a file as the writers produce it takes the bulk path
-    assert dataset._read_bulk(valid, fields_of, path) is not None
+    assert dataset._read_bulk(io.BytesIO(valid), fields_of, path) is not None
 
     for edit in EDITS:
         path.write_bytes(_mutate(valid, edit, data.draw))
         raw = path.read_bytes()
         strict = _outcome(lambda: dataset._read_cells(raw, fields_of, path))
-        bulk = _outcome(lambda: dataset._read_bulk(raw, fields_of, path))
+        bulk = _outcome(lambda: dataset._read_bulk(io.BytesIO(raw), fields_of, path))
 
         if bulk[0] == "error":  # only the header errors both readers raise
             assert bulk == strict, edit
@@ -178,8 +180,8 @@ def test_bulk_reader_takes_any_header_the_format_allows(tmp_path):
     )
     for path, fields_of in ((pmc, dataset._counter_fields), (ds, dataset._dataset_fields)):
         raw = path.read_bytes()
-        bulk = dataset._read_bulk(raw, fields_of, path)
+        bulk = dataset._read_bulk(io.BytesIO(raw), fields_of, path)
         assert bulk is not None, path
         assert _same_table(bulk, dataset._read_cells(raw, fields_of, path)), path
         head, _, body = raw.partition(b"\n")
-        assert dataset._read_bulk(head + b"\n# note\n" + body, fields_of, path) is None
+        assert dataset._read_bulk(io.BytesIO(head + b"\n# note\n" + body), fields_of, path) is None

@@ -2,6 +2,7 @@
 
 import io
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -485,6 +486,71 @@ def test_csv_io_memory_is_bounded_by_file_size(tmp_path):
     assert read_peak < 5 * size
 
 
+def _result_bytes(result) -> int:
+    """The bytes a trace or dataset holds in its arrays and, for a dataset,
+    its run id tuple."""
+    arrays = sum(v.nbytes for v in vars(result).values() if isinstance(v, np.ndarray))
+    return arrays + sys.getsizeof(getattr(result, "run_ids", ()))
+
+
+@pytest.mark.parametrize("n", [100_000, 400_000])
+def test_reading_holds_a_few_blocks_beyond_its_result(tmp_path, n):
+    """The bulk reader streams a file in two passes and parses each block
+    straight into the result's dtypes, so a read's traced peak beyond what
+    it returns stays a few parse blocks at any size.  Holding the file's
+    bytes, or parsing counts into uint64 first, grows with the file.  A
+    dataset's RUN tuple is built from a column of pointers to one shared
+    str per run, which adds one pointer per row while the tuple is made;
+    a str per row would add about 50 bytes."""
+    rng = np.random.default_rng(n)
+    names = ("A", "B", "C", "D")
+    keys = np.arange(1, n + 1, dtype=np.uint64) * 1000
+    counts = rng.integers(0, 2**32, size=(n, 4), dtype=np.uint32)
+    pmc, ds = tmp_path / "pmc.csv", tmp_path / "ds.csv"
+    pp.write_counter_trace(pp.CounterTrace(keys, names, counts), pmc)
+    runs = tuple(f"r{i * 10 // n}" for i in range(n))
+    pp.write_dataset(pp.Dataset(names, keys, runs, rng.uniform(1, 5, n), counts), ds)
+    del runs
+    block = dataset._PARSE_BLOCK_BYTES
+    for read, path, per_row in ((pp.read_counter_trace, pmc, 0), (pp.read_dataset, ds, 8)):
+        tracemalloc.start()
+        try:
+            result = read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(result.time_keys, keys), path
+        extra = peak - _result_bytes(result)
+        assert extra < 8 * block + per_row * n, (path, extra / block)
+        del result
+
+
+@pytest.mark.parametrize(
+    "header, row, read",
+    [
+        ("TIME,A", "{t},{v}", pp.read_counter_trace),
+        ("RUN,TIME,POWER_W,A", "r0,{t},1.5,{v}", pp.read_dataset),
+    ],
+)
+def test_bulk_reader_takes_32_bit_counts_up_to_their_bound(tmp_path, header, row, read):
+    """Counts and deltas parse straight into uint32: 2^32 - 1 stays on the
+    bulk path, and 2^32, which does not fit, goes to the per-cell reader,
+    which names its line."""
+    fields_of = dataset._counter_fields if header[0] == "T" else dataset._dataset_fields
+    path = tmp_path / "t.csv"
+    top = 2**32 - 1
+    lines = [header] + [row.format(t=t, v=v) for t, v in ((1, 0), (2, top), (3, 7))]
+    raw = "\n".join(lines).encode() + b"\n"
+    _, cols = dataset._read_bulk(io.BytesIO(raw), fields_of, path)
+    assert cols[-1].dtype == np.uint32
+    assert cols[-1][:, 0].tolist() == [0, top, 7]
+    bad = raw.replace(str(top).encode(), str(2**32).encode())
+    assert dataset._read_bulk(io.BytesIO(bad), fields_of, path) is None
+    path.write_bytes(bad)
+    with pytest.raises(pp.FormatError, match=f"value {2**32} out of range at line 3$"):
+        read(path)
+
+
 # one formatter per cell: what write_columns' block-wide printf must equal
 _CELL_FORMATS = {
     "%s": str,
@@ -578,7 +644,7 @@ def test_body_comment_line_goes_to_the_per_cell_reader(tmp_path):
         io.BytesIO(comment), dtype=dtype, delimiter=",", comments=None, ndmin=1
     )
     assert parsed["0"].tolist() == ["#r0"]
-    assert dataset._read_bulk(data, dataset._dataset_fields, path) is None
+    assert dataset._read_bulk(io.BytesIO(data), dataset._dataset_fields, path) is None
     path.write_bytes(data)
     assert pp.read_dataset(path) == ds
 
@@ -600,7 +666,7 @@ def test_blank_line_goes_to_the_per_cell_reader(
     blank = text.split("\n").index("", 1) + 1
     path = tmp_path / "t.csv"
     path.write_text(text)
-    assert dataset._read_bulk(text.encode(), dataset._counter_fields, path) is None
+    assert dataset._read_bulk(io.BytesIO(text.encode()), dataset._counter_fields, path) is None
     with pytest.raises(pp.FormatError, match=f"empty line at line {blank}$"):
         pp.read_counter_trace(path)
 
@@ -618,6 +684,11 @@ def test_concat_prefixes_run_ids():
     assert merged.run_ids[0].startswith("d0:")
     assert merged.run_ids[-1].startswith("d1:")
     assert len(set(merged.run_ids)) == 3
+    assert merged.run_ids == tuple(
+        f"d{i}:{r}" for i, ds in enumerate((a, b)) for r in ds.run_ids
+    )
+    # one label object per (dataset, run), shared by that run's rows
+    assert len({id(r) for r in merged.run_ids}) == 3
 
 
 def test_concat_header_mismatch_rejected():

@@ -128,6 +128,22 @@ def test_same_outputs_finds_one_checkout_identical_to_itself():
     assert all(line.endswith("artifacts byte-identical") for line in lines)
 
 
+def test_same_outputs_memory_gives_each_stage_kinds_traced_peak():
+    done = _same_outputs(ROOT, ROOT, "--workloads", "apply,select", "--memory")
+    assert done.returncode == 0, done.stderr
+    peaks = [line for line in done.stdout.splitlines() if "traced peak MB" in line]
+    assert len(peaks) == 2
+    for line, name, kinds in zip(peaks, ("apply", "select"),
+                                 (["gen", "sync", "validate", "predict"],
+                                  ["gen", "sync", "train", "validate"])):
+        workload, cells = line.split(": traced peak MB, parent -> change: ")
+        assert workload == name
+        stages = [cell.split() for cell in cells.split(", ")]
+        assert [stage[0] for stage in stages] == kinds
+        for _, parent, arrow, change in stages:
+            assert arrow == "->" and float(parent) > 0 and float(change) > 0
+
+
 def test_same_outputs_lists_what_a_changed_watt_format_writes(tmp_path):
     # display watts with 5 significant digits instead of 6: the fit traces
     # and predictions differ, the synced datasets (repr floats) do not

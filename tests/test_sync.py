@@ -1,5 +1,7 @@
 """Trace synchronisation against a brute-force reference join."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,51 @@ def test_synchronized_rows_match_reference(rng):
             assert int(ds.time_keys[i]) == time
             assert float(ds.power_w[i]) == watts
             assert tuple(int(d) for d in ds.deltas[i]) == drow
+
+
+# readings at and next to the wrap, plus any 32-bit value
+_READING = st.sampled_from([0, 1, 2**31, 2**32 - 2, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.lists(_READING, min_size=3, max_size=3), min_size=2, max_size=30),
+    data=st.data(),
+)
+def test_uint32_deltas_equal_the_int64_difference_mod_2_32(rows, data):
+    """Deltas are one uint32 subtraction of the matched readings; it must
+    equal the wrap-corrected difference taken in int64, also where
+    unmatched power samples merge intervals."""
+    n = len(rows)
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    keep[0] = keep[-1] = True
+    keys = np.arange(1, n + 1) * 10
+    pmc = ct(keys, rows, counters=("A", "B", "C"))
+    pwr = pt(keys[keep], [1.0] * sum(keep))
+    ds = pp.synchronize(pmc, pwr)
+    matched = np.array(rows, dtype=np.int64)[keep]
+    assert ds.deltas.dtype == np.uint32
+    assert ds.deltas.tolist() == ((matched[1:] - matched[:-1]) % 2**32).tolist()
+
+
+@pytest.mark.parametrize("n", [50_000, 200_000])
+def test_synchronize_holds_under_two_counter_matrices(n):
+    """The uint32 deltas are the only full-size array synchronize makes:
+    it gathers the matched readings a block at a time.  Gathering them all
+    at once adds a matrix, and an int64 or uint64 detour about four."""
+    rng = np.random.default_rng(n)
+    keys = np.arange(1, n + 1, dtype=np.uint64) * 100
+    values = rng.integers(0, 2**32, size=(n, 16), dtype=np.uint32)
+    pmc = ct(keys, values, counters=tuple(f"C{i}" for i in range(16)))
+    pwr = pt(keys, rng.uniform(1, 2, n))
+    tracemalloc.start()
+    try:
+        ds = pp.synchronize(pmc, pwr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_rows == n - 1
+    assert peak <= 2 * pmc.values.nbytes, peak / pmc.values.nbytes
 
 
 @pytest.mark.parametrize("tol", [2.5, 2.0, True, "2", -1, 2**64])
