@@ -14,8 +14,11 @@ directories of the same layout with relative paths, so paths printed or
 stored match.  The sha256 of every file written (gen files, synced
 datasets, models, reports, fit traces, predictions) and of each stage's
 stdout is compared; every artifact that differs, or exists on one side
-only, is listed.  Exit 0 when all match, 1 when any differs, 2 when a
-side fails to run.
+only, is listed.  A JSON artifact (model, report) that differs on both
+sides gets one more line: how many of its leaves differ, whether every
+one of them is a float on both sides, and the largest relative gap
+between such floats, so a change that only moves rounding shows as such.
+Exit 0 when all match, 1 when any differs, 2 when a side fails to run.
 
 With ``--memory`` each child also traces its stages with tracemalloc, and
 one more line per workload gives both sides' largest traced peak for each
@@ -40,6 +43,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 BLAS_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 TIMEOUT_S = 600
+_MISSING = object()  # a JSON key that one side lacks
 
 
 def _digest(data: bytes) -> str:
@@ -80,8 +84,8 @@ class _Recorder:
 def run_side(workload: str, seed: int, size_name: str, memory: bool = False) -> dict:
     """Gen plus one pass of ``workload`` in the current directory, with the
     checkout's ``src/`` and ``perfbench/`` importable: ``{"artifacts":
-    artifact -> sha256, "peaks": stage kind -> traced peak bytes}``, the
-    peaks empty without ``memory``."""
+    artifact -> sha256, "json": JSON artifact -> its value, "peaks": stage
+    kind -> traced peak bytes}``, the peaks empty without ``memory``."""
     from pmcpower import cli
     from workloads import WORKLOADS, Layout, spec_dict
 
@@ -97,8 +101,10 @@ def run_side(workload: str, seed: int, size_name: str, memory: bool = False) -> 
     out = Path("pass")
     out.mkdir()
     w.run_pass(stages, layout, size, out)
-    files = {str(p): _digest(p.read_bytes()) for p in sorted(Path().rglob("*")) if p.is_file()}
-    return {"artifacts": {**files, **stages.stdout}, "peaks": stages.peaks}
+    paths = [p for p in sorted(Path().rglob("*")) if p.is_file()]
+    files = {str(p): _digest(p.read_bytes()) for p in paths}
+    values = {str(p): json.loads(p.read_bytes()) for p in paths if p.suffix == ".json"}
+    return {"artifacts": {**files, **stages.stdout}, "json": values, "peaks": stages.peaks}
 
 
 def side_manifest(checkout: Path, workload: str, seed: int, size: str,
@@ -127,6 +133,33 @@ def side_manifest(checkout: Path, workload: str, seed: int, size: str,
 def differing(parent: dict[str, str], change: dict[str, str]) -> list[str]:
     """Artifacts whose hashes differ or that only one side wrote."""
     return sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
+
+
+def json_gaps(parent, change) -> tuple[int, bool, float]:
+    """How two JSON values differ: the number of differing leaves, whether
+    each of them is a float on both sides, and the largest relative gap
+    between such floats.  A key on one side only, or lists of unequal
+    length, count as one differing leaf that is not a float."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        parts = [json_gaps(parent.get(k, _MISSING), change.get(k, _MISSING))
+                 for k in parent.keys() | change.keys()]
+    elif isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        parts = [json_gaps(a, b) for a, b in zip(parent, change)]
+    elif type(parent) is float and type(change) is float:
+        gap = abs(parent - change) / max(abs(parent), abs(change), 1e-300)
+        return int(parent != change), True, gap
+    else:
+        differs = type(parent) is not type(change) or parent != change
+        return int(differs), not differs, 0.0
+    return (sum(n for n, _, _ in parts), all(f for _, f, _ in parts),
+            max((g for _, _, g in parts), default=0.0))
+
+
+def gap_line(workload: str, name: str, parent, change) -> str:
+    leaves, floats, gap = json_gaps(parent, change)
+    kind = "all floats" if floats else "not all floats"
+    return (f"{workload}: {name}: {leaves} differing leaves, {kind}, "
+            f"largest relative float gap {gap:.2g}")
 
 
 def peak_line(workload: str, parent: dict[str, int], change: dict[str, int]) -> str:
@@ -163,6 +196,8 @@ def main(argv=None) -> int:
         failed = failed or bool(diff)
         for name in diff:
             print(f"{workload}: {name} differs")
+            if name in parent["json"] and name in change["json"]:
+                print(gap_line(workload, name, parent["json"][name], change["json"][name]))
         names = parent["artifacts"].keys() | change["artifacts"].keys()
         print(f"{workload}: {len(names) - len(diff)} of {len(names)} artifacts byte-identical")
         if args.memory:

@@ -413,20 +413,27 @@ def _read_table(path, fields_of) -> tuple[list[str], list]:
 
 
 def _blocks(stream):
-    """The rest of ``stream`` in blocks of ``_PARSE_BLOCK_BYTES``, each
-    extended to the end of the line it stops in."""
-    while block := stream.read(_PARSE_BLOCK_BYTES):
-        yield block if block.endswith(b"\n") else block + stream.readline()
+    """The rest of the seekable ``stream`` in blocks of at most
+    ``_PARSE_BLOCK_BYTES``, each extended to the end of the line it stops
+    in.  No read asks for more than the bytes left, so a small file takes
+    a small buffer, not a whole block."""
+    at = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(at)
+    while at < end and (block := stream.read(min(end - at, _PARSE_BLOCK_BYTES))):
+        if not block.endswith(b"\n"):
+            block += stream.readline()
+        at += len(block)
+        yield block
 
 
 def _read_bulk(stream, fields_of, path) -> tuple[list[str], list] | None:
     """``_read_cells``' result for a well-formed file, parsed by numpy.
 
     ``stream`` is a seekable binary file, read from its start in two passes
-    of ``_PARSE_BLOCK_BYTES`` blocks.  The first checks the body's bytes
-    and counts its rows; the second parses each block into the
-    preallocated columns, and stores each distinct text cell as one shared
-    ``str``.  The header is read under the per-cell rules (UTF-8, no CR,
+    of ``_blocks``.  The first checks the body's bytes and counts its rows;
+    the second parses each block into the preallocated columns, and stores
+    each distinct text cell as one shared ``str``.  The header is read under the per-cell rules (UTF-8, no CR,
     not blank, split on ``,``), so any counter name the format allows takes
     this path.  Returns None where the per-cell reader has to decide: a
     header that is not UTF-8, a byte outside ``_BULK_BYTES`` in the body, a
@@ -458,7 +465,7 @@ def _read_bulk(stream, fields_of, path) -> tuple[list[str], list] | None:
         return None
     body = stream.tell()
     n_rows, last = 0, b"\n"
-    for block in iter(lambda: stream.read(_PARSE_BLOCK_BYTES), b""):
+    for block in _blocks(stream):
         if block.translate(None, _BULK_BYTES):
             return None
         n_rows += block.count(b"\n")

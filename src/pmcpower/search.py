@@ -24,18 +24,22 @@ no LAPACK call per subset, and the normal equations are never formed.  The
 rank cut-off is the one a full-height ``lstsq`` would use:
 s_min > eps * max(n_train, k) * s_max, with n_train the complement's row
 count, not R's.  A cheap bound certifies most subsets; the rest are decided
-by the SVD of R_f[:, cols].  A top_down step's removals of a set that
-scores finite are downdated in closed form from the set's own
-factorisation.  Each scoring call predicts its keys' held-out rows by one
-GEMM per fold over the columns those keys use: a chunk of keys, whose
-size bounds both its prefix states and that block, or one removal batch,
-whose block on a fold (m <= pool keys) is no larger than the fold's slice
-of the data.  Equal column sets in one batch (copies of a counter, a
-subset listed twice) are scored once and tie exactly; across batches a
-score may move in its last bits, within a tested bound set by its
-condition number.  The final model is always refit on the full training
-set.  One owner per decision: searches score only through
-``score_many``, ``_solve`` builds every factorisation and
+by the SVD of R_f[:, cols].  A greedy step starts from the incumbent's
+factorisation, the evaluator's one chain of appends, resumed where the
+incumbent's columns first differ: a bottom_up step appends every
+candidate column to it at once, in append order rather than sorted, and
+a top_down step re-appends only the columns after the one it removed,
+then downdates the removals of a set that scores finite in closed form.
+Each scoring call predicts its keys' held-out rows by one GEMM per fold
+over the columns those keys use: a chunk of keys, whose size bounds both
+its prefix states and that block, or one greedy step, whose block on a
+fold (at most pool keys) is no larger than the fold's slice of the data.
+Equal column sets in one batch (copies of a counter, a subset listed
+twice) are scored once and tie exactly; across batches, or in another
+column order, a score may move in its last bits, within a tested bound
+set by its condition number.  The final model is always refit on the
+full training set.  One owner per decision: searches score only through
+``score_many``, ``_append`` extends every factorisation and
 ``check_zero_guard`` checks each dataset once (``_CvEvaluator`` has the
 rest).
 
@@ -48,6 +52,7 @@ Ties are broken by candidate-pool order, lowest index first.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import logging
@@ -235,21 +240,27 @@ class _CvEvaluator:
 
     A subset is scored on the key ``sort(col_map[[0] + selection + 1])``,
     so copies of a counter and one subset listed in two orders are one
-    key.  One method owns each decision: ``score_many``, the searches' one
-    entry, scores a batch's distinct keys in lexicographic order (a depth
-    first walk of their prefix tree), +inf where a fold fails (``score``
-    raises instead); ``_solve`` alone builds factorisations, each prefix
-    from its parent by ``_append`` on every fold at once, and
+    key; a greedy step scores on its incumbent's chain key instead.  One
+    method owns each decision: ``score_many``, the searches' one entry,
+    scores a batch's distinct keys in lexicographic order (a depth first
+    walk of their prefix tree), +inf where a fold fails (``score`` raises
+    instead); ``_append`` alone extends factorisations, each prefix from
+    its parent on every fold at once, for ``_solve`` (sorted keys from the
+    empty prefix) and for the incumbent chain (``_resume``).  The chain
+    holds the per-fold state of the set a greedy step starts from: Q and
+    T^-1, whose leading blocks hold at every depth, and per depth beta,
+    ||A||_F^2, ||T^-1||_F^2 and the first failed fold.
+    ``_addition_scores`` appends a step's candidates to it in one call and
     ``_removal_scores`` downdates a set's removals from its beta and T^-1;
-    ``_held_out_mape`` predicts held-out rows by one GEMM per fold.  Memory
-    has two bounds: ``chunk`` keys at a time bound the prefix states and
-    the prediction block of ``_score_keys``, and a removal batch of m <=
-    pool keys predicts a block per fold no larger than that fold's slice
-    of ``columns``.  A key is full rank when s_min > eps * max(n_train, k)
-    * s_max, the cut-off a full-height ``lstsq`` on the complement would
-    use (n_train is the complement's row count, not R's): a bound
-    certifies it, else the SVD of ``R_f[:, key]`` decides, and a prefix
-    that fails a fold fails it for every key below.
+    ``_held_out_mape`` predicts held-out rows by one GEMM per fold.
+    Memory has two bounds: ``chunk`` keys at a time bound the prefix
+    states and the prediction block of ``_score_keys``, and a greedy step
+    of at most pool keys predicts a block per fold no larger than that
+    fold's slice of ``columns``.  A key is full rank when s_min > eps *
+    max(n_train, k) * s_max, the cut-off a full-height ``lstsq`` on the
+    complement would use (n_train is the complement's row count, not
+    R's): a bound certifies it, else the SVD of ``R_f[:, key]`` decides,
+    and a prefix that fails a fold fails it for every key below.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
@@ -293,6 +304,12 @@ class _CvEvaluator:
         self.chunk = max(1, _BATCH_CELLS // (cells * n_folds))
         # scores of the batch score_many is handing out, keyed by selection
         self._batch_scores: dict[tuple, float] = {}
+        # the incumbent chain: design columns in append order, and the state
+        # after each depth, the empty prefix first.  The states share Q and
+        # T^-1, wide enough for any key (p - 1 columns): an append writes
+        # only its depth's column, so their leading blocks hold at every depth
+        self._chain_key: tuple[int, ...] = ()
+        self._chain = [self._empty_prefix(p - 1)]
 
     def score(self, selection: Sequence[int]) -> float:
         """CV MAPE of the pool columns in ``selection``; raises on fit failure."""
@@ -317,16 +334,23 @@ class _CvEvaluator:
             return self._batch_scores[key]
         return self.score_many([selection])[0]
 
-    def score_many(self, selections, removing_from=()) -> list[float]:
+    def score_many(self, selections, incumbent=None) -> list[float]:
         """CV MAPE of every selection, in order; infeasible ones score +inf.
 
-        A non-empty ``removing_from`` names the batch as that set's one-column
-        removals for ``_removal_scores``, selection j dropping
-        ``removing_from[j]``.  The scores are computed as one batch and
-        handed out one candidate at a time through ``score_or_inf``, so
-        every candidate scored passes once through that entry point.
+        A named ``incumbent`` says the batch is one greedy step from that
+        set: each selection is the incumbent with one pool index appended
+        (``_addition_scores``) or, when the first selection is no longer,
+        the incumbent without its entry j (selection j,
+        ``_removal_scores``); either starts from the incumbent's
+        factorisation.  Any other batch takes the append path.  The scores
+        are computed as one batch and handed out one candidate at a time
+        through ``score_or_inf``, so every candidate scored passes once
+        through that entry point.
         """
-        scores = self._removal_scores(removing_from)
+        if incumbent is not None and selections and len(selections[0]) > len(incumbent):
+            scores = self._addition_scores(incumbent, [sel[-1] for sel in selections])
+        else:
+            scores = self._removal_scores(incumbent or ())
         if scores is None:
             scores, failed = self._score_keys(self._keys(selections))
             scores = np.where(failed < len(self.tests), math.inf, scores).tolist()
@@ -336,25 +360,78 @@ class _CvEvaluator:
         finally:
             self._batch_scores = {}
 
+    def _resume(self, selection: Sequence[int]) -> _Prefixes:
+        """The incumbent chain moved to ``selection``, and its last state.
+
+        The chain keeps the longest prefix of its key whose columns the
+        selection still holds and appends the rest in ascending order, one
+        ``_append`` per depth.  So a removal resumes at the removed column
+        and an addition appends one column, and a chain built from empty,
+        or only ever shortened, is the sorted key ``_solve`` would build,
+        bit for bit."""
+        left = collections.Counter(self._columns_of(selection).tolist())
+        left[0] += 1
+        keep = 0
+        while keep < len(self._chain_key) and left[self._chain_key[keep]]:
+            left[self._chain_key[keep]] -= 1
+            keep += 1
+        key = self._chain_key[:keep] + tuple(sorted(left.elements()))
+        del self._chain[keep + 1 :]
+        for d in range(keep, len(key)):
+            parent = self._chain[-1]
+            parent = parent._replace(beta=parent.beta.copy())
+            self._chain.append(self._append(parent, np.array([key[: d + 1]])))
+        self._chain_key = key
+        return self._chain[-1]
+
+    def _columns_of(self, selection: Sequence[int]) -> np.ndarray:
+        """The design column that scores each pool index of ``selection``."""
+        return self.col_map[np.array(selection, dtype=np.intp) + 1]
+
+    def _addition_scores(self, incumbent, added: Sequence[int]) -> list[float]:
+        """CV MAPE of the incumbent with each pool index of ``added``
+        appended, in that order: one ``_append`` puts every distinct new
+        column onto the chain's last depth, and one ``_held_out_mape``
+        predicts them all, a block per fold no larger than the fold's slice
+        of ``columns`` (at most pool keys).  The key is in append order, so
+        a score may differ in its last bits from the sorted key's."""
+        q_rows, t_inv, beta, a_norm2, t_norm2, failed = self._resume(incumbent)
+        cols, back = np.unique(self._columns_of(added), return_inverse=True)
+        rows, width = np.zeros(len(cols), dtype=np.intp), len(self._chain_key) + 1
+        chain = np.broadcast_to(self._chain_key, (len(cols), width - 1))
+        keys = np.column_stack([chain, cols])
+        out = self._append(
+            _Prefixes(
+                q_rows[rows, :, :width], t_inv[rows, :, :width, :width],
+                beta[rows, :, :width], a_norm2[rows], t_norm2[rows], failed[rows],
+            ),
+            keys,
+        )
+        total = self._held_out_mape(keys, out.beta, out.failed)
+        n_folds = len(self.tests)
+        return np.where(out.failed < n_folds, math.inf, total / n_folds)[back].tolist()
+
     def _removal_scores(self, selected: Sequence[int]) -> list[float] | None:
         """CV MAPE of each one-column removal of ``selected``, in its order,
         or None when the set has fewer than two columns or fails some fold.
 
-        When the set scores finite, its own appended factorisation gives
-        every removal in closed form: with C = T^-1 T^-T = (R^T R)^-1,
-        dropping key column j gives beta - (beta_j / C_jj) C[:, j], entry j
-        zeroed (Golub & Van Loan, section 6.5).  Dropping a column cannot
-        lower s_min or raise s_max, so every removal passes its set's rule.
+        When the set scores finite, its own appended factorisation, the
+        chain resumed at ``selected``, gives every removal in closed form:
+        with C = T^-1 T^-T = (R^T R)^-1, dropping key column j gives
+        beta - (beta_j / C_jj) C[:, j], entry j zeroed (Golub & Van Loan,
+        section 6.5).  Dropping a column cannot lower s_min or raise s_max,
+        so every removal passes its set's rule.
         """
         m = len(selected)
         if m < 2:
             return None
-        key = self._keys([selected])
-        (beta,), (t_inv,), failed = self._solve(key, t_inv=True)
+        _, t_inv, beta, _, _, failed = self._resume(selected)
         if failed[0] < len(self.tests):
             return None
-        key, rows = key[0], np.arange(m)
-        pos = np.searchsorted(key, self.col_map[np.array(selected, dtype=np.intp) + 1])
+        key, rows = np.array(self._chain_key), np.arange(m)
+        order = np.argsort(key)
+        pos = order[np.searchsorted(key, self._columns_of(selected), sorter=order)]
+        t_inv, beta = t_inv[0, :, : len(key), : len(key)], beta[0, :, : len(key)]
         c = t_inv[:, pos] @ t_inv.swapaxes(-1, -2)  # rows pos of C, per fold
         betas = beta[:, None] - (beta[:, pos] / c[:, rows, pos])[..., None] * c
         betas[:, rows, pos] = 0.0
@@ -398,15 +475,14 @@ class _CvEvaluator:
         failed = np.empty(len(keys), dtype=np.intp)
         for lo in range(0, len(keys), self.chunk):
             part = slice(lo, lo + self.chunk)
-            betas, _, failed[part] = self._solve(keys[part])
+            betas, failed[part] = self._solve(keys[part])
             total[part] = self._held_out_mape(keys[part], betas, failed[part])
         back = (np.cumsum(new) - 1)[np.argsort(order)]  # each key's distinct key
         return total[back] / len(self.tests), failed[back]
 
-    def _solve(self, keys: np.ndarray, t_inv: bool = False) -> tuple:
-        """Per-fold beta, per-fold T^-1 when ``t_inv`` (else None), both
-        zero-padded to the key width, and first failed fold of sorted, padded
-        key rows.
+    def _solve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-fold beta, zero-padded to the key width, and first failed
+        fold of sorted, padded key rows.
 
         Every distinct prefix of the keys is built once, one depth at a
         time, from its parent prefix by ``_append``.  A prefix that fails a
@@ -423,13 +499,8 @@ class _CvEvaluator:
         ends_at = valid.sum(axis=1) - 1  # each key's last depth
         # every key takes its whole rows, zeros past its end included
         betas = np.empty((n_keys, n_folds, width))
-        t_invs = np.empty((n_keys, n_folds, width, width)) if t_inv else None
         failed = np.empty(n_keys, dtype=np.intp)
-        prefixes = _Prefixes(
-            np.zeros((1, n_folds, width, p)), np.zeros((1, n_folds, width, width)),
-            np.zeros((1, n_folds, width)), np.zeros((1, n_folds, 1)),
-            np.zeros((1, n_folds, 1)), np.full(1, n_folds),
-        )
+        prefixes = self._empty_prefix(width)
         for d in range(width):
             rows = np.flatnonzero(new[:, d])
             if not rows.size:
@@ -441,10 +512,17 @@ class _CvEvaluator:
             if ends.size:
                 end_ids = ids[ends, d]
                 betas[ends] = prefixes.beta[end_ids]
-                if t_inv:
-                    t_invs[ends] = prefixes.t_inv[end_ids]
                 failed[ends] = prefixes.failed[end_ids]
-        return betas, t_invs, failed
+        return betas, failed
+
+    def _empty_prefix(self, width: int) -> _Prefixes:
+        """The prefix before the intercept, with room for ``width`` columns."""
+        n_folds, p = len(self.tests), len(self.columns)
+        return _Prefixes(
+            np.zeros((1, n_folds, width, p)), np.zeros((1, n_folds, width, width)),
+            np.zeros((1, n_folds, width)), np.zeros((1, n_folds, 1)),
+            np.zeros((1, n_folds, 1)), np.full(1, n_folds),
+        )
 
     def _held_out_mape(self, keys, betas, failed) -> np.ndarray:
         """Summed held-out MAPE over the folds of every key that fails none
@@ -452,8 +530,9 @@ class _CvEvaluator:
         fold, one GEMM of their zero-padded rows over the columns some key
         weights (over every pool column, a narrow key's GEMM on 20k
         held-out rows was memory bound, twice as slow).  The caller bounds
-        the (keys x fold rows) block: ``_score_keys`` by its chunk,
-        ``_removal_scores`` by the pool width."""
+        the (keys x fold rows) block: ``_score_keys`` by its chunk, a
+        greedy step (``_addition_scores``, ``_removal_scores``) by the pool
+        width."""
         n_folds, p = len(self.tests), len(self.columns)
         live = np.flatnonzero(failed == n_folds)
         # column p takes the key padding
@@ -616,10 +695,11 @@ def _greedy(evaluator, pool, selected, action, moves, accepts) -> _Walk:
     """The greedy loop of bottom_up and top_down.
 
     ``moves(selected, len(pool))`` gives the trial selections keyed by the
-    pool index each one adds or removes, or a stop reason.  A step scores
-    every trial as one batch and takes the best (first key on ties) while
-    ``accepts(current, best)`` holds.  A "remove" step names its batch as
-    the removals of the incumbent, in the incumbent's order.
+    pool index each one adds or removes, or a stop reason: additions
+    append their index to the incumbent, removals come in the incumbent's
+    order.  A step scores every trial as one batch named as a step from the
+    incumbent, so it starts from the incumbent's factorisation, and takes
+    the best (first key on ties) while ``accepts(current, best)`` holds.
     """
     current = initial_cv = evaluator.score_many([selected])[0]
     iterations: list[SearchIteration] = []
@@ -629,9 +709,7 @@ def _greedy(evaluator, pool, selected, action, moves, accepts) -> _Walk:
             stop = trials
             break
         keys = list(trials)
-        scores = evaluator.score_many(
-            [trials[i] for i in keys], selected if action == "remove" else ()
-        )
+        scores = evaluator.score_many([trials[i] for i in keys], selected)
         best = min(range(len(keys)), key=scores.__getitem__)
         if not accepts(current, scores[best]):
             stop = "converged"

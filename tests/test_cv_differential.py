@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import pmcpower as pp
 from pmcpower import search
 
-from conftest import make_dataset
+from conftest import linear_dataset, make_dataset
 from ref_impl import ref_cv_score
 
 EPS = np.finfo(np.float64).eps
@@ -68,7 +68,7 @@ class _RefEvaluator:
     def score_or_inf(self, selection):
         return ref_cv_score(self.design, self.y, self.folds, self._cols(selection))
 
-    def score_many(self, selections, removing_from=()):
+    def score_many(self, selections, incumbent=None):
         return [self.score_or_inf(s) for s in selections]
 
 
@@ -347,6 +347,134 @@ def test_removal_batches_agree_with_scores_alone(case):
         best = min(range(len(trials)), key=batch.__getitem__)
         assert best == min(range(len(trials)), key=alone.__getitem__)
         selected = trials[best]
+
+
+def _additions(selected, p):
+    return [selected + [i] for i in range(p) if i not in selected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cv_cases(edits=("dup", "zero")))
+@example(case=_pinned_search_case())
+def test_addition_batches_agree_with_scores_alone(case):
+    # every bottom_up step, taken until the pool is used up: its additions
+    # scored as one batch named as steps from the set agree with the same
+    # trials scored alone, within each trial's _mape_tolerance, and pick
+    # the same addition.  The batch appends each new column to the set's
+    # chain, so its keys are in append order, not sorted; a set or trial
+    # that fails a fold scores +inf on both paths
+    ds, folds = case
+    fast = search._CvEvaluator(ds, ds.counters, folds)
+    ref = _RefEvaluator(ds, ds.counters, folds)
+    selected = []
+    while trials := _additions(selected, len(ds.counters)):
+        batch = fast.score_many(trials, selected)
+        alone = [fast.score_or_inf(t) for t in trials]
+        for trial, got, want in zip(trials, batch, alone):
+            if want == np.inf:
+                assert got == np.inf, trial
+                continue
+            tol = _mape_tolerance(ref, [0] + [i + 1 for i in trial])
+            assert abs(got - want) <= tol, (trial, got, want, tol)
+        best = min(range(len(trials)), key=batch.__getitem__)
+        assert best == min(range(len(trials)), key=alone.__getitem__)
+        selected = trials[best]
+
+
+def _spy(monkeypatch, target, name):
+    """The shape of the keys (``_append``) or predictions (``mape_rows``)
+    of every call to ``target.name``, recorded into the returned list."""
+    calls = []
+    wrapped = getattr(target, name)
+    monkeypatch.setattr(
+        target, name, lambda *args: calls.append(args[-1].shape) or wrapped(*args)
+    )
+    return calls
+
+
+def test_an_addition_step_appends_its_candidates_once(monkeypatch):
+    # each step moves the chain by one n = 1 append, the accepted column
+    # (the intercept on the first step), then one append puts every
+    # candidate onto the chain, and one GEMM per fold predicts them all
+    ds = make_dataset(60, 5, seed=3, n_runs=6)
+    fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
+    appends = _spy(monkeypatch, fast, "_append")
+    predictions = _spy(monkeypatch, search, "mape_rows")
+    selected = []
+    while trials := _additions(selected, 5):
+        scores = fast.score_many(trials, selected)
+        assert np.all(np.isfinite(scores))
+        assert appends == [(1, len(selected) + 1), (len(trials), len(selected) + 2)]
+        assert predictions == [(len(trials), t.stop - t.start) for t in fast.tests]
+        appends.clear()
+        predictions.clear()
+        selected = trials[int(np.argmin(scores))]
+
+
+def test_an_addition_batch_holds_less_than_the_data():
+    # an addition batch's block on one fold (at most pool keys by fold
+    # rows) is no larger than the fold's slice of the data, as a removal
+    # batch's is, and its candidates' prefix states are far smaller
+    fast, _ = _wide_removal_case()
+    selected = [0, 5, 9]
+    fast.score_many(_additions(selected[:-1], 20), selected[:-1])
+    trials = _additions(selected, 20)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scores = fast.score_many(trials, selected)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(scores))
+    assert peak < fast.columns.nbytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cv_cases(), data=st.data())
+def test_a_resumed_chain_keeps_the_bits_of_a_fresh_solve(case, data):
+    # a chain built from empty and then only shortened, one random removal
+    # at a time, resumes at the removed column; at every set its key is the
+    # set's sorted key, its state is bit for bit the one a fresh chain
+    # builds from empty, and its beta and failed fold are _solve's
+    ds, folds = case
+    p = len(ds.counters)
+    fast = search._CvEvaluator(ds, ds.counters, folds)
+    for _ in range(2):
+        selected = sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=1)))
+        while True:
+            state = fast._resume(selected)
+            fresh = search._CvEvaluator(ds, ds.counters, folds)._resume(selected)
+            key = fast._keys([selected])
+            (beta,), (failed,) = fast._solve(key)
+            width = key.shape[1]
+            assert fast._chain_key == tuple(key[0].tolist())
+            # Q and T^-1 are shared by the chain's depths: their leading
+            # blocks, the set's own, are the state
+            lead = (np.s_[..., :width, :], np.s_[..., :width, :width]) + (np.s_[...],) * 4
+            for got, want, part in zip(state, fresh, lead):
+                assert got[part].tobytes() == want[part].tobytes()
+            assert state.beta[0, :, :width].tobytes() == beta.tobytes()
+            assert state.failed[0] == failed
+            if not selected:
+                break
+            selected.remove(data.draw(st.sampled_from(selected)))
+
+
+def test_a_top_down_walk_appends_past_each_removed_column_only(monkeypatch):
+    # 6 counters, 2 of them true: the starting set's score and the first
+    # step's chain append the 7-column key from empty; removing C3, C6, C4
+    # and C1 then appends the columns after each: C4-C6, none, C5, C2 and
+    # C5
+    model = pp.PowerModel(intercept_w=2.0, terms=(("C2", 4e-6), ("C5", 2e-6)))
+    ranges = {f"C{i}": (0, 600_000) for i in range(1, 7)}
+    ds = linear_dataset(model, 400, ranges, seed=7, n_runs=10, noise_rel=0.01)
+    appends = _spy(monkeypatch, search._CvEvaluator, "_append")
+    report = pp.run_search(ds, pp.SearchConfig(algorithm="top_down", folds=5))
+    assert [it.counter for it in report.iterations] == ["C3", "C6", "C4", "C1"]
+    assert report.final_model.counter_names == ("C2", "C5")
+    from_empty = [(1, k) for k in range(1, 8)]
+    assert appends == from_empty * 2 + [(1, 4), (1, 5), (1, 6), (1, 4), (1, 2), (1, 3)]
 
 
 @pytest.mark.parametrize("edit", ["duplicate", "all ones"])

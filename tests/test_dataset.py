@@ -525,6 +525,28 @@ def test_reading_holds_a_few_blocks_beyond_its_result(tmp_path, n):
         del result
 
 
+def test_a_small_file_takes_a_small_read_buffer(tmp_path):
+    """No read asks for more than the bytes left in the file, so reading
+    101 rows peaks far below one parse block: asking for a whole block
+    allocated 256 KiB for a 2 KiB trace."""
+    n = 101
+    keys = np.arange(1, n + 1, dtype=np.uint64) * 1000
+    counts = np.arange(2 * n, dtype=np.uint32).reshape(n, 2)
+    pmc, ds = tmp_path / "pmc.csv", tmp_path / "ds.csv"
+    pp.write_counter_trace(pp.CounterTrace(keys, ("A", "B"), counts), pmc)
+    runs = ("r0",) * n
+    pp.write_dataset(pp.Dataset(("A", "B"), keys, runs, np.full(n, 2.5), counts), ds)
+    for read, path in ((pp.read_counter_trace, pmc), (pp.read_dataset, ds)):
+        tracemalloc.start()
+        try:
+            result = read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(result.time_keys, keys), path
+        assert peak < dataset._PARSE_BLOCK_BYTES // 4, (path, peak)
+
+
 @pytest.mark.parametrize(
     "header, row, read",
     [

@@ -1,5 +1,6 @@
 """The helper scripts under scripts/ run end to end."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -161,3 +162,45 @@ def test_same_outputs_lists_what_a_changed_watt_format_writes(tmp_path):
     differs = {line.split()[1] for line in lines if line.endswith(" differs")}
     assert {f"pass/{kind}_r{r}.csv" for kind in ("fit", "pred") for r in (0, 1)} <= differs
     assert not any(name.startswith(("inputs/", "pass/ds_")) for name in differs)
+
+
+def test_same_outputs_summarises_json_that_moves_only_in_rounding(tmp_path):
+    # search reports with every score scaled by 1 + 2^-50: both reports
+    # differ, in float leaves only, by about 8.9e-16 relative, and the
+    # models, whose JSON is written without those scores, do not
+    copy = tmp_path / "copy"
+    ignore = shutil.ignore_patterns("__pycache__", "out")
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+    search_py = copy / "src" / "pmcpower" / "search.py"
+    text = search_py.read_text()
+    old = "return v if math.isfinite(v) else None"
+    assert text.count(old) == 1
+    search_py.write_text(text.replace(old, "return v * (1 + 2**-50) if math.isfinite(v) else None"))
+    done = _same_outputs(ROOT, copy, "--workloads", "select")
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    differs = [line.split()[1] for line in lines if line.endswith(" differs")]
+    assert differs == ["pass/report_bottom_up.json", "pass/report_top_down.json"]
+    for name in differs:
+        (line,) = [line for line in lines if line.startswith(f"select: {name}: ")]
+        leaves, rest = line.removeprefix(f"select: {name}: ").split(" differing leaves, ")
+        kind, gap = rest.split(", largest relative float gap ")
+        assert int(leaves) > 0 and kind == "all floats"
+        assert 8e-16 < float(gap) < 1e-15
+
+
+def test_json_gaps_tell_rounding_from_other_changes():
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", ROOT / "scripts" / "same_outputs.py"
+    )
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    gaps = same_outputs.json_gaps
+    assert gaps({"a": [1.0, "x"], "b": None}, {"a": [1.0, "x"], "b": None}) == (0, True, 0.0)
+    leaves, floats, gap = gaps({"a": [1.0, 3.0], "b": 2}, {"a": [1.0 + 2**-52, 3.0], "b": 2})
+    assert (leaves, floats) == (1, True) and gap == pytest.approx(2**-52, rel=1e-6)
+    # an int that became a float, a null, a missing key, a longer list
+    for parent, change in [({"a": 1}, {"a": 1.0}), ({"a": None}, {"a": 2.0}),
+                           ({"a": 1.0}, {}), ([1.0], [1.0, 2.0])]:
+        assert gaps(parent, change)[:2] == (1, False), (parent, change)
