@@ -6,6 +6,8 @@ per-interval dataset, and select a counter subset by greedy or exhaustive
 search scored with k-fold cross-validated MAPE.
 """
 
+import importlib
+
 from .dataset import (
     COUNTER_MODULUS,
     CounterTrace,
@@ -61,25 +63,37 @@ from .regress import (
     write_model,
     write_prediction_trace,
 )
-from .search import (
-    SEARCH_ALGORITHMS,
-    SearchConfig,
-    SearchIteration,
-    SearchReport,
-    bottom_up,
-    cv_score,
-    exhaustive,
-    kfold_split,
-    read_report,
-    report_from_dict,
-    report_to_dict,
-    run_search,
-    top_down,
-    write_report,
-)
 from .sync import CoverageReport, SyncConfig, coverage_report, synchronize
 
 __version__ = "0.1.0"
+
+# the search module is loaded on first use of it or of one of these names,
+# so the stages that never search (gen, sync, validate, predict) skip it
+_SEARCH_NAMES = frozenset({
+    "SEARCH_ALGORITHMS",
+    "SearchConfig",
+    "SearchIteration",
+    "SearchReport",
+    "bottom_up",
+    "cv_score",
+    "exhaustive",
+    "kfold_split",
+    "read_report",
+    "report_from_dict",
+    "report_to_dict",
+    "run_search",
+    "top_down",
+    "write_report",
+})
+
+
+def __getattr__(name: str):
+    if name != "search" and name not in _SEARCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not "from . import search", which would look the name
+    # up on this package first and so call __getattr__ again
+    search = importlib.import_module(".search", __name__)
+    return search if name == "search" else getattr(search, name)
 
 __all__ = [
     "COUNTER_MODULUS",

@@ -15,7 +15,7 @@ import os
 import sys
 import traceback
 
-from . import dataset, datagen, regress, search, sync
+from . import dataset, datagen, regress, sync
 from .errors import PipelineError
 
 
@@ -63,6 +63,7 @@ def cmd_sync(args) -> int:
     cfg = sync.SyncConfig(key_tolerance=args.tolerance)
     report = sync.coverage_report(pmc, pwr, cfg)
     ds = sync.synchronize(pmc, pwr, cfg)
+    del pmc, pwr  # the dataset holds no view of them: write without the traces
     dataset.write_dataset(ds, args.out)
     print(report.summary())
     print(f"wrote {ds.n_rows} rows to {args.out}")
@@ -70,10 +71,13 @@ def cmd_sync(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import search  # only train searches; the other stages never load it
+
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    parts = [dataset.read_dataset(p) for p in args.dataset]
-    data = dataset.concat_datasets(parts, source="+".join(args.dataset))
+    data = dataset.concat_datasets(
+        [dataset.read_dataset(p) for p in args.dataset], source="+".join(args.dataset)
+    )
     cfg = search.SearchConfig(
         algorithm=args.algorithm,
         folds=args.folds,
@@ -175,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--algorithm",
-        choices=search.SEARCH_ALGORITHMS,
-        default=search.BOTTOM_UP,
+        choices=regress.ALGORITHMS,
+        default=regress.ALGORITHMS[0],
     )
     p.add_argument("--folds", type=int, default=10)
     p.add_argument(

@@ -39,10 +39,14 @@ as a pipe, is read into memory once.  Any file the bulk path does not take
 is read again cell by cell from its start; that path is the reference and
 the only one that reports where a body error is.  So a comment line after
 the header, which the format allows, costs a file the bulk path: 18,000
-rows x 16 counters read about 5x slower.  Writers format a whole block of
-rows with one printf-style ``%`` call: ``%s`` for run ids and integers,
-``%r`` for floats, which read back exactly, and ``%.6g``
-(``regress.WATTS_SPEC``) for display watts.
+rows x 16 counters read about 5x slower.  A text column (RUN) is kept as
+runs of one shared ``str`` while it is read, and its tuple is built once.
+
+Writers format a block of rows, at most 4,096 cells at any width, with one
+printf-style ``%`` call: ``%s`` for run ids and integers, ``%r`` for
+floats, which read back exactly, and ``%.6g`` (``regress.WATTS_SPEC``) for
+display watts.  So a read holds its result and a few parse blocks beyond
+it, and a write its data and one block of cells.
 
 JSON artifacts (model, search report, gen spec) are written and read by
 ``write_json`` / ``read_json`` alone: indent 2, a final LF, and never a
@@ -52,6 +56,7 @@ NaN or Infinity, which the writer refuses and the reader rejects.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -341,9 +346,10 @@ class Dataset:
 
 # Blocks keep the memory a read or write needs beyond its result flat: the
 # bulk reader decodes and parses about this many bytes at a time, and the
-# writer formats this many rows at a time.
+# writer formats rows of at most this many cells at a time, so its block is
+# one size at any width (about 60 bytes a cell while it is formatted)
 _PARSE_BLOCK_BYTES = 1 << 18
-_WRITE_BLOCK_ROWS = 1024
+_WRITE_BLOCK_CELLS = 1 << 12
 
 # The bytes the bulk reader takes in a file body, after the header: printable
 # ASCII except space and "+", and LF.  np.loadtxt would accept a leading
@@ -427,20 +433,52 @@ def _blocks(stream):
         yield block
 
 
+class _TextRuns:
+    """A text column as it is read: runs of equal cells, each one shared
+    ``str`` per distinct cell.  ``tuple()`` of it builds the column once,
+    at its exact length, and no per-row array is held beside it."""
+
+    def __init__(self):
+        self.shared: dict[str, str] = {}
+        self.cells: list[str] = []
+        self.counts: list[int] = []
+
+    def extend(self, cells: np.ndarray) -> None:
+        """Append a block's cells, a 1-D object array."""
+        if not len(cells):
+            return
+        starts = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))
+        counts = np.diff(np.append(starts, len(cells)))
+        for cell, count in zip(cells[starts].tolist(), counts.tolist()):
+            cell = self.shared.setdefault(cell, cell)
+            if self.cells and self.cells[-1] is cell:
+                self.counts[-1] += count
+            else:
+                self.cells.append(cell)
+                self.counts.append(count)
+
+    def __len__(self) -> int:
+        return sum(self.counts)
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(map(itertools.repeat, self.cells, self.counts))
+
+
 def _read_bulk(stream, fields_of, path) -> tuple[list[str], list] | None:
     """``_read_cells``' result for a well-formed file, parsed by numpy.
 
     ``stream`` is a seekable binary file, read from its start in two passes
     of ``_blocks``.  The first checks the body's bytes and counts its rows;
-    the second parses each block into the preallocated columns, and stores
-    each distinct text cell as one shared ``str``.  The header is read under the per-cell rules (UTF-8, no CR,
-    not blank, split on ``,``), so any counter name the format allows takes
-    this path.  Returns None where the per-cell reader has to decide: a
-    header that is not UTF-8, a byte outside ``_BULK_BYTES`` in the body, a
-    blank line, a comment after the header, a cell numpy does not parse or
-    a value that fails a check.  Raises only the header errors
-    ``_read_cells`` raises, and only once the body's bytes have passed, as
-    that reader first rejects a body that is not UTF-8.
+    the second parses each block into the preallocated columns, and keeps
+    a text column as ``_TextRuns``.  The header is read under the per-cell
+    rules (UTF-8, no CR, not blank, split on ``,``), so any counter name
+    the format allows takes this path.  Returns None where the per-cell
+    reader has to decide: a header that is not UTF-8, a byte outside
+    ``_BULK_BYTES`` in the body, a blank line, a comment after the header,
+    a cell numpy does not parse or a value that fails a check.  Raises only
+    the header errors ``_read_cells`` raises, and only once the body's
+    bytes have passed, as that reader first rejects a body that is not
+    UTF-8.
 
     loadtxt skips blank lines, so one shows as fewer rows than lines.  A
     comment line in the body either fails to parse or puts a ``#`` at the
@@ -476,8 +514,10 @@ def _read_bulk(stream, fields_of, path) -> tuple[list[str], list] | None:
 
     names = [str(i) for i in range(len(fields))]
     dtype = np.dtype([(n, f.dtype, f.shape) for n, f in zip(names, fields)])
-    cols = [np.empty((n_rows,) + f.shape, dtype=f.dtype) for f in fields]
-    shared: dict[str, str] = {}  # one str per distinct text cell
+    cols = [
+        _TextRuns() if f.kind == "text" else np.empty((n_rows,) + f.shape, dtype=f.dtype)
+        for f in fields
+    ]
     row = 0
     stream.seek(body)
     for block in _blocks(stream):
@@ -495,13 +535,14 @@ def _read_bulk(stream, fields_of, path) -> tuple[list[str], list] | None:
             return None
         if len(parsed) > n_rows - row:
             return None  # the file grew since the first pass
-        for name, f, col in zip(names, fields, cols):
-            cells = parsed[name]
-            if f.kind == "text":
-                cells = list(map(shared.setdefault, cells, cells))
-            col[row : row + len(parsed)] = cells
+        for name, col in zip(names, cols):
+            if isinstance(col, _TextRuns):
+                col.extend(parsed[name])
+            else:
+                col[row : row + len(parsed)] = parsed[name]
         row += len(parsed)
-    if row < n_rows or any(v.startswith("#") for v in shared):
+    text = [col for col in cols if isinstance(col, _TextRuns)]
+    if row < n_rows or any(v.startswith("#") for col in text for v in col.shared):
         return None
 
     for i, (f, col) in enumerate(zip(fields, cols)):
@@ -605,8 +646,15 @@ def _parse_cell(field: _Field, cell: str, path, lineno: int):
     return value
 
 
+def _write_block_rows(n_cols: int) -> int:
+    """The rows ``write_columns`` formats at a time for ``n_cols`` cells a
+    row: as many as keep a block within ``_WRITE_BLOCK_CELLS``, at least one."""
+    return max(1, _WRITE_BLOCK_CELLS // n_cols)
+
+
 def write_columns(f, header: Sequence[str], columns: Sequence[tuple]) -> None:
-    """Write a CSV header and rows to the text file ``f``, a block at a time.
+    """Write a CSV header and rows to the text file ``f``, a block of
+    ``_write_block_rows`` rows at a time.
 
     ``columns`` holds ``(values, spec)`` pairs, all with one entry per row:
     a sequence or 1-D array whose cells are written as ``spec % cell``, or
@@ -631,9 +679,10 @@ def write_columns(f, header: Sequence[str], columns: Sequence[tuple]) -> None:
             raise ValueError(f"column {name!r} has {len(values)} rows, not {n_rows}")
     row = ",".join(specs) + "\n"
     f.write(",".join(header) + "\n")
-    cells = np.empty((min(n_rows, _WRITE_BLOCK_ROWS), len(specs)), dtype=object)
-    for lo in range(0, n_rows, _WRITE_BLOCK_ROWS):
-        n = min(n_rows - lo, _WRITE_BLOCK_ROWS)
+    step = _write_block_rows(len(specs))
+    cells = np.empty((min(n_rows, step), len(specs)), dtype=object)
+    for lo in range(0, n_rows, step):
+        n = min(n_rows - lo, step)
         for (values, _), at in zip(columns, where):
             cells[:n, at] = values[lo : lo + n]
         f.write((row * n) % tuple(cells[:n].ravel().tolist()))

@@ -57,6 +57,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -233,10 +234,13 @@ class _CvEvaluator:
     ``columns`` holds ``[1 | X_pool | y]`` as rows (intercept, pool counter
     j in row j+1, power last), its samples grouped by test fold so that
     each fold's held-out samples are one slice of ``tests``; it is the only
-    full-height array kept.  ``n_train`` holds each fold's complement row
-    count and ``r[f]`` the R factor of fold f's complement, whose own
-    min(n_train, P) rows are followed by zero rows.  ``col_map`` sends
-    every column to its first byte-identical copy.
+    full-height array kept, and it is filled a block of rows at a time
+    straight from the dataset's deltas, so setup holds little beyond it.
+    ``n_train`` holds each fold's complement row count and ``r[f]`` the R
+    factor of fold f's complement, whose own min(n_train, P) rows are
+    followed by zero rows.  ``col_map`` sends every column to its first
+    bit-identical copy, found by a CRC-32 digest of each column and
+    confirmed by comparing the bits.
 
     A subset is scored on the key ``sort(col_map[[0] + selection + 1])``,
     so copies of a counter and one subset listed in two orders are one
@@ -265,18 +269,18 @@ class _CvEvaluator:
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
         check_zero_guard(ds)
-        idx = [ds.counters.index(name) for name in pool]
+        idx = np.array([ds.counters.index(name) for name in pool], dtype=np.intp)
         order = np.concatenate(folds)
         edges = np.cumsum([0] + [len(f) for f in folds])
         self.columns = np.empty((len(idx) + 2, len(order)), dtype=np.float64)
         self.columns[0] = 1.0
-        self.columns[1:-1] = ds.deltas[np.ix_(order, idx)].T
+        # a block of rows at a time, so no full-height gather of the deltas
+        step = max(1, _BATCH_CELLS // max(1, len(idx)))
+        for lo in range(0, len(order), step):
+            rows = order[lo : lo + step, None]
+            self.columns[1:-1, lo : lo + step] = ds.deltas[rows, idx].T
         self.columns[-1] = ds.power_w[order]
-        first: dict[bytes, int] = {}
-        self.col_map = np.array(
-            [first.setdefault(c.tobytes(), j) for j, c in enumerate(self.columns[:-1])],
-            dtype=np.intp,
-        )
+        self.col_map = self._first_copies()
         self.tests = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
         self.n_train = len(order) - np.diff(edges)
         blocks = [np.linalg.qr(self.columns[:, test].T, mode="r") for test in self.tests]
@@ -311,6 +315,22 @@ class _CvEvaluator:
         self._chain_key: tuple[int, ...] = ()
         self._chain = [self._empty_prefix(p - 1)]
 
+    def _first_copies(self) -> np.ndarray:
+        """The index of each design column's first bit-identical copy.
+        Columns are keyed by a CRC-32 of their bytes, and a digest match
+        counts only when the bits are equal too, so a collision never merges
+        two columns, and -0.0 is not 0.0."""
+        bits = self.columns.view(np.uint64)
+        by_digest: dict[int, list[int]] = collections.defaultdict(list)
+        col_map = []
+        for j, col in enumerate(bits[:-1]):
+            twins = by_digest[zlib.crc32(col)]
+            first = next((i for i in twins if np.array_equal(bits[i], col)), None)
+            if first is None:
+                twins.append(first := j)
+            col_map.append(first)
+        return np.array(col_map, dtype=np.intp)
+
     def score(self, selection: Sequence[int]) -> float:
         """CV MAPE of the pool columns in ``selection``; raises on fit failure."""
         scores, failed = self._score_keys(self._keys([selection]))
@@ -337,18 +357,22 @@ class _CvEvaluator:
     def score_many(self, selections, incumbent=None) -> list[float]:
         """CV MAPE of every selection, in order; infeasible ones score +inf.
 
-        A named ``incumbent`` says the batch is one greedy step from that
-        set: each selection is the incumbent with one pool index appended
-        (``_addition_scores``) or, when the first selection is no longer,
-        the incumbent without its entry j (selection j,
-        ``_removal_scores``); either starts from the incumbent's
+        A named ``incumbent`` says the batch is the incumbent alone
+        (``_incumbent_score``, the chain moved to it) or one greedy step
+        from it: each selection is the incumbent with one pool index
+        appended (``_addition_scores``) or, when the first selection is
+        shorter, the incumbent without its entry j (selection j,
+        ``_removal_scores``); each starts from the incumbent's
         factorisation.  Any other batch takes the append path.  The scores
         are computed as one batch and handed out one candidate at a time
         through ``score_or_inf``, so every candidate scored passes once
         through that entry point.
         """
-        if incumbent is not None and selections and len(selections[0]) > len(incumbent):
+        named = incumbent is not None and len(selections) > 0
+        if named and len(selections[0]) > len(incumbent):
             scores = self._addition_scores(incumbent, [sel[-1] for sel in selections])
+        elif named and len(selections[0]) == len(incumbent):
+            scores = self._incumbent_score(incumbent)
         else:
             scores = self._removal_scores(incumbent or ())
         if scores is None:
@@ -387,6 +411,16 @@ class _CvEvaluator:
     def _columns_of(self, selection: Sequence[int]) -> np.ndarray:
         """The design column that scores each pool index of ``selection``."""
         return self.col_map[np.array(selection, dtype=np.intp) + 1]
+
+    def _incumbent_score(self, selection: Sequence[int]) -> list[float]:
+        """CV MAPE of ``selection`` alone, from the chain resumed at it.  A
+        chain built from empty, as a search's starting set is, gives the
+        bits ``_score_keys`` gives, and the first step then resumes it."""
+        _, _, beta, _, _, failed = self._resume(selection)
+        keys = np.array([self._chain_key])
+        total = self._held_out_mape(keys, beta[:, :, : keys.shape[1]], failed)
+        n_folds = len(self.tests)
+        return np.where(failed < n_folds, math.inf, total / n_folds).tolist()
 
     def _addition_scores(self, incumbent, added: Sequence[int]) -> list[float]:
         """CV MAPE of the incumbent with each pool index of ``added``
@@ -669,6 +703,7 @@ def _search(ds: Dataset, cfg: SearchConfig, algorithm: str, walk) -> SearchRepor
                 f"{algorithm} stopped ({found.stop_reason}) at "
                 f"[{', '.join(names)}] with no finite CV score: {exc}"
             ) from exc
+    del evaluator  # its columns are as large as the data: free them for the refit
     # coefficients come from the full training set, never from a fold fit
     model, diag = fit_ols(ds, names)
     meta = TrainingMeta(
@@ -697,11 +732,13 @@ def _greedy(evaluator, pool, selected, action, moves, accepts) -> _Walk:
     ``moves(selected, len(pool))`` gives the trial selections keyed by the
     pool index each one adds or removes, or a stop reason: additions
     append their index to the incumbent, removals come in the incumbent's
-    order.  A step scores every trial as one batch named as a step from the
-    incumbent, so it starts from the incumbent's factorisation, and takes
-    the best (first key on ties) while ``accepts(current, best)`` holds.
+    order.  The starting set is scored as the incumbent alone, which builds
+    its factorisation once.  A step scores every trial as one batch named
+    as a step from the incumbent, so it starts from that factorisation, and
+    takes the best (first key on ties) while ``accepts(current, best)``
+    holds.
     """
-    current = initial_cv = evaluator.score_many([selected])[0]
+    current = initial_cv = evaluator.score_many([selected], selected)[0]
     iterations: list[SearchIteration] = []
     while True:
         trials = moves(selected, len(pool))

@@ -28,7 +28,7 @@ from .errors import SyncError
 
 log = logging.getLogger(__name__)
 
-_BLOCK_ROWS = 4096  # matched readings gathered at a time to form deltas
+_BLOCK_ROWS = 1024  # matched readings gathered at a time to form deltas
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ import dataclasses
 import json
 import logging
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -691,3 +694,53 @@ def test_model_json_with_a_cast_value_exits_2(tmp_path, capsys):
     code = main(["predict", "--model", str(model_path), "--dataset", str(ds_path)])
     assert code == 2
     assert "intercept_w must be float" in capsys.readouterr().err
+
+
+def _fresh_python(tmp_path, *args):
+    """stderr and stdout of a new interpreter, run in ``tmp_path`` on this
+    package's source."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pp.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stderr, done.stdout
+
+
+def test_only_train_loads_the_search_module(tmp_path):
+    imports, _ = _fresh_python(tmp_path, "-X", "importtime", "-m", "pmcpower", "gen", "--out-prefix", "d")
+    assert "pmcpower.sync" in imports and "pmcpower.search" not in imports
+    stages = [
+        ["sync", "--pmc", "d_r0_pmc.csv", "--power", "d_r0_power.csv", "--out", "s.csv"],
+        ["validate", "--model", "d_model.json", "--dataset", "s.csv", "--trace-out", "t.csv"],
+        ["predict", "--model", "d_model.json", "--dataset", "s.csv"],
+        ["train", "--dataset", "s.csv", "--folds", "3", "--model-out", "m.json"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import pmcpower.cli\n"
+        "loaded = ['pmcpower.search' in sys.modules]\n"
+        f"for argv in {stages!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert pmcpower.cli.main(argv) == 0\n"
+        "    loaded.append('pmcpower.search' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    _, out = _fresh_python(tmp_path, "-c", code)
+    assert out.strip() == "[False, False, False, False, True]"
+
+
+def test_the_package_resolves_the_search_names_on_first_use(tmp_path):
+    code = (
+        "import sys\n"
+        "import pmcpower as pp\n"
+        "assert 'pmcpower.search' not in sys.modules\n"
+        "assert pp.search is sys.modules['pmcpower.search']\n"
+        "assert pp.run_search is pp.search.run_search and pp.cv_score is pp.search.cv_score\n"
+        "names = {}\n"
+        "exec('from pmcpower import *', names)\n"
+        "assert all(names[n] is getattr(pp, n) for n in pp.__all__)\n"
+        "assert not hasattr(pp, 'no_such_name')\n"
+        "print('ok')\n"
+    )
+    assert _fresh_python(tmp_path, "-c", code)[1] == "ok\n"

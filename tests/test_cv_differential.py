@@ -462,10 +462,10 @@ def test_a_resumed_chain_keeps_the_bits_of_a_fresh_solve(case, data):
 
 
 def test_a_top_down_walk_appends_past_each_removed_column_only(monkeypatch):
-    # 6 counters, 2 of them true: the starting set's score and the first
-    # step's chain append the 7-column key from empty; removing C3, C6, C4
-    # and C1 then appends the columns after each: C4-C6, none, C5, C2 and
-    # C5
+    # 6 counters, 2 of them true: the starting set's score appends the
+    # 7-column key from empty onto the chain, where the first step finds
+    # it; removing C3, C6, C4 and C1 then appends the columns after each:
+    # C4-C6, none, C5, C2 and C5
     model = pp.PowerModel(intercept_w=2.0, terms=(("C2", 4e-6), ("C5", 2e-6)))
     ranges = {f"C{i}": (0, 600_000) for i in range(1, 7)}
     ds = linear_dataset(model, 400, ranges, seed=7, n_runs=10, noise_rel=0.01)
@@ -474,7 +474,7 @@ def test_a_top_down_walk_appends_past_each_removed_column_only(monkeypatch):
     assert [it.counter for it in report.iterations] == ["C3", "C6", "C4", "C1"]
     assert report.final_model.counter_names == ("C2", "C5")
     from_empty = [(1, k) for k in range(1, 8)]
-    assert appends == from_empty * 2 + [(1, 4), (1, 5), (1, 6), (1, 4), (1, 2), (1, 3)]
+    assert appends == from_empty + [(1, 4), (1, 5), (1, 6), (1, 4), (1, 2), (1, 3)]
 
 
 @pytest.mark.parametrize("edit", ["duplicate", "all ones"])
@@ -687,6 +687,37 @@ def test_exhaustive_memory_is_bounded_by_the_batch_cells():
         tracemalloc.stop()
     bookkeeping = keys.nbytes + 2 * np.dtype(np.intp).itemsize * len(keys)
     assert peak < bookkeeping + 4 * 8 * search._BATCH_CELLS
+
+
+def test_evaluator_setup_holds_little_beyond_its_columns():
+    # 10 runs of 5,001 rows and 24 counters: keying col_map by each
+    # column's bytes and gathering the deltas with np.ix_ peaked at 2.11x
+    # the columns; digest keys and row blocks leave the per-fold QR copies
+    ds = make_dataset(50_010, 24, seed=2, n_runs=10)
+    folds = pp.kfold_split(ds, 10)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fast = search._CvEvaluator(ds, ds.counters, folds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * fast.columns.nbytes, peak / fast.columns.nbytes
+
+
+def test_a_digest_collision_never_merges_columns(monkeypatch):
+    # with every column under one digest, only equal bits make a copy: a
+    # counter of all ones maps to the intercept and a duplicate to its twin
+    ds = make_dataset(60, 5, seed=3, n_runs=6)
+    deltas = ds.deltas.copy()
+    deltas[:, 2] = deltas[:, 0]
+    deltas[:, 4] = 1
+    ds = dataclasses.replace(ds, deltas=deltas)
+    folds = pp.kfold_split(ds, 3)
+    expected = [0, 1, 2, 1, 4, 0]
+    assert search._CvEvaluator(ds, ds.counters, folds).col_map.tolist() == expected
+    monkeypatch.setattr(search.zlib, "crc32", lambda data: 0)
+    assert search._CvEvaluator(ds, ds.counters, folds).col_map.tolist() == expected
 
 
 def _wide_removal_case():

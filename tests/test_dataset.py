@@ -494,14 +494,20 @@ def _result_bytes(result) -> int:
 
 
 @pytest.mark.parametrize("n", [100_000, 400_000])
-def test_reading_holds_a_few_blocks_beyond_its_result(tmp_path, n):
+def test_reading_holds_a_few_blocks_beyond_its_result(tmp_path, monkeypatch, n):
     """The bulk reader streams a file in two passes and parses each block
     straight into the result's dtypes, so a read's traced peak beyond what
     it returns stays a few parse blocks at any size.  Holding the file's
     bytes, or parsing counts into uint64 first, grows with the file.  A
-    dataset's RUN tuple is built from a column of pointers to one shared
-    str per run, which adds one pointer per row while the tuple is made;
-    a str per row would add about 50 bytes."""
+    dataset's RUN tuple is built once, from runs of one shared str each:
+    a column of pointers beside it would add 8 bytes a row, and a str per
+    row about 50.
+
+    The files are as many blocks long as n rows are at the default block
+    (19 to 111), at an eighth of the rows and an eighth of the block:
+    tracemalloc makes numpy's parse slow, about 10 s at 400k rows."""
+    monkeypatch.setattr(dataset, "_PARSE_BLOCK_BYTES", dataset._PARSE_BLOCK_BYTES // 8)
+    n //= 8
     rng = np.random.default_rng(n)
     names = ("A", "B", "C", "D")
     keys = np.arange(1, n + 1, dtype=np.uint64) * 1000
@@ -512,7 +518,7 @@ def test_reading_holds_a_few_blocks_beyond_its_result(tmp_path, n):
     pp.write_dataset(pp.Dataset(names, keys, runs, rng.uniform(1, 5, n), counts), ds)
     del runs
     block = dataset._PARSE_BLOCK_BYTES
-    for read, path, per_row in ((pp.read_counter_trace, pmc, 0), (pp.read_dataset, ds, 8)):
+    for read, path in ((pp.read_counter_trace, pmc), (pp.read_dataset, ds)):
         tracemalloc.start()
         try:
             result = read(path)
@@ -521,7 +527,7 @@ def test_reading_holds_a_few_blocks_beyond_its_result(tmp_path, n):
             tracemalloc.stop()
         assert np.array_equal(result.time_keys, keys), path
         extra = peak - _result_bytes(result)
-        assert extra < 8 * block + per_row * n, (path, extra / block)
+        assert extra < 8 * block, (path, extra / block)
         del result
 
 
@@ -600,14 +606,16 @@ def _reference_csv(header, columns) -> str:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.sampled_from([0, 1, 2, 1023, 1024, 1025]) | st.integers(0, 40),
+    blocks=st.integers(0, 2),
+    offset=st.integers(-1, 1) | st.integers(0, 40),
     width=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
     run_ids=st.lists(st.text() | st.sampled_from(_ODD_RUN_IDS), min_size=1, max_size=4),
 )
-def test_write_columns_matches_per_cell_formatting(n, width, seed, run_ids):
+def test_write_columns_matches_per_cell_formatting(blocks, offset, width, seed, run_ids):
     """One printf call per block writes what str, repr and the 6-digit watt
     format write cell by cell, on either side of a block boundary."""
+    n = max(0, blocks * dataset._write_block_rows(4 + width) + offset)
     rng = np.random.default_rng(seed)
     uints = np.frombuffer(rng.bytes(8 * n * (width + 1)), dtype=np.uint64)
     floats = np.frombuffer(rng.bytes(8 * 2 * n), dtype=np.float64)
@@ -628,6 +636,31 @@ def test_write_columns_matches_per_cell_formatting(n, width, seed, run_ids):
     out = io.StringIO()
     dataset.write_columns(out, header, columns)
     assert out.getvalue() == _reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("width", [2, 20])
+def test_the_writer_holds_one_block_of_cells_at_any_size(tmp_path, width):
+    """A write formats ``_WRITE_BLOCK_CELLS`` cells at a time, whatever the
+    width, so its traced peak (about 60 bytes a cell) does not grow with
+    the rows or the columns: blocks of 1,024 rows held 1.2 MB at 19
+    columns, against 0.25 MB at 4."""
+    rng = np.random.default_rng(width)
+    peaks = []
+    for n in (2_000, 8_000):
+        columns = [
+            (np.arange(n, dtype=np.uint64), "%s"),
+            (rng.uniform(1, 5, n), "%r"),
+            (rng.integers(0, 2**32, (n, width - 2), dtype=np.uint32), "%s"),
+        ]
+        header = [f"C{j}" for j in range(width)]
+        with open(tmp_path / "out.csv", "w", encoding="utf-8") as f:
+            tracemalloc.start()
+            try:
+                dataset.write_columns(f, header, columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) < 100 * dataset._WRITE_BLOCK_CELLS, peaks
 
 
 def test_format_watts_is_the_writers_watt_format():
