@@ -24,8 +24,10 @@ With ``--memory`` each child also traces its stages with tracemalloc, and
 one more line per workload gives both sides' largest traced peak for each
 stage kind (gen, sync, train, validate, predict), so a memory change shows
 which stage it moved.  A stage's peak counts what it allocates beyond what
-was live when it started.  Tracing makes a full-size run about 15x slower
-(2.6 -> 39 s for all three workloads on 2 cores), so it is not the default.
+was live when it started, and the modules the stages load,
+``pmcpower.search`` included, are imported before the first one.  Tracing
+makes a full-size run about 15x slower (2.6 -> 39 s for all three
+workloads on 2 cores), so it is not the default.
 """
 
 import argparse
@@ -86,7 +88,9 @@ def run_side(workload: str, seed: int, size_name: str, memory: bool = False) -> 
     checkout's ``src/`` and ``perfbench/`` importable: ``{"artifacts":
     artifact -> sha256, "json": JSON artifact -> its value, "peaks": stage
     kind -> traced peak bytes}``, the peaks empty without ``memory``."""
-    from pmcpower import cli
+    # search is loaded before the first traced stage, so a train peak is
+    # the stage's data, not the compile of search.py that cli defers to it
+    from pmcpower import cli, search  # noqa: F401
     from workloads import WORKLOADS, Layout, spec_dict
 
     w = WORKLOADS[workload]

@@ -24,24 +24,27 @@ no LAPACK call per subset, and the normal equations are never formed.  The
 rank cut-off is the one a full-height ``lstsq`` would use:
 s_min > eps * max(n_train, k) * s_max, with n_train the complement's row
 count, not R's.  A cheap bound certifies most subsets; the rest are decided
-by the SVD of R_f[:, cols].  A greedy step starts from the incumbent's
-factorisation, the evaluator's one chain of appends, resumed where the
-incumbent's columns first differ: a bottom_up step appends every
+by the SVD of R_f[:, cols].  A greedy step is scored by one step scorer
+from the incumbent's factorisation, the evaluator's one chain of appends,
+resumed once per step where the incumbent's columns first differ: the
+starting set is the chain itself, a bottom_up step appends every
 candidate column to it at once, in append order rather than sorted, and
 a top_down step re-appends only the columns after the one it removed,
 then downdates the removals of a set that scores finite in closed form.
-Each scoring call predicts its keys' held-out rows by one GEMM per fold
-over the columns those keys use: a chunk of keys, whose size bounds both
-its prefix states and that block, or one greedy step, whose block on a
-fold (at most pool keys) is no larger than the fold's slice of the data.
-Equal column sets in one batch (copies of a counter, a subset listed
-twice) are scored once and tie exactly; across batches, or in another
-column order, a score may move in its last bits, within a tested bound
-set by its condition number.  The final model is always refit on the
-full training set.  One owner per decision: searches score only through
-``score_many``, ``_append`` extends every factorisation and
-``check_zero_guard`` checks each dataset once (``_CvEvaluator`` has the
-rest).
+Any other batch is solved on its sorted keys.  Each scoring call
+predicts its keys' held-out rows by one GEMM per fold over the columns
+those keys use: a chunk of keys, whose size bounds both its prefix
+states and that block, or one greedy step, whose block on a fold (at
+most pool keys) is no larger than the fold's slice of the data.  That
+prediction alone turns a key's fold MAPEs into its score: their mean, or
++inf when a fold fails.  Equal column sets in one batch (copies of a
+counter, a subset listed twice) are scored once and tie exactly; across
+batches, or in another column order, a score may move in its last bits,
+within a tested bound set by its condition number.  The final model is
+always refit on the full training set.  One owner per decision: searches
+score only through ``score_many``, ``_append`` extends every
+factorisation and ``check_zero_guard`` checks each dataset once
+(``_CvEvaluator`` has the rest).
 
 Fold assignment is by whole benchmark run when at least k distinct runs
 exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
@@ -107,9 +110,10 @@ class SearchConfig:
     pool means "all dataset counters".  initial_set starts bottom_up
     (default: empty) and top_down (default: the whole pool); exhaustive
     refuses it.  max_events caps the model size of bottom_up and
-    exhaustive; top_down refuses it.  folds, fold_seed and max_events are
-    integers, not bools.  Ties are always broken by candidate-pool order
-    (lowest index wins).  A search step is one batched computation.
+    exhaustive, and is at least the size of initial_set; top_down refuses
+    it.  folds, fold_seed and max_events are integers, not bools.  Ties are
+    always broken by candidate-pool order (lowest index wins).  A search
+    step is one batched computation.
     """
 
     algorithm: str
@@ -128,17 +132,19 @@ class SearchConfig:
         )
         if self.algorithm not in SEARCH_ALGORITHMS:
             raise ValueError(f"unknown search algorithm {self.algorithm!r}")
-        for name, low in (("folds", 2), ("max_events", 0), ("fold_seed", 0)):
+        if self.algorithm == TOP_DOWN and self.max_events is not None:
+            raise ValueError("max_events does not apply to top_down")
+        if self.algorithm == EXHAUSTIVE and self.initial_set:
+            raise ValueError("initial_set does not apply to exhaustive")
+        # a cap below the initial set would return a model larger than it
+        caps = (("folds", 2), ("max_events", len(self.initial_set)), ("fold_seed", 0))
+        for name, low in caps:
             value = getattr(self, name)
             if value is None and name == "max_events":
                 continue  # no cap
             if not (is_integer(value) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
             object.__setattr__(self, name, check_type(name, value, int))
-        if self.algorithm == TOP_DOWN and self.max_events is not None:
-            raise ValueError("max_events does not apply to top_down")
-        if self.algorithm == EXHAUSTIVE and self.initial_set:
-            raise ValueError("initial_set does not apply to exhaustive")
 
 
 @dataclass(frozen=True)
@@ -246,25 +252,27 @@ class _CvEvaluator:
     so copies of a counter and one subset listed in two orders are one
     key; a greedy step scores on its incumbent's chain key instead.  One
     method owns each decision: ``score_many``, the searches' one entry,
-    scores a batch's distinct keys in lexicographic order (a depth first
-    walk of their prefix tree), +inf where a fold fails (``score`` raises
-    instead); ``_append`` alone extends factorisations, each prefix from
-    its parent on every fold at once, for ``_solve`` (sorted keys from the
-    empty prefix) and for the incumbent chain (``_resume``).  The chain
-    holds the per-fold state of the set a greedy step starts from: Q and
-    T^-1, whose leading blocks hold at every depth, and per depth beta,
-    ||A||_F^2, ||T^-1||_F^2 and the first failed fold.
-    ``_addition_scores`` appends a step's candidates to it in one call and
-    ``_removal_scores`` downdates a set's removals from its beta and T^-1;
-    ``_held_out_mape`` predicts held-out rows by one GEMM per fold.
-    Memory has two bounds: ``chunk`` keys at a time bound the prefix
-    states and the prediction block of ``_score_keys``, and a greedy step
-    of at most pool keys predicts a block per fold no larger than that
-    fold's slice of ``columns``.  A key is full rank when s_min > eps *
-    max(n_train, k) * s_max, the cut-off a full-height ``lstsq`` on the
-    complement would use (n_train is the complement's row count, not
-    R's): a bound certifies it, else the SVD of ``R_f[:, key]`` decides,
-    and a prefix that fails a fold fails it for every key below.
+    sends a greedy step named by its incumbent to ``_step_scores`` and
+    every other batch to ``_score_keys``, which scores the distinct keys
+    in lexicographic order (a depth first walk of their prefix tree);
+    ``_held_out_mape`` alone predicts held-out rows, by one GEMM per fold,
+    and alone turns them into a score: the mean over the folds, +inf where
+    a fold fails (``score`` raises instead).  ``_append`` alone extends
+    factorisations, each prefix from its parent on every fold at once, for
+    ``_solve`` (sorted keys from the empty prefix) and for the incumbent
+    chain (``_resume``).  The chain holds the per-fold state of the set a
+    greedy step starts from: Q and T^-1, whose leading blocks hold at every
+    depth, and per depth beta, ||A||_F^2, ||T^-1||_F^2 and the first failed
+    fold.  ``_step_scores`` resumes it once per step, then appends the
+    step's candidates to it in one call or downdates a set's removals from
+    its beta and T^-1.  Memory has two bounds: ``chunk`` keys at a time
+    bound the prefix states and the prediction block of ``_score_keys``,
+    and a greedy step of at most pool keys predicts a block per fold no
+    larger than that fold's slice of ``columns``.  A key is full rank when
+    s_min > eps * max(n_train, k) * s_max, the cut-off a full-height
+    ``lstsq`` on the complement would use (n_train is the complement's row
+    count, not R's): a bound certifies it, else the SVD of ``R_f[:, key]``
+    decides, and a prefix that fails a fold fails it for every key below.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
@@ -347,38 +355,27 @@ class _CvEvaluator:
         return float(scores[0])
 
     def score_or_inf(self, selection: Sequence[int]) -> float:
-        """CV MAPE of one selection, +inf when infeasible: the score
-        ``score_many`` computed for its batch, else a batch of one."""
-        key = tuple(selection)
-        if key in self._batch_scores:
-            return self._batch_scores[key]
-        return self.score_many([selection])[0]
+        """CV MAPE of one selection of the batch ``score_many`` is handing
+        out, +inf when infeasible."""
+        return self._batch_scores[tuple(selection)]
 
     def score_many(self, selections, incumbent=None) -> list[float]:
         """CV MAPE of every selection, in order; infeasible ones score +inf.
 
-        A named ``incumbent`` says the batch is the incumbent alone
-        (``_incumbent_score``, the chain moved to it) or one greedy step
-        from it: each selection is the incumbent with one pool index
-        appended (``_addition_scores``) or, when the first selection is
-        shorter, the incumbent without its entry j (selection j,
-        ``_removal_scores``); each starts from the incumbent's
-        factorisation.  Any other batch takes the append path.  The scores
-        are computed as one batch and handed out one candidate at a time
-        through ``score_or_inf``, so every candidate scored passes once
-        through that entry point.
+        A named ``incumbent`` says the batch is one greedy step from it,
+        the incumbent alone included, scored by ``_step_scores`` from the
+        incumbent's factorisation.  Any other batch, and a step whose
+        removals have no closed form, is scored by ``_score_keys`` on its
+        sorted keys.  The scores are computed as one batch and handed out
+        one candidate at a time through ``score_or_inf``, so every
+        candidate scored passes once through that entry point.
         """
-        named = incumbent is not None and len(selections) > 0
-        if named and len(selections[0]) > len(incumbent):
-            scores = self._addition_scores(incumbent, [sel[-1] for sel in selections])
-        elif named and len(selections[0]) == len(incumbent):
-            scores = self._incumbent_score(incumbent)
-        else:
-            scores = self._removal_scores(incumbent or ())
+        scores = None
+        if incumbent is not None and len(selections) > 0:
+            scores = self._step_scores(incumbent, selections)
         if scores is None:
-            scores, failed = self._score_keys(self._keys(selections))
-            scores = np.where(failed < len(self.tests), math.inf, scores).tolist()
-        self._batch_scores = dict(zip(map(tuple, selections), scores))
+            scores = self._score_keys(self._keys(selections))[0]
+        self._batch_scores = dict(zip(map(tuple, selections), scores.tolist()))
         try:
             return [self.score_or_inf(sel) for sel in selections]
         finally:
@@ -412,66 +409,61 @@ class _CvEvaluator:
         """The design column that scores each pool index of ``selection``."""
         return self.col_map[np.array(selection, dtype=np.intp) + 1]
 
-    def _incumbent_score(self, selection: Sequence[int]) -> list[float]:
-        """CV MAPE of ``selection`` alone, from the chain resumed at it.  A
-        chain built from empty, as a search's starting set is, gives the
-        bits ``_score_keys`` gives, and the first step then resumes it."""
-        _, _, beta, _, _, failed = self._resume(selection)
-        keys = np.array([self._chain_key])
-        total = self._held_out_mape(keys, beta[:, :, : keys.shape[1]], failed)
-        n_folds = len(self.tests)
-        return np.where(failed < n_folds, math.inf, total / n_folds).tolist()
+    def _step_scores(self, incumbent, selections) -> np.ndarray | None:
+        """CV MAPE of each selection of one greedy step from ``incumbent``,
+        in order, +inf where a fold fails, from the chain resumed at it; or
+        None where removals have no closed form.  The step's length says
+        how it moves the key:
 
-    def _addition_scores(self, incumbent, added: Sequence[int]) -> list[float]:
-        """CV MAPE of the incumbent with each pool index of ``added``
-        appended, in that order: one ``_append`` puts every distinct new
-        column onto the chain's last depth, and one ``_held_out_mape``
-        predicts them all, a block per fold no larger than the fold's slice
-        of ``columns`` (at most pool keys).  The key is in append order, so
-        a score may differ in its last bits from the sorted key's."""
-        q_rows, t_inv, beta, a_norm2, t_norm2, failed = self._resume(incumbent)
-        cols, back = np.unique(self._columns_of(added), return_inverse=True)
-        rows, width = np.zeros(len(cols), dtype=np.intp), len(self._chain_key) + 1
-        chain = np.broadcast_to(self._chain_key, (len(cols), width - 1))
-        keys = np.column_stack([chain, cols])
-        out = self._append(
-            _Prefixes(
-                q_rows[rows, :, :width], t_inv[rows, :, :width, :width],
-                beta[rows, :, :width], a_norm2[rows], t_norm2[rows], failed[rows],
-            ),
-            keys,
-        )
-        total = self._held_out_mape(keys, out.beta, out.failed)
-        n_folds = len(self.tests)
-        return np.where(out.failed < n_folds, math.inf, total / n_folds)[back].tolist()
+        - the same: the incumbent alone.  A chain built from empty, as a
+          search's starting set is, gives the bits ``_score_keys`` gives,
+          and the first step then resumes it.
+        - longer, the incumbent with one pool index appended: one
+          ``_append`` puts every distinct new column onto the chain's last
+          depth.  The key is in append order, so a score may differ in its
+          last bits from the sorted key's.
+        - shorter, the incumbent without its entry j (selection j): when
+          the incumbent has two columns or more and scores finite, its
+          beta and T^-1 give every removal in closed form.  With
+          C = T^-1 T^-T = (R^T R)^-1, dropping key column j gives
+          beta - (beta_j / C_jj) C[:, j], entry j zeroed (Golub & Van Loan,
+          section 6.5).  Dropping a column cannot lower s_min or raise
+          s_max, so every removal passes its set's rule.
 
-    def _removal_scores(self, selected: Sequence[int]) -> list[float] | None:
-        """CV MAPE of each one-column removal of ``selected``, in its order,
-        or None when the set has fewer than two columns or fails some fold.
-
-        When the set scores finite, its own appended factorisation, the
-        chain resumed at ``selected``, gives every removal in closed form:
-        with C = T^-1 T^-T = (R^T R)^-1, dropping key column j gives
-        beta - (beta_j / C_jj) C[:, j], entry j zeroed (Golub & Van Loan,
-        section 6.5).  Dropping a column cannot lower s_min or raise s_max,
-        so every removal passes its set's rule.
+        One ``_held_out_mape`` predicts the step, a block per fold no
+        larger than the fold's slice of ``columns`` (at most pool keys).
         """
-        m = len(selected)
-        if m < 2:
+        m, grow = len(incumbent), len(selections[0]) - len(incumbent)
+        q_rows, t_inv, beta, a_norm2, t_norm2, failed = self._resume(incumbent)
+        key, n_folds = np.array(self._chain_key), len(self.tests)
+        width, back = len(key), np.zeros(len(selections), dtype=np.intp)
+        if grow == 0:
+            keys, beta = key[None], beta[:, :, :width]
+        elif grow > 0:
+            added = self._columns_of([sel[-1] for sel in selections])
+            cols, back = np.unique(added, return_inverse=True)
+            keys = np.column_stack([np.broadcast_to(key, (len(cols), width)), cols])
+            rows, w = np.zeros(len(cols), dtype=np.intp), width + 1
+            _, _, beta, _, _, failed = self._append(
+                _Prefixes(
+                    q_rows[rows, :, :w], t_inv[rows, :, :w, :w], beta[rows, :, :w],
+                    a_norm2[rows], t_norm2[rows], failed[rows],
+                ),
+                keys,
+            )
+        elif m < 2 or failed[0] < n_folds:
             return None
-        _, t_inv, beta, _, _, failed = self._resume(selected)
-        if failed[0] < len(self.tests):
-            return None
-        key, rows = np.array(self._chain_key), np.arange(m)
-        order = np.argsort(key)
-        pos = order[np.searchsorted(key, self._columns_of(selected), sorter=order)]
-        t_inv, beta = t_inv[0, :, : len(key), : len(key)], beta[0, :, : len(key)]
-        c = t_inv[:, pos] @ t_inv.swapaxes(-1, -2)  # rows pos of C, per fold
-        betas = beta[:, None] - (beta[:, pos] / c[:, rows, pos])[..., None] * c
-        betas[:, rows, pos] = 0.0
-        keys = np.broadcast_to(key, (m, len(key)))
-        total = self._held_out_mape(keys, betas.swapaxes(0, 1), np.full(m, len(self.tests)))
-        return (total / len(self.tests)).tolist()
+        else:
+            back = np.arange(m)
+            order = np.argsort(key)
+            pos = order[np.searchsorted(key, self._columns_of(incumbent), sorter=order)]
+            t_inv, beta = t_inv[0, :, :width, :width], beta[0, :, :width]
+            c = t_inv[:, pos] @ t_inv.swapaxes(-1, -2)  # rows pos of C, per fold
+            beta = beta[:, None] - (beta[:, pos] / c[:, back, pos])[..., None] * c
+            beta[:, back, pos] = 0.0
+            keys, beta = np.broadcast_to(key, (m, width)), beta.swapaxes(0, 1)
+            failed = np.full(m, n_folds)
+        return self._held_out_mape(keys, beta, failed)[back]
 
     def _keys(self, selections: Sequence[Sequence[int]]) -> np.ndarray:
         """Sorted design columns of each selection, one per row, in the
@@ -490,9 +482,9 @@ class _CvEvaluator:
         return np.sort(keys, axis=1)
 
     def _score_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean fold MAPE of every key row, and the first fold whose fit
-        failed (``len(self.tests)`` when none did); a failed key's score is
-        not computed.
+        """CV MAPE of every key row (``_held_out_mape``: +inf where a fold
+        fails), and the first fold whose fit failed (``len(self.tests)``
+        when none did).
 
         Sorted lexicographically, the keys walk their prefix tree depth
         first, and equal keys are neighbours, scored once and sharing that
@@ -505,14 +497,14 @@ class _CvEvaluator:
         new = np.ones(len(keys), dtype=bool)
         new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
         keys = keys[new]
-        total = np.zeros(len(keys))
+        scores = np.empty(len(keys))
         failed = np.empty(len(keys), dtype=np.intp)
         for lo in range(0, len(keys), self.chunk):
             part = slice(lo, lo + self.chunk)
             betas, failed[part] = self._solve(keys[part])
-            total[part] = self._held_out_mape(keys[part], betas, failed[part])
+            scores[part] = self._held_out_mape(keys[part], betas, failed[part])
         back = (np.cumsum(new) - 1)[np.argsort(order)]  # each key's distinct key
-        return total[back] / len(self.tests), failed[back]
+        return scores[back], failed[back]
 
     def _solve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-fold beta, zero-padded to the key width, and first failed
@@ -559,14 +551,14 @@ class _CvEvaluator:
         )
 
     def _held_out_mape(self, keys, betas, failed) -> np.ndarray:
-        """Summed held-out MAPE over the folds of every key that fails none
-        (0.0 for a key that fails one), from its per-fold ``betas``: per
-        fold, one GEMM of their zero-padded rows over the columns some key
-        weights (over every pool column, a narrow key's GEMM on 20k
-        held-out rows was memory bound, twice as slow).  The caller bounds
-        the (keys x fold rows) block: ``_score_keys`` by its chunk, a
-        greedy step (``_addition_scores``, ``_removal_scores``) by the pool
-        width."""
+        """CV MAPE of every key, the mean of its held-out MAPE over the
+        folds, or +inf for a key that fails a fold (``failed`` below
+        ``len(self.tests)``), from its per-fold ``betas``: per fold, one
+        GEMM of their zero-padded rows over the columns some key weights
+        (over every pool column, a narrow key's GEMM on 20k held-out rows
+        was memory bound, twice as slow).  The caller bounds the (keys x
+        fold rows) block: ``_score_keys`` by its chunk, ``_step_scores`` by
+        the pool width."""
         n_folds, p = len(self.tests), len(self.columns)
         live = np.flatnonzero(failed == n_folds)
         # column p takes the key padding
@@ -578,7 +570,7 @@ class _CvEvaluator:
         for fold_rows, test in zip(rows, self.tests):
             x, y = self.columns[cols, test], self.columns[-1, test]
             total[live] += mape_rows(y, fold_rows @ x)
-        return total
+        return np.where(failed < n_folds, math.inf, total / n_folds)
 
     def _append(self, prefixes: _Prefixes, keys: np.ndarray) -> _Prefixes:
         """Each prefix row extended by the last column a of its row of

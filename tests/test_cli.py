@@ -322,6 +322,19 @@ def test_train_refuses_a_setting_the_search_would_ignore(tmp_path, capsys, flags
     assert not model_out.exists()
 
 
+def test_train_refuses_max_events_below_the_initial_set(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    pp.write_dataset(make_dataset(60, 4, seed=3, n_runs=6), path)
+    model_out = tmp_path / "m.json"
+    code = main(
+        ["train", "--dataset", str(path), "--folds", "3", "--initial", "C1,C2,C3",
+         "--max-events", "1", "--model-out", str(model_out)]
+    )
+    assert code == 2
+    assert "max_events must be an integer >= 3, got 1" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
 def test_train_rejects_jobs_below_one(tmp_path, capsys):
     path = tmp_path / "d.csv"
     pp.write_dataset(make_dataset(40, 2, n_runs=4), path)

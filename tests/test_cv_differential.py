@@ -192,7 +192,7 @@ def test_rfactor_scores_match_per_fold_lstsq(case):
     fast = search._CvEvaluator(ds, pool, folds)
     ref = _RefEvaluator(ds, pool, folds)
     for sel in _all_subsets(len(pool)):
-        got, want = fast.score_or_inf(sel), ref.score_or_inf(sel)
+        got, want = fast.score_many([sel])[0], ref.score_or_inf(sel)
         if np.isfinite(want):
             tol = _mape_tolerance(ref, [0] + [i + 1 for i in sel])
             assert abs(got - want) <= tol, (sel, got, want, tol)
@@ -214,7 +214,7 @@ def test_scores_do_not_depend_on_the_batch(case, data):
     fast = search._CvEvaluator(ds, ds.counters, folds)
     ref = _RefEvaluator(ds, ds.counters, folds)
     subsets = _all_subsets(len(ds.counters))
-    alone = [fast.score_or_inf(sel) for sel in subsets]
+    alone = [fast.score_many([sel])[0] for sel in subsets]
     tol = [
         _mape_tolerance(ref, [0] + [i + 1 for i in sel]) if np.isfinite(score) else 0.0
         for sel, score in zip(subsets, alone)
@@ -335,9 +335,9 @@ def test_removal_batches_agree_with_scores_alone(case):
     while selected:
         trials = _removals(selected)
         batch = fast.score_many(trials, selected)
-        alone = [fast.score_or_inf(t) for t in trials]
-        closed_form = len(selected) > 1 and np.isfinite(fast.score_or_inf(selected))
-        assert (fast._removal_scores(selected) is not None) == closed_form
+        alone = [fast.score_many([t])[0] for t in trials]
+        closed_form = len(selected) > 1 and np.isfinite(fast.score_many([selected])[0])
+        assert (fast._step_scores(selected, trials) is not None) == closed_form
         for trial, got, want in zip(trials, batch, alone):
             if want == np.inf:
                 assert got == np.inf, trial
@@ -369,7 +369,7 @@ def test_addition_batches_agree_with_scores_alone(case):
     selected = []
     while trials := _additions(selected, len(ds.counters)):
         batch = fast.score_many(trials, selected)
-        alone = [fast.score_or_inf(t) for t in trials]
+        alone = [fast.score_many([t])[0] for t in trials]
         for trial, got, want in zip(trials, batch, alone):
             if want == np.inf:
                 assert got == np.inf, trial
@@ -490,39 +490,40 @@ def test_a_set_that_repeats_a_key_column_keeps_the_append_bits(edit):
     fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 3))
     selected = list(range(4))
     trials = _removals(selected)
-    assert fast._removal_scores(selected) is None
-    alone = [fast.score_or_inf(t) for t in trials]
+    assert fast._step_scores(selected, trials) is None
+    alone = [fast.score_many([t])[0] for t in trials]
     assert fast.score_many(trials, selected) == alone
 
 
 def test_an_unnamed_removal_batch_keeps_the_append_bits(monkeypatch):
     # the closed form runs only when the caller names the set: the same
-    # removals, or any batch, scored without it take the append path, and
-    # agree with each trial scored alone within the trial's own bound
+    # removals, or any batch, scored without it never enter the step
+    # scorer, take the append path, and agree with each trial scored alone
+    # within the trial's own bound
     ds = make_dataset(60, 4, seed=3, n_runs=6)
     folds = pp.kfold_split(ds, 3)
     fast = search._CvEvaluator(ds, ds.counters, folds)
     ref = _RefEvaluator(ds, ds.counters, folds)
     selected = [3, 0, 2, 1]
     trials = _removals(selected)
-    assert fast._removal_scores(selected) is not None
-    assert fast._removal_scores(selected[:1]) is None  # one column: no closed form
-    closed_forms = []
-    removal_scores = fast._removal_scores
+    assert fast._step_scores(selected, trials) is not None
+    # one column: no closed form
+    assert fast._step_scores(selected[:1], _removals(selected[:1])) is None
+    steps = []
+    step_scores = fast._step_scores
 
-    def spy(sel):
-        scores = removal_scores(sel)
-        closed_forms.append(scores is not None)
-        return scores
+    def spy(incumbent, selections):
+        steps.append(incumbent)
+        return step_scores(incumbent, selections)
 
-    monkeypatch.setattr(fast, "_removal_scores", spy)
+    monkeypatch.setattr(fast, "_step_scores", spy)
     for batch in (trials, trials[::-1], trials[1:], trials + [[0, 1, 2, 3]]):
         scores = fast.score_many(batch)
         for trial, got in zip(batch, scores):
-            want = fast.score_or_inf(trial)
+            want = fast.score_many([trial])[0]
             tol = _mape_tolerance(ref, [0] + [i + 1 for i in trial])
             assert abs(got - want) <= tol, (trial, got, want, tol)
-    assert closed_forms and not any(closed_forms)
+    assert steps == []
 
 
 def test_complement_shorter_than_parameters_scores_inf():
@@ -532,8 +533,8 @@ def test_complement_shorter_than_parameters_scores_inf():
     folds = pp.kfold_split(ds, 4)  # 6-row complements
     fast = search._CvEvaluator(ds, ds.counters, folds)
     ref = _RefEvaluator(ds, ds.counters, folds)
-    assert fast.score_or_inf(range(6)) == ref.score_or_inf(range(6)) == np.inf
-    _assert_close(fast.score_or_inf(range(5)), ref.score_or_inf(range(5)))
+    assert fast.score_many([range(6)])[0] == ref.score_or_inf(range(6)) == np.inf
+    _assert_close(fast.score_many([range(5)])[0], ref.score_or_inf(range(5)))
     with pytest.raises(pp.FitError, match=r"fold 0: fewer rows \(6\) than parameters \(7\)"):
         fast.score(range(6))
 
@@ -558,9 +559,9 @@ def test_rank_cutoff_scales_with_training_rows_not_r_rows():
         assert EPS * r.shape[0] < s[-1] / s[0] < EPS * n_train
         # a cut-off scaled by R's own height keeps the near-copy
         assert np.linalg.lstsq(r[:, :3], r[:, -1], rcond=None)[2] == 3
-    assert fast.score_or_inf((0, 1)) == ref.score_or_inf((0, 1)) == np.inf
-    _assert_close(fast.score_or_inf((0,)), ref.score_or_inf((0,)))
-    _assert_close(fast.score_or_inf((1,)), ref.score_or_inf((1,)))
+    assert fast.score_many([(0, 1)])[0] == ref.score_or_inf((0, 1)) == np.inf
+    _assert_close(fast.score_many([(0,)])[0], ref.score_or_inf((0,)))
+    _assert_close(fast.score_many([(1,)])[0], ref.score_or_inf((1,)))
 
 
 def _first_failure(ref, cols):
@@ -662,10 +663,11 @@ def test_an_uncertified_subset_falls_back_to_one_svd(monkeypatch):
     ds = _dataset(np.column_stack([a, b]), rng.uniform(1.0, 2.0, size=n), 1)
     fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 2))
     calls = _counting_svd(monkeypatch)
-    assert fast.score_or_inf((0, 1)) == np.inf
+    assert fast.score_many([(0, 1)])[0] == np.inf
     assert calls == [(1, 4, 3)]
     calls.clear()
-    assert np.isfinite(fast.score_or_inf((0,))) and np.isfinite(fast.score_or_inf((1,)))
+    assert np.isfinite(fast.score_many([(0,)])[0])
+    assert np.isfinite(fast.score_many([(1,)])[0])
     assert calls == []
 
 

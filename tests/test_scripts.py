@@ -113,11 +113,11 @@ def test_bench_pairs_refuses_a_bad_claim_before_any_run(tmp_path, claim):
     assert not out.exists()
 
 
-def _same_outputs(parent, change, *flags):
+def _same_outputs(parent, change, *flags, env=None):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "same_outputs.py"),
          "--parent", str(parent), "--change", str(change), "--size", "smoke", *flags],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
 
 
@@ -129,8 +129,24 @@ def test_same_outputs_finds_one_checkout_identical_to_itself():
     assert all(line.endswith("artifacts byte-identical") for line in lines)
 
 
-def test_same_outputs_memory_gives_each_stage_kinds_traced_peak():
-    done = _same_outputs(ROOT, ROOT, "--workloads", "apply,select", "--memory")
+def test_same_outputs_memory_gives_each_stage_kinds_traced_peak(tmp_path):
+    # a copy with no bytecode cache, and none written, so every child
+    # compiles pmcpower from source: a train stage that loaded search.py
+    # itself would read about the import's own peak (2.4 MB, printed to
+    # 0.01 MB), not its data (0.2 MB), so it is held to half that peak
+    copy = tmp_path / "copy"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    code = ("import tracemalloc; from pmcpower import cli; tracemalloc.start(); "
+            "from pmcpower import search; print(tracemalloc.get_traced_memory()[1])")
+    imported = subprocess.run(
+        [sys.executable, "-c", code], env=dict(env, PYTHONPATH=str(copy / "src")),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    import_mb = int(imported.stdout) / 1e6
+    done = _same_outputs(copy, copy, "--workloads", "apply,select", "--memory", env=env)
     assert done.returncode == 0, done.stderr
     peaks = [line for line in done.stdout.splitlines() if "traced peak MB" in line]
     assert len(peaks) == 2
@@ -141,8 +157,10 @@ def test_same_outputs_memory_gives_each_stage_kinds_traced_peak():
         assert workload == name
         stages = [cell.split() for cell in cells.split(", ")]
         assert [stage[0] for stage in stages] == kinds
-        for _, parent, arrow, change in stages:
+        for kind, parent, arrow, change in stages:
             assert arrow == "->" and float(parent) > 0 and float(change) > 0
+            if kind == "train":
+                assert max(float(parent), float(change)) < import_mb / 2, (line, import_mb)
 
 
 def test_same_outputs_lists_what_a_changed_watt_format_writes(tmp_path):

@@ -299,6 +299,20 @@ def test_bottom_up_max_events_caps_model_size():
     assert report.stop_reason == "max_events"
 
 
+def test_max_events_below_the_initial_set_is_refused():
+    # such a cap used to return the initial set itself, a model larger
+    # than the cap, with stop_reason "max_events"
+    initial = ("C1", "C2", "C3")
+    for cap in (0, 1, 2):
+        with pytest.raises(ValueError, match="max_events must be an integer >= 3"):
+            pp.SearchConfig(algorithm="bottom_up", initial_set=initial, max_events=cap)
+    ds = make_dataset(60, 4, seed=3, n_runs=6)
+    cfg = pp.SearchConfig(algorithm="bottom_up", folds=3, initial_set=initial, max_events=3)
+    report = pp.bottom_up(ds, cfg)
+    assert report.final_model.counter_names == initial
+    assert report.stop_reason == "max_events"
+
+
 def test_bottom_up_tie_breaks_to_lower_pool_index():
     base = linear_dataset(
         pp.PowerModel(intercept_w=2.0, terms=(("A", 1e-06),)),
