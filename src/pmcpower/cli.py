@@ -116,14 +116,8 @@ def cmd_predict(args) -> int:
     model = regress.read_model(args.model)
     data = dataset.read_dataset(args.dataset)
     predicted = regress.predict_dataset(model, data)
-    dataset.write_columns(
-        sys.stdout,
-        (dataset.TIME_KEY, "RUN", "PREDICTED_W"),
-        (
-            (data.time_keys, "%s"),
-            (data.run_ids, "%s"),
-            (predicted, regress.WATTS_SPEC),
-        ),
+    regress.write_predictions(
+        sys.stdout, data.time_keys, data.run_ids, {"PREDICTED_W": predicted}
     )
     sys.stdout.flush()
     return 0

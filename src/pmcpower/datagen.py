@@ -33,6 +33,7 @@ from .dataset import (
     Dataset,
     PowerTrace,
     check_counter_names,
+    check_keys,
     check_type,
     is_integer,
     read_json,
@@ -263,11 +264,7 @@ def genspec_from_dict(data: dict, where: str = "gen spec") -> GenSpec:
     """The GenSpec a JSON object describes; its keys are GenSpec fields,
     and an absent key takes the field's default."""
     try:
-        unknown = set(data) - set(_FIELD_TYPES)
-        if unknown:
-            raise FormatError(
-                f"unknown gen spec keys: {', '.join(sorted(unknown))}", where
-            )
+        check_keys(data, _FIELD_TYPES, "gen spec", where)
         fields = {**data, "true_model": model_from_dict(data["true_model"], where)}
         return GenSpec(**fields)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

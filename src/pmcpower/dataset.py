@@ -258,19 +258,14 @@ class SampleRow:
         if self.freq_mhz is not None:
             _FREQ.check(self.freq_mhz, ())
 
-    def delta(self, counter: str) -> int:
-        try:
-            return self.deltas[self.counters.index(counter)]
-        except ValueError:
-            raise KeyError(f"counter {counter!r} not present in row") from None
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Synchronised, delta-converted samples ready for regression.
 
-    Stored column-wise; use ``row`` / ``rows`` for a per-sample view.
-    ``source`` is provenance only and excluded from equality.
+    Stored column-wise; ``row(i)`` is the one per-sample view.  ``source``
+    is provenance only, excluded from equality, and names the dataset in
+    errors (``with_source``).
     """
 
     counters: tuple[str, ...]
@@ -319,10 +314,6 @@ class Dataset:
             freq_mhz=None if self.freq_mhz is None else float(self.freq_mhz[i]),
         )
 
-    @property
-    def rows(self) -> list[SampleRow]:
-        return [self.row(i) for i in range(self.n_rows)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -338,6 +329,12 @@ class Dataset:
         if same and self.freq_mhz is not None:
             same = np.array_equal(self.freq_mhz, other.freq_mhz)
         return same
+
+
+def with_source(ds: Dataset, message: str) -> str:
+    """``message`` prefixed ``<source>: `` when ``ds`` has a source, as a
+    refusal of the dataset names it."""
+    return f"{ds.source}: {message}" if ds.source else message
 
 
 # ---------------------------------------------------------------------------
@@ -688,14 +685,14 @@ def write_columns(f, header: Sequence[str], columns: Sequence[tuple]) -> None:
         f.write((row * n) % tuple(cells[:n].ravel().tolist()))
 
 
-def read_counter_trace(path, run_id: str | None = None) -> CounterTrace:
-    """Read and validate a PMC trace CSV.  run_id defaults to the file stem."""
+def read_counter_trace(path) -> CounterTrace:
+    """Read and validate a PMC trace CSV; its run_id is the file stem."""
     header, (keys, values) = _read_table(path, _counter_fields)
     return CounterTrace(
         time_keys=keys,
         counters=tuple(header[1:]),
         values=values,
-        run_id=Path(path).stem if run_id is None else run_id,
+        run_id=Path(path).stem,
     )
 
 
@@ -834,6 +831,16 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
             raise ValueError(f"duplicate key {key!r}")
         obj[key] = value
     return obj
+
+
+def check_keys(data, known, what: str, where) -> dict:
+    """``data`` when it is a JSON object whose keys are all ``known``;
+    a stray key is a ``FormatError("unknown <what> keys: ...", where)``
+    and another value a ValueError."""
+    unknown = set(check_type(what, data, dict)) - set(known)
+    if unknown:
+        raise FormatError(f"unknown {what} keys: {', '.join(sorted(unknown))}", where)
+    return data
 
 
 def read_json(path, what: str):

@@ -30,8 +30,10 @@ from .dataset import (
     Dataset,
     SampleRow,
     check_counter_names,
+    check_keys,
     check_type,
     read_json,
+    with_source,
     write_columns,
     write_json,
 )
@@ -49,6 +51,7 @@ MAPE_ZERO_GUARD_W = 1e-9
 # singular-value ratio of the design with its columns scaled to unit norm
 # above which a fit is flagged as ill-conditioned
 CONDITION_WARN_RATIO = 1e8
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -179,10 +182,20 @@ def check_zero_guard(ds: Dataset) -> None:
     if low.size:
         i = low[0]
         raise ValueError(
-            f"{ds.source + ': ' if ds.source else ''}power {ds.power_w[i]:g} W "
-            f"below the MAPE zero-guard ({MAPE_ZERO_GUARD_W:g} W) at "
-            f"{TIME_KEY}={ds.time_keys[i]} in run {ds.run_ids[i]!r}"
+            with_source(
+                ds,
+                f"power {ds.power_w[i]:g} W below the MAPE zero-guard "
+                f"({MAPE_ZERO_GUARD_W:g} W) at {TIME_KEY}={ds.time_keys[i]} "
+                f"in run {ds.run_ids[i]!r}",
+            )
         )
+
+
+def rank_cutoff(n_rows, n_params):
+    """The one rank rule of every fit: a design is full rank when its
+    s_min > rank_cutoff * s_max.  It is numpy ``lstsq``'s own default
+    rcond, eps * max(rows, parameters); arrays broadcast."""
+    return _EPS * np.maximum(n_rows, n_params)
 
 
 def design(names, counters, deltas, freq_mhz=None, intercept=False) -> np.ndarray:
@@ -211,13 +224,13 @@ def _fit(ds: Dataset, names: Sequence[str], kind: str):
     """SVD least squares of power on ``[1 | design(names)]``, rejecting an
     exactly rank-deficient design, and the fit's diagnostics."""
     if ds.n_rows == 0:
-        raise FitError("empty dataset")
+        raise FitError(with_source(ds, "empty dataset"))
     check_zero_guard(ds)
     x = design(names, ds.counters, ds.deltas, ds.freq_mhz, intercept=True)
     n, cols = x.shape
     if n < cols:
         raise FitError(f"fewer rows ({n}) than parameters ({cols})")
-    beta, _, rank, _ = np.linalg.lstsq(x, ds.power_w, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(x, ds.power_w, rcond=rank_cutoff(n, cols))
     if rank < cols:
         raise RankDeficientError("rank-deficient design, drop a predictor")
     # counts dwarf the intercept column, so only the column-scaled design's
@@ -291,8 +304,12 @@ def validate(model: PowerModel, ds: Dataset) -> ValidationResult:
     """Score the model on a dataset and keep the per-sample trace."""
     check_zero_guard(ds)
     predicted = predict_dataset(model, ds)
+    try:
+        score = mape(ds.power_w, predicted)
+    except ValueError as exc:  # an empty dataset, the one refusal left
+        raise ValueError(with_source(ds, str(exc))) from None
     return ValidationResult(
-        mape_pct=mape(ds.power_w, predicted),
+        mape_pct=score,
         time_keys=ds.time_keys,
         run_ids=ds.run_ids,
         actual_w=ds.power_w,
@@ -313,19 +330,20 @@ def format_watts(v: float) -> str:
     return WATTS_SPEC % v
 
 
+def write_predictions(f, time_keys, run_ids, watts: dict[str, np.ndarray]) -> None:
+    """The one per-sample prediction CSV, written to the open text file
+    ``f``: TIME, RUN, then one ``WATTS_SPEC`` column per ``watts`` entry,
+    its header name first."""
+    columns = [(time_keys, "%s"), (run_ids, "%s")]
+    columns += [(w, WATTS_SPEC) for w in watts.values()]
+    write_columns(f, (TIME_KEY, "RUN", *watts), columns)
+
+
 def write_prediction_trace(result: ValidationResult, path) -> None:
     """Per-sample (TIME, RUN, ACTUAL_W, PREDICTED_W) CSV for plotting."""
+    watts = {"ACTUAL_W": result.actual_w, "PREDICTED_W": result.predicted_w}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write_columns(
-            f,
-            (TIME_KEY, "RUN", "ACTUAL_W", "PREDICTED_W"),
-            (
-                (result.time_keys, "%s"),
-                (result.run_ids, "%s"),
-                (result.actual_w, WATTS_SPEC),
-                (result.predicted_w, WATTS_SPEC),
-            ),
-        )
+        write_predictions(f, result.time_keys, result.run_ids, watts)
 
 
 def model_to_dict(model: PowerModel) -> dict:
@@ -342,12 +360,20 @@ def model_to_dict(model: PowerModel) -> dict:
 
 
 def model_from_dict(data: dict, where: str = "model") -> PowerModel:
+    """The PowerModel a JSON object describes.  Its keys and those of
+    ``training`` are the dataclass fields, a term's are counter and
+    coefficient; any other key is refused."""
     try:
-        terms = check_type("terms", data["terms"], list)
+        check_keys(data, [f.name for f in fields(PowerModel)], "model", where)
+        terms = [
+            check_keys(t, ("counter", "coefficient"), "model term", where)
+            for t in check_type("terms", data["terms"], list)
+        ]
         training = None
         if data.get("training") is not None:
-            t = data["training"]
-            training = TrainingMeta(**{f.name: t[f.name] for f in fields(TrainingMeta)})
+            names = [f.name for f in fields(TrainingMeta)]
+            t = check_keys(data["training"], names, "model training", where)
+            training = TrainingMeta(**{name: t[name] for name in names})
         return PowerModel(
             intercept_w=data["intercept_w"],
             terms=tuple((t["counter"], t["coefficient"]) for t in terms),

@@ -21,7 +21,7 @@ factorisation of its parent, the subset without that column (Gram-Schmidt
 run twice, CGS2), on every fold at once.  Subsets that share a prefix share
 its factorisation, so a batch, every subset in the exhaustive case, takes
 no LAPACK call per subset, and the normal equations are never formed.  The
-rank cut-off is the one a full-height ``lstsq`` would use:
+rank cut-off is the final fit's, ``regress.rank_cutoff``:
 s_min > eps * max(n_train, k) * s_max, with n_train the complement's row
 count, not R's.  A cheap bound certifies most subsets; the rest are decided
 by the SVD of R_f[:, cols].  A greedy step is scored by one step scorer
@@ -69,9 +69,11 @@ import numpy as np
 from .dataset import (
     Dataset,
     check_counter_names,
+    check_keys,
     check_type,
     is_integer,
     read_json,
+    with_source,
     write_json,
 )
 from .errors import FitError, FormatError, RankDeficientError, SearchError
@@ -84,6 +86,7 @@ from .regress import (
     mape_rows,
     model_from_dict,
     model_to_dict,
+    rank_cutoff,
 )
 
 log = logging.getLogger(__name__)
@@ -93,7 +96,6 @@ BOTTOM_UP, TOP_DOWN, EXHAUSTIVE = SEARCH_ALGORITHMS
 # a step must beat the incumbent by more than this to count as an improvement
 IMPROVEMENT_EPS = 1e-12
 EXHAUSTIVE_POOL_LIMIT = 20
-_EPS = float(np.finfo(np.float64).eps)
 # bounds the float64 cells of the arrays one batch step of scoring holds
 _BATCH_CELLS = 1 << 16
 # safety factor of the full-rank certificate over the SVD cut-off: a bound
@@ -214,7 +216,7 @@ def kfold_split(ds: Dataset, k: int, seed: int = 0) -> list[np.ndarray]:
         )
         return np.array_split(np.arange(n, dtype=np.intp), k)
     raise SearchError(
-        f"{k} folds exceed the {max(len(runs), n)} assignable groups"
+        with_source(ds, f"{k} folds exceed the {max(len(runs), n)} assignable groups")
     )
 
 
@@ -269,10 +271,10 @@ class _CvEvaluator:
     bound the prefix states and the prediction block of ``_score_keys``,
     and a greedy step of at most pool keys predicts a block per fold no
     larger than that fold's slice of ``columns``.  A key is full rank when
-    s_min > eps * max(n_train, k) * s_max, the cut-off a full-height
-    ``lstsq`` on the complement would use (n_train is the complement's row
-    count, not R's): a bound certifies it, else the SVD of ``R_f[:, key]``
-    decides, and a prefix that fails a fold fails it for every key below.
+    s_min > eps * max(n_train, k) * s_max, ``rank_cutoff`` of a fit on the
+    complement (n_train is the complement's row count, not R's): a bound
+    certifies it, else the SVD of ``R_f[:, key]`` decides, and a prefix
+    that fails a fold fails it for every key below.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
@@ -304,7 +306,7 @@ class _CvEvaluator:
         # per prefix length k: the squared certificate cut-off of each fold,
         # and the first fold with fewer training rows than k
         k = np.arange(p + 1)[:, None]
-        self._cut2 = (_CERT * _EPS * np.maximum(self.n_train, k))[:, :, None] ** 2
+        self._cut2 = (_CERT * rank_cutoff(self.n_train, k))[:, :, None] ** 2
         short = self.n_train < k
         self._short = np.where(short.any(axis=1), short.argmax(axis=1), n_folds)
         self._fold_ids = np.arange(n_folds)[:, None]
@@ -630,7 +632,8 @@ class _CvEvaluator:
                 n_train = self.n_train[fi]
                 r = self.r[fi, :n_train]  # R's own rows
                 s = np.linalg.svd(np.moveaxis(r[:, keys[rows]], 0, 1), compute_uv=False)
-                full = (s[:, -1] > _EPS * max(n_train, k) * s[:, 0]) & (rho2[rows, fi] > 0)
+                cut = rank_cutoff(n_train, k)
+                full = (s[:, -1] > cut * s[:, 0]) & (rho2[rows, fi] > 0)
                 failed[rows[~full]] = fi
         return failed
 
@@ -648,14 +651,19 @@ def cv_score(
 
 
 def _resolve_pool(ds: Dataset, cfg: SearchConfig) -> tuple[str, ...]:
-    """The candidate pool, checked to be non-empty, in the dataset and to
-    hold the initial set."""
+    """The candidate pool, checked to be non-empty, in the dataset, to
+    hold the initial set and, for exhaustive, to be within its limit."""
     pool = check_counter_names(cfg.candidate_pool or ds.counters)
     missing = [n for n in pool if n not in ds.counters]
     if missing:
         raise SearchError(f"pool counters not in dataset: {', '.join(missing)}")
     if not pool:
         raise SearchError("empty candidate pool")
+    if cfg.algorithm == EXHAUSTIVE and len(pool) > EXHAUSTIVE_POOL_LIMIT:
+        raise SearchError(
+            f"pool of {len(pool)} too large for exhaustive search "
+            f"(limit {EXHAUSTIVE_POOL_LIMIT})"
+        )
     for name in cfg.initial_set:
         if name not in pool:
             raise SearchError(f"initial counter {name!r} not in candidate pool")
@@ -809,15 +817,12 @@ def exhaustive(ds: Dataset, cfg: SearchConfig) -> SearchReport:
 
     Subsets are enumerated sizes ascending, lexicographic within a size, and
     the first minimum wins, so ties resolve to the smaller subset and then
-    to lexicographic pool order.  max_events caps the subset size.
+    to lexicographic pool order.  max_events caps the subset size.  A pool
+    over EXHAUSTIVE_POOL_LIMIT is refused before folds or factorisations
+    are built.
     """
 
     def walk(evaluator, pool, selected):
-        if len(pool) > EXHAUSTIVE_POOL_LIMIT:
-            raise SearchError(
-                f"pool of {len(pool)} too large for exhaustive search "
-                f"(limit {EXHAUSTIVE_POOL_LIMIT})"
-            )
         top = len(pool) if cfg.max_events is None else min(cfg.max_events, len(pool))
         subsets = [
             combo
@@ -887,12 +892,22 @@ def report_to_dict(report: SearchReport) -> dict:
     }
 
 
+def _field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 def report_from_dict(data: dict, where: str = "search report") -> SearchReport:
     """The SearchReport a JSON object describes.  Names must be strings,
     folds and fold_seed integers, scores numbers or null (+inf), pool and
     iterations JSON arrays and the score maps JSON objects; nothing is
-    cast."""
+    cast.  Its keys, and each iteration's, are the dataclass fields; any
+    other key is refused."""
     try:
+        check_keys(data, _field_names(SearchReport), "search report", where)
+        iterations = [
+            check_keys(it, _field_names(SearchIteration), "search iteration", where)
+            for it in check_type("iterations", data["iterations"], list)
+        ]
         subset_scores = None
         if "subset_scores" in data:
             subset_scores = _unnum_scores("subset_scores", data["subset_scores"])
@@ -915,7 +930,7 @@ def report_from_dict(data: dict, where: str = "search report") -> SearchReport:
                         "candidate_scores", it["candidate_scores"]
                     ),
                 )
-                for it in check_type("iterations", data["iterations"], list)
+                for it in iterations
             ),
             final_model=model_from_dict(data["final_model"], where=where),
             final_cv_mape_pct=_unnum(data["final_cv_mape_pct"]),

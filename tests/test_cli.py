@@ -709,6 +709,49 @@ def test_model_json_with_a_cast_value_exits_2(tmp_path, capsys):
     assert "intercept_w must be float" in capsys.readouterr().err
 
 
+def test_model_json_with_an_unknown_key_exits_2(tmp_path, capsys):
+    # an extra "intercept" and a term's "coef" used to validate with exit 0
+    model_path = tmp_path / "m.json"
+    model = {
+        "kind": "pmc",
+        "intercept_w": 1.5,
+        "intercept": 9.0,
+        "terms": [{"counter": "C1", "coefficient": 1e-9, "coef": 2e-9}],
+    }
+    model_path.write_text(json.dumps(model))
+    ds_path = tmp_path / "d.csv"
+    pp.write_dataset(make_dataset(5, 1), ds_path)
+    code = main(["validate", "--model", str(model_path), "--dataset", str(ds_path)])
+    assert code == 2
+    assert f"{model_path}: unknown model keys: intercept" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["validate", "train"])
+def test_an_empty_dataset_is_refused_by_name(tmp_path, capsys, stage):
+    ds_path = tmp_path / "empty.csv"
+    ds_path.write_text("RUN,TIME,POWER_W,C1\n")
+    if stage == "validate":
+        model_path = tmp_path / "m.json"
+        pp.write_model(pp.PowerModel(intercept_w=1.0, terms=(("C1", 1e-9),)), model_path)
+        argv = ["validate", "--model", str(model_path), "--dataset", str(ds_path)]
+    else:
+        argv = ["train", "--dataset", str(ds_path), "--model-out", str(tmp_path / "o.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ds_path}: ")
+    assert ("mape of empty" if stage == "validate" else "exceed the 0 assignable") in err
+
+
+def test_train_on_a_dataset_without_counters_exits_2(tmp_path, capsys):
+    ds_path = tmp_path / "bare.csv"
+    ds_path.write_text("RUN,TIME,POWER_W\nr0,1,2.0\nr0,2,2.5\nr1,3,2.0\nr1,4,2.1\n")
+    out = tmp_path / "o.json"
+    argv = ["train", "--dataset", str(ds_path), "--folds", "2", "--model-out", str(out)]
+    assert main(argv) == 2
+    assert "empty candidate pool" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _fresh_python(tmp_path, *args):
     """stderr and stdout of a new interpreter, run in ``tmp_path`` on this
     package's source."""

@@ -66,19 +66,6 @@ def test_power_trace_rejects_nonpositive_power():
         )
 
 
-def test_sample_row_delta_lookup():
-    row = pp.SampleRow(
-        time_key=100,
-        run_id="r0",
-        counters=("A", "B"),
-        deltas=(3, 9),
-        power_w=2.5,
-    )
-    assert row.delta("B") == 9
-    with pytest.raises(KeyError):
-        row.delta("C")
-
-
 @pytest.mark.parametrize(
     "counters, match",
     [(("TIME", "TIME"), "reserved"), (("A", "A"), "duplicate"), (("A", ""), "empty")],
@@ -235,9 +222,9 @@ def test_counter_trace_csv_round_trip(tmp_path):
         values=np.array([[1, 2], [3, 4], [2**32 - 1, 7]], dtype=np.uint32),
         run_id="bench1",
     )
-    path = tmp_path / "t.csv"
+    path = tmp_path / "bench1.csv"
     pp.write_counter_trace(trace, path)
-    back = pp.read_counter_trace(path, run_id="bench1")
+    back = pp.read_counter_trace(path)
     assert np.array_equal(back.time_keys, trace.time_keys)
     assert np.array_equal(back.values, trace.values)
     assert back.counters == trace.counters

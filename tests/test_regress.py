@@ -191,8 +191,8 @@ def test_predict_row_and_dataset_agree():
     ds = make_dataset(50, 4, seed=9)
     model, _ = pp.fit_ols(ds, ["C2", "C4"])
     vec = pp.predict_dataset(model, ds)
-    for i, row in enumerate(ds.rows):
-        assert pp.predict(model, row) == pytest.approx(vec[i], rel=1e-12)
+    for i in range(ds.n_rows):
+        assert pp.predict(model, ds.row(i)) == pytest.approx(vec[i], rel=1e-12)
 
 
 def test_prediction_and_fit_keep_their_bits():
@@ -233,7 +233,7 @@ def test_predict_missing_counter_errors():
     with pytest.raises(pp.ModelError, match="ZZ"):
         pp.predict_dataset(model, ds)
     with pytest.raises(pp.ModelError, match="ZZ"):
-        pp.predict(model, ds.rows[0])
+        pp.predict(model, ds.row(0))
 
 
 def test_validate_returns_trace():
@@ -355,6 +355,39 @@ def test_model_json_float_fields_take_integers(tmp_path):
     text = path.read_text()
     pp.write_model(pp.read_model(path), path)
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "path, what",
+    [
+        (("intercept",), "model"),
+        (("terms", 0, "coef"), "model term"),
+        (("training", "seed"), "model training"),
+    ],
+)
+def test_model_json_refuses_unknown_keys(path, what):
+    # a stray key next to the real ones used to be ignored
+    with pytest.raises(pp.FormatError, match=f"m.json: unknown {what} keys: {path[-1]}$"):
+        pp.model_from_dict(edited_json(_GOOD_MODEL, path, 1.0), where="m.json")
+
+
+def test_fit_of_an_empty_dataset_names_its_source():
+    ds = dataclasses.replace(make_dataset(0, 1), source="empty.csv")
+    with pytest.raises(pp.FitError, match="^empty.csv: empty dataset$"):
+        pp.fit_ols(ds, ["C1"])
+
+
+def test_rank_cutoff_is_the_lstsq_default():
+    # the final fit passes rank_cutoff as rcond; numpy's default is the same
+    rng = np.random.default_rng(3)
+    for n, k in ((40, 3), (5, 5), (30, 8)):
+        x = rng.standard_normal((n, k))
+        x[:, -1] = x[:, 0] * 2.0 + 1e-14 * rng.standard_normal(n)  # nearly deficient
+        y = rng.standard_normal(n)
+        assert pp.regress.rank_cutoff(n, k) == np.finfo(np.float64).eps * max(n, k)
+        ours = np.linalg.lstsq(x, y, rcond=pp.regress.rank_cutoff(n, k))
+        default = np.linalg.lstsq(x, y, rcond=None)
+        assert np.array_equal(ours[0], default[0]) and ours[2] == default[2]
 
 
 def test_prediction_trace_display_precision(tmp_path):

@@ -520,10 +520,25 @@ def test_exhaustive_max_events_caps_subset_size():
     assert len(report.subset_scores) == 4  # {} plus the three singletons
 
 
-def test_exhaustive_pool_limit():
+def test_exhaustive_pool_limit(monkeypatch):
+    # the limit is checked before the folds and the evaluator are built, so
+    # it also comes before the fold-count refusal (50 folds of 30 rows)
+    def no_build(*args):
+        raise AssertionError("evaluator built for a refused pool")
+
+    monkeypatch.setattr(pp.search, "_CvEvaluator", no_build)
     ds = make_dataset(30, 21, seed=1)
-    with pytest.raises(pp.SearchError, match="too large for exhaustive"):
-        pp.exhaustive(ds, pp.SearchConfig(algorithm="exhaustive", folds=2))
+    for folds in (2, 50):
+        with pytest.raises(pp.SearchError, match="too large for exhaustive"):
+            pp.exhaustive(ds, pp.SearchConfig(algorithm="exhaustive", folds=folds))
+
+
+def test_cv_certificate_uses_the_fit_rank_cutoff():
+    ds = _noisy_ds()
+    evaluator = pp.search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 4))
+    k = np.arange(len(ds.counters) + 3)[:, None]
+    cut = pp.regress.rank_cutoff(evaluator.n_train, k)
+    assert np.array_equal(evaluator._cut2[..., 0], (4.0 * cut) ** 2)
 
 
 def test_run_search_dispatch():
@@ -621,6 +636,17 @@ def test_report_json_values_must_have_the_field_type(path, value, message):
     assert "IO_EVT" in data["iterations"][0]["candidate_scores"]
     with pytest.raises(pp.FormatError, match=message):
         pp.report_from_dict(edited_json(data, path, value))
+
+
+@pytest.mark.parametrize(
+    "path, what",
+    [(("seed",), "search report"), (("iterations", 0, "score"), "search iteration")],
+)
+def test_report_json_refuses_unknown_keys(path, what):
+    report = pp.run_search(_noisy_ds(), pp.SearchConfig(algorithm="top_down", folds=4))
+    data = edited_json(pp.report_to_dict(report), path, 1.0)
+    with pytest.raises(pp.FormatError, match=f"r.json: unknown {what} keys: {path[-1]}$"):
+        pp.report_from_dict(data, where="r.json")
 
 
 def test_report_json_reads_back_to_the_same_bytes(tmp_path):
