@@ -67,28 +67,13 @@ from .sync import CoverageReport, SyncConfig, coverage_report, synchronize
 
 __version__ = "0.1.0"
 
-# the search module is loaded on first use of it or of one of these names,
-# so the stages that never search (gen, sync, validate, predict) skip it
-_SEARCH_NAMES = frozenset({
-    "SEARCH_ALGORITHMS",
-    "SearchConfig",
-    "SearchIteration",
-    "SearchReport",
-    "bottom_up",
-    "cv_score",
-    "exhaustive",
-    "kfold_split",
-    "read_report",
-    "report_from_dict",
-    "report_to_dict",
-    "run_search",
-    "top_down",
-    "write_report",
-})
 
-
+# the search module is loaded on first use of it or of one of its names, so
+# the stages that never search (gen, sync, validate, predict) skip it.  The
+# imports above define every other name in __all__, and Python calls this
+# only for a name the module lacks, so a name in __all__ here is a search name
 def __getattr__(name: str):
-    if name != "search" and name not in _SEARCH_NAMES:
+    if name != "search" and name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # import_module, not "from . import search", which would look the name
     # up on this package first and so call __getattr__ again

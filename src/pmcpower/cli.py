@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="override the generation seed / fold seed",
+        help="override the generation seed (gen) or the fold seed (train); "
+        "gen and train only",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -225,6 +226,8 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
+        if args.seed is not None and args.command not in ("gen", "train"):
+            raise ValueError("--seed applies to gen and train only")
         return args.func(args)
     except (PipelineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

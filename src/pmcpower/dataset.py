@@ -1,7 +1,8 @@
 """Core data types and on-disk formats for counter/power traces and datasets.
 
 All files are UTF-8 with LF line endings; lines whose first character is
-``#`` are comments and are ignored.  Three CSV contracts:
+``#`` are comments and are ignored.  Three CSV contracts, each declared once
+as a column table that the constructors, readers and writers read:
 
 - PMC trace:    header ``TIME,<counter>,...``, one row per sample, all values
                 unsigned decimal integers.  TIME is a 64-bit cycle count and
@@ -16,7 +17,8 @@ All files are UTF-8 with LF line endings; lines whose first character is
 a counter column.  Malformed files are rejected with a line number, never
 repaired.  All types are immutable after construction.
 
-Files and types share one rule set, the ``_Field`` of each column: a
+A table's rows are (header name, attribute, ``_Field``) in file order, the
+counter columns last.  Files and types share each column's ``_Field``: a
 constructor checks its arrays against the rules the readers apply to
 cells, and raises ValueError naming the column.  Conversions never cast a
 value that breaks them: a float is not an integer column, and -1 or 2^32
@@ -188,6 +190,39 @@ _DELTAS = _Field("delta", "uint", COUNTER_MODULUS, dtype=np.uint32)
 _POWER = _Field("power", "float")
 _FREQ = _Field("frequency", "float")
 
+# The column table of each file kind.  The counter block has no header name
+# of its own (``counters`` names it); FREQ_MHZ alone may be absent, as None.
+_COUNTER_COLUMNS = ((TIME_KEY, "time_keys", _TIME), (None, "values", _COUNTS))
+_POWER_COLUMNS = (
+    (TIME_KEY, "time_keys", _TIME),
+    (POWER_COL, "power_w", _POWER),
+    (FREQ_COL, "freq_mhz", _FREQ),
+)
+_DATASET_COLUMNS = (
+    ("RUN", "run_ids", _RUN),
+    (TIME_KEY, "time_keys", _END_TIME),
+    (POWER_COL, "power_w", _POWER),
+    (FREQ_COL, "freq_mhz", _FREQ),
+    (None, "deltas", _DELTAS),
+)
+
+
+def _present(obj, table):
+    """(name, attribute, field, values) of the ``table`` columns ``obj`` has."""
+    for name, attr, f in table:
+        values = getattr(obj, attr)
+        if name != FREQ_COL or values is not None:
+            yield name, attr, f, values
+
+
+def _check_arrays(obj, table, n: int) -> None:
+    """Check each array column of ``obj`` in ``table`` for ``n`` rows and
+    store it in its field's dtype.  Text columns are the caller's."""
+    for name, attr, f, values in _present(obj, table):
+        if f.kind != "text":
+            shape = (n,) if name else (n, len(obj.counters))
+            object.__setattr__(obj, attr, f.check(values, shape))
+
 
 @dataclass(frozen=True, eq=False)
 class CounterTrace:
@@ -204,11 +239,8 @@ class CounterTrace:
     run_id: str = ""
 
     def __post_init__(self):
-        names = check_counter_names(self.counters)
-        n = len(self.time_keys)
-        object.__setattr__(self, "time_keys", _TIME.check(self.time_keys, (n,)))
-        object.__setattr__(self, "counters", names)
-        object.__setattr__(self, "values", _COUNTS.check(self.values, (n, len(names))))
+        object.__setattr__(self, "counters", check_counter_names(self.counters))
+        _check_arrays(self, _COUNTER_COLUMNS, len(self.time_keys))
 
     def __len__(self) -> int:
         return len(self.time_keys)
@@ -224,11 +256,7 @@ class PowerTrace:
     run_id: str = ""
 
     def __post_init__(self):
-        n = len(self.time_keys)
-        object.__setattr__(self, "time_keys", _TIME.check(self.time_keys, (n,)))
-        object.__setattr__(self, "power_w", _POWER.check(self.power_w, (n,)))
-        if self.freq_mhz is not None:
-            object.__setattr__(self, "freq_mhz", _FREQ.check(self.freq_mhz, (n,)))
+        _check_arrays(self, _POWER_COLUMNS, len(self.time_keys))
 
     def __len__(self) -> int:
         return len(self.time_keys)
@@ -277,7 +305,6 @@ class Dataset:
     source: str = field(default="", compare=False)
 
     def __post_init__(self):
-        names = check_counter_names(self.counters)
         runs = tuple(self.run_ids)
         try:
             distinct = set(runs)
@@ -286,16 +313,9 @@ class Dataset:
         for run in distinct:
             if not isinstance(run, str):
                 raise ValueError(f"run id {run!r} is not a string")
-        n = len(runs)
-        object.__setattr__(self, "counters", names)
-        object.__setattr__(self, "time_keys", _END_TIME.check(self.time_keys, (n,)))
+        object.__setattr__(self, "counters", check_counter_names(self.counters))
         object.__setattr__(self, "run_ids", runs)
-        object.__setattr__(self, "power_w", _POWER.check(self.power_w, (n,)))
-        object.__setattr__(
-            self, "deltas", _DELTAS.check(self.deltas, (n, len(names)))
-        )
-        if self.freq_mhz is not None:
-            object.__setattr__(self, "freq_mhz", _FREQ.check(self.freq_mhz, (n,)))
+        _check_arrays(self, _DATASET_COLUMNS, len(runs))
 
     @property
     def n_rows(self) -> int:
@@ -317,18 +337,12 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        if self.counters != other.counters or self.run_ids != other.run_ids:
-            return False
-        if (self.freq_mhz is None) != (other.freq_mhz is None):
-            return False
-        same = (
-            np.array_equal(self.time_keys, other.time_keys)
-            and np.array_equal(self.power_w, other.power_w)
-            and np.array_equal(self.deltas, other.deltas)
+        # an absent FREQ_MHZ is None, which array_equal finds equal to None only
+        return self.counters == other.counters and all(
+            a == b if f.kind == "text" else np.array_equal(a, b)
+            for _, attr, f in _DATASET_COLUMNS
+            for a, b in [(getattr(self, attr), getattr(other, attr))]
         )
-        if same and self.freq_mhz is not None:
-            same = np.array_equal(self.freq_mhz, other.freq_mhz)
-        return same
 
 
 def with_source(ds: Dataset, message: str) -> str:
@@ -374,7 +388,7 @@ def _power_fields(header: list[str], path) -> tuple[_Field, ...]:
             f"(got {','.join(header)!r})",
             path,
         )
-    return (_TIME, _POWER, _FREQ)[: len(header)]
+    return tuple(f for _, _, f in _POWER_COLUMNS)[: len(header)]
 
 
 def _dataset_fields(header: list[str], path) -> tuple[_Field, ...]:
@@ -384,13 +398,9 @@ def _dataset_fields(header: list[str], path) -> tuple[_Field, ...]:
             f"(got {','.join(header[:3])!r})",
             path,
         )
-    has_freq = len(header) > 3 and header[3] == FREQ_COL
-    first_counter = 4 if has_freq else 3
-    _check_header_names(header[first_counter:], path)
-    n_counters = len(header) - first_counter
-    return (_RUN, _END_TIME, _POWER) + ((_FREQ,) if has_freq else ()) + (
-        replace(_DELTAS, shape=(n_counters,)),
-    )
+    named = [f for name, _, f in _DATASET_COLUMNS if name in header[:4]]
+    _check_header_names(header[len(named) :], path)
+    return (*named, replace(_DELTAS, shape=(len(header) - len(named),)))
 
 
 def _check_header_names(names: list[str], path) -> None:
@@ -685,80 +695,59 @@ def write_columns(f, header: Sequence[str], columns: Sequence[tuple]) -> None:
         f.write((row * n) % tuple(cells[:n].ravel().tolist()))
 
 
+def _read(cls, path, table, fields_of, **attrs):
+    """A ``cls`` of the CSV file at ``path``: each column of ``table`` the
+    file has onto its attribute, the header names after them as counters."""
+    header, cols = _read_table(path, fields_of)
+    present = [attr for name, attr, _ in table if name is None or name in header]
+    attrs.update(zip(present, cols))
+    if table[-1][0] is None:
+        attrs["counters"] = tuple(header[len(present) - 1 :])
+    return cls(**attrs)
+
+
+def _write(obj, path, table) -> None:
+    """Write the columns of ``table`` that ``obj`` has as a CSV file:
+    ``%r`` for floats, which read back exactly, ``%s`` for the rest."""
+    header, columns = [], []
+    for name, _, f, values in _present(obj, table):
+        header += [name] if name else obj.counters
+        columns.append((values, "%r" if f.kind == "float" else "%s"))
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        write_columns(out, header, columns)
+
+
 def read_counter_trace(path) -> CounterTrace:
     """Read and validate a PMC trace CSV; its run_id is the file stem."""
-    header, (keys, values) = _read_table(path, _counter_fields)
-    return CounterTrace(
-        time_keys=keys,
-        counters=tuple(header[1:]),
-        values=values,
-        run_id=Path(path).stem,
+    return _read(
+        CounterTrace, path, _COUNTER_COLUMNS, _counter_fields, run_id=Path(path).stem
     )
 
 
 def write_counter_trace(trace: CounterTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write_columns(
-            f,
-            (TIME_KEY,) + trace.counters,
-            ((trace.time_keys, "%s"), (trace.values, "%s")),
-        )
+    _write(trace, path, _COUNTER_COLUMNS)
 
 
 def read_power_trace(path) -> PowerTrace:
     """Read and validate a power trace CSV; its run_id is the file stem."""
-    _, (keys, power, *freq) = _read_table(path, _power_fields)
-    return PowerTrace(
-        time_keys=keys,
-        power_w=power,
-        freq_mhz=freq[0] if freq else None,
-        run_id=Path(path).stem,
-    )
+    return _read(PowerTrace, path, _POWER_COLUMNS, _power_fields, run_id=Path(path).stem)
 
 
 def write_power_trace(trace: PowerTrace, path) -> None:
-    header = [TIME_KEY, POWER_COL]
-    columns = [(trace.time_keys, "%s"), (trace.power_w, "%r")]
-    if trace.freq_mhz is not None:
-        header.append(FREQ_COL)
-        columns.append((trace.freq_mhz, "%r"))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write_columns(f, header, columns)
-
-
-def _check_run_id(run_id: str) -> str:
-    if any(c in run_id for c in ",\r\n") or run_id.startswith("#"):
-        raise ValueError(f"run id {run_id!r} not representable in CSV")
-    return run_id
+    _write(trace, path, _POWER_COLUMNS)
 
 
 def read_dataset(path) -> Dataset:
     """Read and validate a synchronised dataset CSV."""
-    header, (runs, keys, power, *freq, deltas) = _read_table(path, _dataset_fields)
-    return Dataset(
-        counters=tuple(header[len(header) - deltas.shape[1] :]),
-        time_keys=keys,
-        run_ids=runs,
-        power_w=power,
-        deltas=deltas,
-        freq_mhz=freq[0] if freq else None,
-        source=str(path),
-    )
+    return _read(Dataset, path, _DATASET_COLUMNS, _dataset_fields, source=str(path))
 
 
 def write_dataset(ds: Dataset, path) -> None:
     """Write a dataset CSV; read_dataset(write_dataset(ds)) == ds."""
     for run in set(ds.run_ids):
-        _check_run_id(run)
-    header = ["RUN", TIME_KEY, POWER_COL]
-    columns = [(ds.run_ids, "%s"), (ds.time_keys, "%s"), (ds.power_w, "%r")]
-    if ds.freq_mhz is not None:
-        header.append(FREQ_COL)
-        columns.append((ds.freq_mhz, "%r"))
-    header += ds.counters
-    columns.append((ds.deltas, "%s"))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write_columns(f, header, columns)
+        if any(c in run for c in ",\r\n") or run.startswith("#"):
+            raise ValueError(f"run id {run!r} not representable in CSV")
+    _write(ds, path, _DATASET_COLUMNS)
 
 
 def concat_datasets(datasets: Sequence[Dataset], source: str = "") -> Dataset:
@@ -774,28 +763,19 @@ def concat_datasets(datasets: Sequence[Dataset], source: str = "") -> Dataset:
     head = datasets[0]
     for ds in datasets[1:]:
         if ds.counters != head.counters:
-            raise ValueError(
-                f"counter headers differ: {head.counters} vs {ds.counters}"
-            )
+            raise ValueError(f"counter headers differ: {head.counters} vs {ds.counters}")
         if (ds.freq_mhz is None) != (head.freq_mhz is None):
             raise ValueError("frequency channel present in some datasets only")
     run_ids: list[str] = []
     for i, ds in enumerate(datasets):
         labels = {r: f"d{i}:{r}" for r in set(ds.run_ids)}  # one str per run
         run_ids += map(labels.__getitem__, ds.run_ids)
-    return Dataset(
-        counters=head.counters,
-        time_keys=np.concatenate([ds.time_keys for ds in datasets]),
-        run_ids=tuple(run_ids),
-        power_w=np.concatenate([ds.power_w for ds in datasets]),
-        deltas=np.concatenate([ds.deltas for ds in datasets], axis=0),
-        freq_mhz=(
-            None
-            if head.freq_mhz is None
-            else np.concatenate([ds.freq_mhz for ds in datasets])
-        ),
-        source=source,
-    )
+    arrays = {
+        attr: np.concatenate([getattr(ds, attr) for ds in datasets])
+        for _, attr, f, _ in _present(head, _DATASET_COLUMNS)
+        if f.kind != "text"
+    }
+    return Dataset(counters=head.counters, run_ids=tuple(run_ids), source=source, **arrays)
 
 
 # ---------------------------------------------------------------------------

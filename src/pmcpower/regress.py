@@ -263,9 +263,9 @@ def fit_ols(
 ) -> tuple[PowerModel, FitDiagnostics]:
     """Fit power against the given counter deltas plus an intercept."""
     names = check_counter_names(predictors)
-    missing = [n for n in names if n not in ds.counters]
+    missing = ", ".join(n for n in names if n not in ds.counters)
     if missing:
-        raise FitError(f"predictors not in dataset: {', '.join(missing)}")
+        raise FitError(with_source(ds, f"predictors not in dataset: {missing}"))
     return _fit(ds, names, KIND_PMC)
 
 

@@ -643,9 +643,9 @@ def cv_score(
 ) -> float:
     """k-fold CV MAPE of one predictor set; mean of the k fold MAPEs."""
     names = check_counter_names(predictors)
-    missing = [n for n in names if n not in ds.counters]
+    missing = ", ".join(n for n in names if n not in ds.counters)
     if missing:
-        raise SearchError(f"predictors not in dataset: {', '.join(missing)}")
+        raise SearchError(with_source(ds, f"predictors not in dataset: {missing}"))
     evaluator = _CvEvaluator(ds, names, kfold_split(ds, k, seed))
     return evaluator.score(range(len(names)))
 
@@ -654,11 +654,11 @@ def _resolve_pool(ds: Dataset, cfg: SearchConfig) -> tuple[str, ...]:
     """The candidate pool, checked to be non-empty, in the dataset, to
     hold the initial set and, for exhaustive, to be within its limit."""
     pool = check_counter_names(cfg.candidate_pool or ds.counters)
-    missing = [n for n in pool if n not in ds.counters]
+    missing = ", ".join(n for n in pool if n not in ds.counters)
     if missing:
-        raise SearchError(f"pool counters not in dataset: {', '.join(missing)}")
+        raise SearchError(with_source(ds, f"pool counters not in dataset: {missing}"))
     if not pool:
-        raise SearchError("empty candidate pool")
+        raise SearchError(with_source(ds, "empty candidate pool"))
     if cfg.algorithm == EXHAUSTIVE and len(pool) > EXHAUSTIVE_POOL_LIMIT:
         raise SearchError(
             f"pool of {len(pool)} too large for exhaustive search "

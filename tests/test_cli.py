@@ -748,7 +748,24 @@ def test_train_on_a_dataset_without_counters_exits_2(tmp_path, capsys):
     out = tmp_path / "o.json"
     argv = ["train", "--dataset", str(ds_path), "--folds", "2", "--model-out", str(out)]
     assert main(argv) == 2
-    assert "empty candidate pool" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {ds_path}: empty candidate pool")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["sync", "validate", "predict"])
+def test_seed_is_refused_by_the_stages_that_do_not_use_it(tmp_path, capsys, stage):
+    prefix = gen_files(tmp_path, TWO_PLUS_JUNK, "sd")
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    args = {
+        "sync": ["--pmc", f"{prefix}_r0_pmc.csv", "--power", f"{prefix}_r0_power.csv",
+                 "--out", str(out)],
+        "validate": ["--model", f"{prefix}_model.json", "--dataset", f"{prefix}_dataset.csv",
+                     "--trace-out", str(out)],
+        "predict": ["--model", f"{prefix}_model.json", "--dataset", f"{prefix}_dataset.csv"],
+    }[stage]
+    assert main(["--seed", "3", stage] + args) == 2
+    assert capsys.readouterr() == ("", "error: --seed applies to gen and train only\n")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Dataset types and CSV IO: validation, round-trips, rejection messages."""
 
+import dataclasses
 import io
 import re
 import sys
@@ -111,6 +112,11 @@ def test_dataset_equality_ignores_source():
     )
     assert a == b
     assert a != make_dataset(20, 3, seed=2)
+    # the frequency channel counts: present on one side only, or different
+    with_freq = dataclasses.replace(a, freq_mhz=np.full(20, 80.0))
+    assert a != with_freq and with_freq != a
+    assert with_freq == dataclasses.replace(b, freq_mhz=np.full(20, 80.0))
+    assert with_freq != dataclasses.replace(a, freq_mhz=np.full(20, 40.0))
 
 
 def test_dataset_rejects_oversized_deltas():
@@ -208,6 +214,22 @@ def test_types_keep_the_file_rules_and_never_cast(cls, column, value):
     counts = top.values if cls is pp.CounterTrace else getattr(top, "deltas", None)
     if counts is not None:
         assert int(counts[-1, 0]) == 2**32 - 1
+
+
+@pytest.mark.parametrize(
+    "cls, column, what",
+    [
+        (pp.CounterTrace, "values", "counter"),
+        (pp.PowerTrace, "power_w", "power"),
+        (pp.Dataset, "deltas", "delta"),
+    ],
+)
+def test_types_refuse_none_for_a_required_column(cls, column, what):
+    """Only FREQ_MHZ may be absent; None for any other column is refused,
+    naming it."""
+    good = _build(cls)
+    with pytest.raises(ValueError, match=f"^{what} shape"):
+        dataclasses.replace(good, **{column: None})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Fold assignment, CV scoring and the three subset-search strategies."""
 
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -378,6 +380,33 @@ def test_search_rejects_unknown_pool_counters():
     )
     with pytest.raises(pp.SearchError, match="pool counters not in dataset"):
         pp.bottom_up(ds, cfg)
+
+
+@pytest.mark.parametrize(
+    "n_counters, refuse, message",
+    [
+        (2, lambda ds: pp.cv_score(ds, ("NOPE",), 2), "predictors not in dataset: NOPE"),
+        (2, lambda ds: pp.fit_ols(ds, ("NOPE",)), "predictors not in dataset: NOPE"),
+        (
+            2,
+            lambda ds: pp.bottom_up(
+                ds, pp.SearchConfig(algorithm="bottom_up", folds=2, candidate_pool=("NOPE",))
+            ),
+            "pool counters not in dataset: NOPE",
+        ),
+        (
+            0,
+            lambda ds: pp.bottom_up(ds, pp.SearchConfig(algorithm="bottom_up", folds=2)),
+            "empty candidate pool",
+        ),
+    ],
+    ids=["cv_score", "fit_ols", "unknown-pool", "empty-pool"],
+)
+def test_a_refusal_of_the_dataset_counters_names_its_file(n_counters, refuse, message):
+    ds = dataclasses.replace(make_dataset(20, n_counters, n_runs=2), source="runs.csv")
+    with pytest.raises(pp.PipelineError) as caught:
+        refuse(ds)
+    assert str(caught.value) == f"runs.csv: {message}"
 
 
 def test_training_meta_filled_in():
