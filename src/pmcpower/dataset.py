@@ -61,6 +61,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -82,10 +83,15 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _json_integer(value) -> bool:
+    # read_json refuses a number past the float range, so no field holds one
+    return is_integer(value) and -sys.float_info.max <= value <= sys.float_info.max
+
+
 # a value must already have its field's type; nothing is cast
 _TYPE_RULES = {
-    int: is_integer,
-    float: lambda v: is_integer(v) or isinstance(v, (float, np.floating)),
+    int: _json_integer,
+    float: lambda v: _json_integer(v) or isinstance(v, (float, np.floating)),
     bool: lambda v: isinstance(v, bool),
     str: lambda v: isinstance(v, str),
     list: lambda v: isinstance(v, list),
@@ -96,8 +102,9 @@ _TYPE_RULES = {
 def check_type(name: str, value, kind: type):
     """``value`` when it has type ``kind``, as the plain Python value (a
     numpy scalar becomes its Python equal), else a ValueError naming the
-    field.  An int field takes an integer, a float field an integer or
-    float; a bool is neither.  list and dict are JSON arrays and objects."""
+    field.  An int field takes an integer within the float range, which
+    JSON holds, a float field such an integer or a float; a bool is
+    neither.  list and dict are JSON arrays and objects."""
     if not _TYPE_RULES[kind](value):
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
     return value.item() if isinstance(value, np.generic) else value
@@ -106,7 +113,7 @@ def check_type(name: str, value, kind: type):
 def check_counter_names(counters: Sequence[str]) -> tuple[str, ...]:
     """Validate a predictor name list: a sequence of names, not one
     string; each a non-empty string, unique, neither TIME nor FREQ_MHZ."""
-    if isinstance(counters, str):
+    if isinstance(counters, str) or not hasattr(counters, "__iter__"):
         raise ValueError(f"counter names must be a sequence, not {counters!r}")
     names = tuple(counters)
     seen = set()
@@ -224,6 +231,22 @@ def _check_arrays(obj, table, n: int) -> None:
             object.__setattr__(obj, attr, f.check(values, shape))
 
 
+def _rows(what: str, column) -> int:
+    """The length of the key column ``column``, or a ValueError naming
+    ``what`` when it is not a column: None, a scalar or one string."""
+    if not isinstance(column, str):
+        try:
+            return len(column)
+        except TypeError:  # no length
+            pass
+    raise ValueError(f"{what} must be a column of values, got {column!r}")
+
+
+def _check_run_id(run) -> None:
+    if not isinstance(run, str):
+        raise ValueError(f"run id {run!r} is not a string")
+
+
 @dataclass(frozen=True, eq=False)
 class CounterTrace:
     """Time-ordered cumulative PMC samples from one run.
@@ -240,7 +263,8 @@ class CounterTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "counters", check_counter_names(self.counters))
-        _check_arrays(self, _COUNTER_COLUMNS, len(self.time_keys))
+        _check_run_id(self.run_id)
+        _check_arrays(self, _COUNTER_COLUMNS, _rows(TIME_KEY, self.time_keys))
 
     def __len__(self) -> int:
         return len(self.time_keys)
@@ -256,7 +280,8 @@ class PowerTrace:
     run_id: str = ""
 
     def __post_init__(self):
-        _check_arrays(self, _POWER_COLUMNS, len(self.time_keys))
+        _check_run_id(self.run_id)
+        _check_arrays(self, _POWER_COLUMNS, _rows(TIME_KEY, self.time_keys))
 
     def __len__(self) -> int:
         return len(self.time_keys)
@@ -280,6 +305,7 @@ class SampleRow:
     def __post_init__(self):
         names = check_counter_names(self.counters)
         object.__setattr__(self, "counters", names)
+        _check_run_id(self.run_id)
         _END_TIME.check(self.time_key, ())
         _DELTAS.check(self.deltas, (len(names),))
         _POWER.check(self.power_w, ())
@@ -305,14 +331,14 @@ class Dataset:
     source: str = field(default="", compare=False)
 
     def __post_init__(self):
+        _rows("RUN", self.run_ids)
         runs = tuple(self.run_ids)
         try:
             distinct = set(runs)
         except TypeError:  # an unhashable id, which the check below names
             distinct = runs
         for run in distinct:
-            if not isinstance(run, str):
-                raise ValueError(f"run id {run!r} is not a string")
+            _check_run_id(run)
         object.__setattr__(self, "counters", check_counter_names(self.counters))
         object.__setattr__(self, "run_ids", runs)
         _check_arrays(self, _DATASET_COLUMNS, len(runs))

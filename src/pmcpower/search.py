@@ -51,6 +51,12 @@ exist, otherwise by contiguous row blocks.  A candidate whose fit fails on
 some fold (rank deficiency) scores +infinity rather than aborting the
 search; a search that ends there raises, naming the first failing fold.
 Ties are broken by candidate-pool order, lowest index first.
+
+The search report checks its own fields: each field of ``SearchReport``
+and ``SearchIteration`` names its rule, which the constructor and the JSON
+reader follow, and the writer follows the checked values.  A CV MAPE is
+finite or +inf, never NaN or -inf; JSON writes +inf as null and reads a
+null score as +inf.
 """
 
 from __future__ import annotations
@@ -149,34 +155,115 @@ class SearchConfig:
             object.__setattr__(self, name, check_type(name, value, int))
 
 
+def _num(v: float):
+    # JSON has no Infinity; candidates whose fit failed carry null instead
+    return v if math.isfinite(v) else None
+
+
+def _text(name: str, value, where=None) -> str:
+    return check_type(name, value, str)
+
+
+def _int(name: str, value, where=None) -> int:
+    return check_type(name, value, int)
+
+
+def _names(name: str, value, where=None) -> tuple[str, ...]:
+    return check_counter_names(value if where is None else check_type(name, value, list))
+
+
+def _cv_mape(name: str, value, where=None) -> float:
+    """A CV MAPE as a float: finite, or +inf (null in JSON) for a failed fit."""
+    if value is None and where is not None:
+        return math.inf
+    score = float(check_type("CV MAPE", value, float))
+    if not -math.inf < score <= math.inf:  # NaN fails both
+        raise ValueError(f"CV MAPE must be finite or +inf, got {value!r}")
+    return score
+
+
+def _score_map(name: str, scores, where=None) -> dict[str, float]:
+    """A dict of names to CV MAPEs.  One with str names and float scores is
+    kept, not copied: an exhaustive report holds a score per subset."""
+    pairs = check_type(name, scores, dict).items()
+    if all(type(k) is str and type(v) is float and -math.inf < v for k, v in pairs):
+        return scores
+    return {check_type("counter name", k, str): _cv_mape(name, v, where) for k, v in pairs}
+
+
+def _steps(name: str, value, where=None) -> tuple[SearchIteration, ...]:
+    if where is not None:
+        value = tuple(
+            _from_json(SearchIteration, it, "search iteration", where)
+            for it in check_type(name, value, list)
+        )
+    if isinstance(value, tuple) and all(isinstance(v, SearchIteration) for v in value):
+        return value
+    raise ValueError(f"{name} must be a tuple of SearchIteration, got {value!r}")
+
+
+def _model(name: str, value, where=None) -> PowerModel:
+    if where is not None:
+        value = model_from_dict(value, where)
+    if isinstance(value, PowerModel):
+        return value
+    raise ValueError(f"{name} must be PowerModel, got {value!r}")
+
+
+def _field(rule, **kw):
+    """A report field and its rule, one of the functions above, which the
+    constructor and the JSON reader follow: ``rule(name, value)`` is the
+    value to store, or a ValueError, and ``rule(name, value, where)`` reads
+    ``value`` from the JSON file ``where`` first."""
+    return dataclasses.field(metadata={"rule": rule}, **kw)
+
+
+def _check_fields(obj) -> None:
+    """Store each field of ``obj`` as its rule gives it; a field whose
+    default is None may be None, meaning absent."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None or f.default is not None:
+            object.__setattr__(obj, f.name, f.metadata["rule"](f.name, value))
+
+
 @dataclass(frozen=True)
 class SearchIteration:
     """One accepted step: what changed and every candidate's CV score."""
 
-    action: str  # "add" or "remove"
-    counter: str
-    cv_mape_pct: float
-    candidate_scores: dict[str, float]
+    action: str = _field(_text)  # "add" or "remove"
+    counter: str = _field(_text)
+    cv_mape_pct: float = _field(_cv_mape)
+    candidate_scores: dict[str, float] = _field(_score_map)
+
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Audit trail of a search: accepted steps, scores and the final model."""
+    """Audit trail of a search: accepted steps, scores and the final model.
 
-    algorithm: str
-    folds: int
-    fold_seed: int
-    pool: tuple[str, ...]
-    stop_reason: str
-    initial_cv_mape_pct: float
-    iterations: tuple[SearchIteration, ...]
-    final_model: PowerModel
-    final_cv_mape_pct: float
+    The report checks its own fields, each by the rule it names: names are
+    str, folds and fold_seed int (not bool), pool counter names, never one
+    string, and a CV MAPE a float, finite or +inf (null in JSON), never NaN
+    or -inf.  Accepted scores are non-increasing.
+    """
+
+    algorithm: str = _field(_text)
+    folds: int = _field(_int)
+    fold_seed: int = _field(_int)
+    pool: tuple[str, ...] = _field(_names)
+    stop_reason: str = _field(_text)
+    initial_cv_mape_pct: float = _field(_cv_mape)
+    iterations: tuple[SearchIteration, ...] = _field(_steps)
+    final_model: PowerModel = _field(_model)
+    final_cv_mape_pct: float = _field(_cv_mape)
     # exhaustive only: score of every evaluated subset, keyed "A+B+C" in
     # pool order ("" is the intercept-only subset)
-    subset_scores: dict[str, float] | None = None
+    subset_scores: dict[str, float] | None = _field(_score_map, default=None)
 
     def __post_init__(self):
+        _check_fields(self)
         score = self.initial_cv_mape_pct
         for it in self.iterations:
             if it.cv_mape_pct > score + IMPROVEMENT_EPS:
@@ -670,37 +757,29 @@ def _resolve_pool(ds: Dataset, cfg: SearchConfig) -> tuple[str, ...]:
     return pool
 
 
-class _Walk(NamedTuple):
-    """What a search strategy found, in pool indices."""
-
-    stop_reason: str
-    initial_cv: float
-    iterations: list[SearchIteration]
-    selected: list[int]
-    final_cv: float
-    subset_scores: dict[str, float] | None = None
-
-
 def _search(ds: Dataset, cfg: SearchConfig, algorithm: str, walk) -> SearchReport:
     """The setup every search shares around its strategy.
 
     Checks the algorithm, resolves the pool and the initial set, builds the
     evaluator on the configured folds, runs ``walk(evaluator, pool,
     initial pool indices)`` and refits its pick on the whole dataset.  A
-    pick without a finite CV score is a SearchError naming its failing fold.
+    walk returns its pick, in pool indices, and the report fields it
+    decides, which pass through.  A pick without a finite CV score is a
+    SearchError naming its failing fold.
     """
     if cfg.algorithm != algorithm:
         raise SearchError(f"config algorithm is {cfg.algorithm!r}, not {algorithm}")
     pool = _resolve_pool(ds, cfg)
     evaluator = _CvEvaluator(ds, pool, kfold_split(ds, cfg.folds, cfg.fold_seed))
-    found = walk(evaluator, pool, [pool.index(n) for n in cfg.initial_set])
-    names = [pool[i] for i in found.selected]
-    if not math.isfinite(found.final_cv):
+    selected, found = walk(evaluator, pool, [pool.index(n) for n in cfg.initial_set])
+    names = [pool[i] for i in selected]
+    final_cv = found["final_cv_mape_pct"]
+    if not math.isfinite(final_cv):
         try:  # the pick fails some fold, so score raises that fold's error
-            evaluator.score(found.selected)
+            evaluator.score(selected)
         except FitError as exc:
             raise SearchError(
-                f"{algorithm} stopped ({found.stop_reason}) at "
+                f"{algorithm} stopped ({found['stop_reason']}) at "
                 f"[{', '.join(names)}] with no finite CV score: {exc}"
             ) from exc
     del evaluator  # its columns are as large as the data: free them for the refit
@@ -709,7 +788,7 @@ def _search(ds: Dataset, cfg: SearchConfig, algorithm: str, walk) -> SearchRepor
     meta = TrainingMeta(
         algorithm=algorithm,
         folds=cfg.folds,
-        cv_mape_pct=found.final_cv,
+        cv_mape_pct=final_cv,
         train_mape_pct=diag.train_mape_pct,
     )
     return SearchReport(
@@ -717,16 +796,12 @@ def _search(ds: Dataset, cfg: SearchConfig, algorithm: str, walk) -> SearchRepor
         folds=cfg.folds,
         fold_seed=cfg.fold_seed,
         pool=pool,
-        stop_reason=found.stop_reason,
-        initial_cv_mape_pct=found.initial_cv,
-        iterations=tuple(found.iterations),
         final_model=dataclasses.replace(model, training=meta),
-        final_cv_mape_pct=found.final_cv,
-        subset_scores=found.subset_scores,
+        **found,
     )
 
 
-def _greedy(evaluator, pool, selected, action, moves, accepts) -> _Walk:
+def _greedy(evaluator, pool, selected, action, moves, accepts):
     """The greedy loop of bottom_up and top_down.
 
     ``moves(selected, len(pool))`` gives the trial selections keyed by the
@@ -755,15 +830,12 @@ def _greedy(evaluator, pool, selected, action, moves, accepts) -> _Walk:
         # clamp so the accepted sequence stays non-increasing
         current = min(current, scores[best])
         selected = trials[keys[best]]
-        iterations.append(
-            SearchIteration(
-                action=action,
-                counter=pool[keys[best]],
-                cv_mape_pct=current,
-                candidate_scores={pool[i]: s for i, s in zip(keys, scores)},
-            )
-        )
-    return _Walk(stop, initial_cv, iterations, selected, current)
+        scored = {pool[i]: s for i, s in zip(keys, scores)}
+        iterations.append(SearchIteration(action, pool[keys[best]], current, scored))
+    return selected, dict(
+        stop_reason=stop, initial_cv_mape_pct=initial_cv,
+        iterations=tuple(iterations), final_cv_mape_pct=current,
+    )
 
 
 def bottom_up(ds: Dataset, cfg: SearchConfig) -> SearchReport:
@@ -834,9 +906,9 @@ def exhaustive(ds: Dataset, cfg: SearchConfig) -> SearchReport:
         subset_scores = {
             "+".join(pool[i] for i in combo): s for combo, s in zip(subsets, scores)
         }
-        return _Walk(
-            "enumerated", scores[0], [], list(subsets[best]), scores[best],
-            subset_scores,
+        return list(subsets[best]), dict(
+            stop_reason="enumerated", initial_cv_mape_pct=scores[0], iterations=(),
+            final_cv_mape_pct=scores[best], subset_scores=subset_scores,
         )
 
     return _search(ds, cfg, EXHAUSTIVE, walk)
@@ -849,94 +921,43 @@ def run_search(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     ](ds, cfg)
 
 
-def _num(v: float):
-    # JSON has no Infinity; candidates whose fit failed carry null instead
-    return v if math.isfinite(v) else None
-
-
-def _unnum(v) -> float:
-    return math.inf if v is None else float(check_type("CV MAPE", v, float))
-
-
-def _unnum_scores(name: str, scores) -> dict[str, float]:
-    scores = check_type(name, scores, dict)
-    return {check_type("counter name", k, str): _unnum(v) for k, v in scores.items()}
-
-
 def report_to_dict(report: SearchReport) -> dict:
-    return {
-        "algorithm": report.algorithm,
-        "folds": report.folds,
-        "fold_seed": report.fold_seed,
-        "pool": list(report.pool),
-        "stop_reason": report.stop_reason,
-        "initial_cv_mape_pct": _num(report.initial_cv_mape_pct),
-        "iterations": [
-            {
-                "action": it.action,
-                "counter": it.counter,
-                "cv_mape_pct": _num(it.cv_mape_pct),
-                "candidate_scores": {
-                    k: _num(v) for k, v in it.candidate_scores.items()
-                },
-            }
-            for it in report.iterations
-        ],
-        "final_model": model_to_dict(report.final_model),
-        "final_cv_mape_pct": _num(report.final_cv_mape_pct),
-        **(
-            {"subset_scores": {k: _num(v) for k, v in report.subset_scores.items()}}
-            if report.subset_scores is not None
-            else {}
-        ),
-    }
+    """The JSON object of a report, or of one of its iterations: a key per
+    field, its value by type (scores through ``_num``), None left out."""
+    out = {}
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, PowerModel):
+            value = model_to_dict(value)
+        elif isinstance(value, float):
+            value = _num(value)
+        elif isinstance(value, dict):
+            value = {k: _num(v) for k, v in value.items()}
+        elif isinstance(value, tuple):
+            value = [v if isinstance(v, str) else report_to_dict(v) for v in value]
+        elif value is None:
+            continue
+        out[f.name] = value
+    return out
 
 
-def _field_names(cls) -> list[str]:
-    return [f.name for f in dataclasses.fields(cls)]
+def _from_json(cls, data, what: str, where):
+    """The ``cls`` the JSON object ``data`` of file ``where`` describes: its
+    keys are fields of ``cls``, each value read by its field's rule."""
+    rules = {f.name: f.metadata["rule"] for f in dataclasses.fields(cls)}
+    check_keys(data, rules, what, where)
+    return cls(**{name: rules[name](name, v, where) for name, v in data.items()})
 
 
 def report_from_dict(data: dict, where: str = "search report") -> SearchReport:
-    """The SearchReport a JSON object describes.  Names must be strings,
-    folds and fold_seed integers, scores numbers or null (+inf), pool and
-    iterations JSON arrays and the score maps JSON objects; nothing is
-    cast.  Its keys, and each iteration's, are the dataclass fields; any
-    other key is refused."""
+    """The SearchReport a JSON object describes.  Its keys, and each
+    iteration's, are the dataclass fields, and any other key is refused;
+    pool and iterations are JSON arrays, the score maps JSON objects, and a
+    null score is +inf.  The constructors check the rest, and nothing is
+    cast."""
     try:
-        check_keys(data, _field_names(SearchReport), "search report", where)
-        iterations = [
-            check_keys(it, _field_names(SearchIteration), "search iteration", where)
-            for it in check_type("iterations", data["iterations"], list)
-        ]
-        subset_scores = None
-        if "subset_scores" in data:
-            subset_scores = _unnum_scores("subset_scores", data["subset_scores"])
-        return SearchReport(
-            algorithm=check_type("algorithm", data["algorithm"], str),
-            folds=check_type("folds", data["folds"], int),
-            fold_seed=check_type("fold_seed", data["fold_seed"], int),
-            pool=tuple(
-                check_type("counter name", n, str)
-                for n in check_type("pool", data["pool"], list)
-            ),
-            stop_reason=check_type("stop_reason", data["stop_reason"], str),
-            initial_cv_mape_pct=_unnum(data["initial_cv_mape_pct"]),
-            iterations=tuple(
-                SearchIteration(
-                    action=check_type("action", it["action"], str),
-                    counter=check_type("counter", it["counter"], str),
-                    cv_mape_pct=_unnum(it["cv_mape_pct"]),
-                    candidate_scores=_unnum_scores(
-                        "candidate_scores", it["candidate_scores"]
-                    ),
-                )
-                for it in iterations
-            ),
-            final_model=model_from_dict(data["final_model"], where=where),
-            final_cv_mape_pct=_unnum(data["final_cv_mape_pct"]),
-            subset_scores=subset_scores,
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        return _from_json(SearchReport, data, "search report", where)
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"bad search report JSON: {exc}", path=where) from exc
 
 

@@ -59,7 +59,7 @@ def test_gen_seed_repeatable(tmp_path):
     a = gen_files(tmp_path, TWO_PLUS_JUNK, "a", seed=5)
     b = gen_files(tmp_path, TWO_PLUS_JUNK, "b", seed=5)
     c = gen_files(tmp_path, TWO_PLUS_JUNK, "c", seed=6)
-    read = lambda p: open(f"{p}_dataset.csv", "rb").read()
+    read = lambda p: Path(f"{p}_dataset.csv").read_bytes()
     assert read(a) == read(b)
     assert read(a) != read(c)
 
@@ -545,7 +545,7 @@ def test_power_below_the_zero_guard_names_its_time_key(tmp_path, capsys, command
     # or in the file
     prefix = gen_files(tmp_path, TWO_PLUS_JUNK, "z", seed=3)
     path = f"{prefix}_dataset.csv"
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     run, time_key, _, *deltas = lines[100].split(",")
     lines[100] = ",".join([run, time_key, "1e-10", *deltas])
     with open(path, "w") as f:

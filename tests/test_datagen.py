@@ -109,6 +109,8 @@ def test_multi_run_output():
     assert len(np.unique(res.dataset.time_keys)) == res.dataset.n_rows
     with pytest.raises(ValueError, match="single-run"):
         res.pmc
+    with pytest.raises(ValueError, match="power is only defined for single-run results"):
+        res.power
     # per-run sync agrees with the per-run slice of the dataset
     for i in range(3):
         part = pp.synchronize(res.pmc_traces[i], res.power_traces[i])
@@ -142,6 +144,12 @@ def test_spec_validation():
     )
     with pytest.raises(ValueError, match="pmc model"):
         spec_of(true_model=freq)
+    with pytest.raises(ValueError, match="n_runs must be >= 1"):
+        spec_of(n_runs=0)
+    with pytest.raises(ValueError, match="sample_period_cycles must be >= 1"):
+        spec_of(sample_period_cycles=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        spec_of(seed=-1)
 
 
 @pytest.mark.parametrize(

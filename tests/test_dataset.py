@@ -232,6 +232,28 @@ def test_types_refuse_none_for_a_required_column(cls, column, what):
         dataclasses.replace(good, **{column: None})
 
 
+@pytest.mark.parametrize(
+    "cls, column, value, message",
+    [
+        (pp.CounterTrace, "time_keys", None, "TIME must be a column of values, got None"),
+        (pp.PowerTrace, "time_keys", None, "TIME must be a column of values, got None"),
+        (pp.PowerTrace, "time_keys", 7, "TIME must be a column of values, got 7"),
+        (pp.Dataset, "run_ids", None, "RUN must be a column of values, got None"),
+        # used to be split into the run ids ('a', 'b')
+        (pp.Dataset, "run_ids", "ab", "RUN must be a column of values, got 'ab'"),
+        (pp.SampleRow, "run_id", 5, "run id 5 is not a string"),
+        # used to be accepted, and refused only by sync's dataset
+        (pp.CounterTrace, "run_id", None, "run id None is not a string"),
+        (pp.PowerTrace, "run_id", b"r", "run id b'r' is not a string"),
+    ],
+)
+def test_types_check_their_key_and_run_id_columns(cls, column, value, message):
+    """A key or run-id column that is not one is a ValueError naming it:
+    not a TypeError, a string split into run ids or a later refusal."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(_build(cls), **{column: value})
+
+
 # ---------------------------------------------------------------------------
 # CSV files
 # ---------------------------------------------------------------------------
@@ -764,6 +786,11 @@ def test_concat_header_mismatch_rejected():
     b = make_dataset(5, 3, seed=1)
     with pytest.raises(ValueError, match="headers differ"):
         pp.concat_datasets([a, b])
+    with pytest.raises(ValueError, match="no datasets to concatenate"):
+        pp.concat_datasets([])
+    with_freq = dataclasses.replace(a, freq_mhz=np.full(a.n_rows, 80.0))
+    with pytest.raises(ValueError, match="frequency channel present in some datasets only"):
+        pp.concat_datasets([a, with_freq])
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -626,6 +627,44 @@ def test_report_rejects_increasing_scores():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # a NaN step score used to be written as null, which read back as
+        # +inf and broke the non-increasing rule
+        ("step", np.nan, "CV MAPE must be finite or +inf, got nan"),
+        ("final_cv_mape_pct", np.nan, "CV MAPE must be finite or +inf, got nan"),
+        ("initial_cv_mape_pct", -np.inf, "CV MAPE must be finite or +inf, got -inf"),
+        ("final_cv_mape_pct", True, "CV MAPE must be float, got True"),
+        ("folds", "x", "folds must be int, got 'x'"),
+        ("fold_seed", False, "fold_seed must be int, got False"),
+        # used to be written as the pool ["A", "B"]
+        ("pool", "AB", "counter names must be a sequence, not 'AB'"),
+        ("algorithm", None, "algorithm must be str, got None"),
+        ("stop_reason", 3, "stop_reason must be str, got 3"),
+        ("subset_scores", {1: 1.0}, "counter name must be str, got 1"),
+        ("subset_scores", [("A", 1.0)], "subset_scores must be dict"),
+        ("iterations", [], "iterations must be a tuple of SearchIteration"),
+        ("final_model", None, "final_model must be PowerModel, got None"),
+    ],
+)
+def test_report_constructors_check_every_field(field, value, message):
+    step = {"action": "add", "counter": "A", "cv_mape_pct": 1.0, "candidate_scores": {}}
+    report = dict(
+        algorithm="bottom_up", folds=2, fold_seed=0, pool=("A",), stop_reason="converged",
+        initial_cv_mape_pct=2.0, iterations=(pp.SearchIteration(**step),),
+        final_model=pp.PowerModel(intercept_w=1.0, terms=()), final_cv_mape_pct=1.0,
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        if field == "step":
+            pp.SearchIteration(**{**step, "cv_mape_pct": value})
+        else:
+            pp.SearchReport(**{**report, field: value})
+    for key, bad in (("action", 0), ("counter", None), ("candidate_scores", {"A": "1"})):
+        with pytest.raises(ValueError, match="must be"):
+            pp.SearchIteration(**{**step, key: bad})
+
+
 def test_report_from_dict_rejects_garbage(tmp_path):
     with pytest.raises(pp.FormatError, match="bad search report JSON"):
         pp.report_from_dict({"algorithm": "bottom_up"})
@@ -687,3 +726,80 @@ def test_report_json_reads_back_to_the_same_bytes(tmp_path):
         text = path.read_text()
         pp.write_report(pp.read_report(path), path)
         assert path.read_text() == text
+
+
+# Report fields a search could write: names, counts, and CV MAPEs that are
+# finite or +inf, as floats, ints or numpy scalars.
+_GOOD_SCORE = st.one_of(
+    st.floats(allow_nan=False).filter(lambda v: v != -np.inf),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+_GOOD_NAME = st.text(min_size=1, max_size=3).filter(lambda n: n not in ("TIME", "FREQ_MHZ"))
+_GOOD_FIELDS = {
+    "algorithm": st.text(max_size=4),
+    "folds": st.integers(-(2**64), 2**64),
+    "fold_seed": st.integers(-(2**64), 2**64) | st.just(np.int64(3)),
+    "pool": st.lists(_GOOD_NAME, unique=True, max_size=3),
+    "stop_reason": st.text(max_size=4),
+    "final_cv_mape_pct": _GOOD_SCORE,
+    "subset_scores": st.none() | st.dictionaries(st.text(max_size=3), _GOOD_SCORE, max_size=3),
+}
+# what a bad caller could pass for any field or step entry
+_ODD_VALUE = st.one_of(
+    st.sampled_from(
+        [np.nan, -np.inf, np.inf, None, True, "1.0", "AB", (), [], {}, ["A", "A"],
+         ["TIME"], [""], {1: 1.0}, {None: 2.0}, {"A": np.nan}, {"A": None},
+         {"A": True}, {"A": -np.inf}, {"A": 1}, np.float64(np.nan), np.int64(3),
+         np.float32(1.5), 10**400, -1]
+    ),
+    st.floats(),
+    st.integers(-(2**64), 2**64),
+)
+_STEP_KEYS = ("action", "counter", "cv_mape_pct", "candidate_scores")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_report_is_refused_or_reads_back_to_itself(tmp_path_factory, data):
+    """A report the constructors accept writes JSON that reads back equal
+    to it and writes the same bytes again; a field or step entry that would
+    break that (NaN, -inf, a bool or string for a number, a non-str name,
+    one string for the pool) is a ValueError from the constructor."""
+    fields = {name: data.draw(s, label=name) for name, s in _GOOD_FIELDS.items()}
+    scores = data.draw(st.lists(_GOOD_SCORE, min_size=1, max_size=4), label="scores")
+    scores.sort(key=float, reverse=True)  # non-increasing, the initial first
+    steps = [
+        {
+            "action": data.draw(st.sampled_from(["add", "remove"])),
+            "counter": data.draw(_GOOD_NAME),
+            "cv_mape_pct": score,
+            "candidate_scores": data.draw(
+                st.dictionaries(_GOOD_NAME, _GOOD_SCORE, max_size=3)
+            ),
+        }
+        for score in scores[1:]
+    ]
+    targets = [None, "final_model", "initial_cv_mape_pct", *fields]
+    targets += [(i, key) for i in range(len(steps)) for key in _STEP_KEYS]
+    target = data.draw(st.sampled_from(targets), label="odd field")
+    odd = data.draw(_ODD_VALUE, label="odd value")
+    model = pp.PowerModel(intercept_w=1.0, terms=(("A", 2e-6),))
+    fields.update(initial_cv_mape_pct=scores[0], final_model=model)
+    if isinstance(target, tuple):
+        steps[target[0]][target[1]] = odd
+    elif target is not None:
+        fields[target] = odd
+    try:
+        iterations = tuple(pp.SearchIteration(**step) for step in steps)
+        report = pp.SearchReport(iterations=iterations, **fields)
+    except ValueError:
+        assert target is not None  # only an odd value is refused
+        return
+    path = tmp_path_factory.getbasetemp() / "drawn_report.json"
+    pp.write_report(report, path)
+    text = path.read_bytes()
+    back = pp.read_report(path)
+    assert back == report
+    pp.write_report(back, path)
+    assert path.read_bytes() == text

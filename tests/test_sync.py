@@ -108,6 +108,11 @@ def test_full_coverage_summary_wording():
     pmc = ct([10, 20], [1, 2])
     rep = pp.coverage_report(pmc, pt([10, 20], [1.0, 1.0]))
     assert rep.summary().startswith("matched 100% of keys (2)")
+    # PMC key 10 sees power keys 9 and 11 within the tolerance
+    rep = pp.coverage_report(pmc, pt([9, 11, 20], [1.0] * 3), pp.SyncConfig(key_tolerance=1))
+    assert rep.summary() == (
+        "matched 33.33% of keys (1), 1 unmatched PMC, 2 unmatched power, 1 ambiguous"
+    )
 
 
 def test_freq_channel_passes_through():
