@@ -15,13 +15,12 @@ Dataset, and at zero drop rate ``synchronize`` reproduces it exactly.
 
 The random draws come in one fixed order: each run's deltas, then its
 power-sample drops, run by run, then the noise of every row at once.  A
-spec therefore always yields the same bytes.
+spec therefore always yields the same bytes.  ``GenSpec`` declares its
+JSON keys as ``dataset.json_field``s; an absent key takes its default.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +32,39 @@ from .dataset import (
     Dataset,
     PowerTrace,
     check_counter_names,
-    check_keys,
+    check_fields,
     check_type,
+    from_json,
     is_integer,
+    json_field,
     read_json,
+    to_json,
     write_json,
 )
-from .errors import FormatError, GenError
-from .regress import KIND_PMC, PowerModel, linear_power, model_from_dict, model_to_dict
+from .errors import GenError
+from .regress import KIND_PMC, PowerModel, linear_power
 
 # 80 MHz clock sampled at about 95 Hz
 DEFAULT_PERIOD_CYCLES = 842105
+
+
+def _ranges(name: str, value, where=None) -> dict[str, tuple[int, int]]:
+    """Counter names to inclusive (lo, hi) bounds, integers with
+    0 <= lo <= hi < 2^32; a pair is a JSON array."""
+    ranges = {}
+    for counter in check_counter_names(check_type(name, value, dict)):
+        pair = value[counter]
+        is_pair = isinstance(pair, (tuple, list)) and len(pair) == 2
+        lo, hi = pair if is_pair else (None, None)
+        if not (is_integer(lo) and is_integer(hi) and 0 <= lo <= hi < COUNTER_MODULUS):
+            raise ValueError(
+                f"counter range for {counter!r} must be integers with "
+                f"0 <= lo <= hi < 2^32, got {pair!r}"
+            )
+        ranges[counter] = (int(lo), int(hi))  # a numpy bound stays JSON-writable
+    if not ranges:
+        raise ValueError(f"{name} must name at least one counter")
+    return ranges
 
 
 @dataclass(frozen=True)
@@ -57,24 +78,20 @@ class GenSpec:
     n_samples - 1 dataset rows.  drop_rate thins the power trace only.
     """
 
-    true_model: PowerModel
-    n_samples: int
-    counter_ranges: dict[str, tuple[int, int]]
-    n_runs: int = 1
-    sample_period_cycles: int = DEFAULT_PERIOD_CYCLES
-    noise_rel: float = 0.0
-    seed: int = 0
-    drop_rate: float = 0.0
-    inject_wrap: bool = False
+    json_name = "gen spec"
+
+    true_model: PowerModel = json_field(PowerModel)
+    n_samples: int = json_field(int)
+    counter_ranges: dict[str, tuple[int, int]] = json_field(_ranges)
+    n_runs: int = json_field(int, default=1)
+    sample_period_cycles: int = json_field(int, default=DEFAULT_PERIOD_CYCLES)
+    noise_rel: float = json_field(float, default=0.0)
+    seed: int = json_field(int, default=0)
+    drop_rate: float = json_field(float, default=0.0)
+    inject_wrap: bool = json_field(bool, default=False)
 
     def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():
-            if kind in (int, float, bool):
-                value = check_type(name, getattr(self, name), kind)
-                object.__setattr__(self, name, value)
-        check_counter_names(self.counter_ranges)
-        ranges = {n: (lo, hi) for n, (lo, hi) in self.counter_ranges.items()}
-        object.__setattr__(self, "counter_ranges", ranges)
+        check_fields(self)
         if self.true_model.kind != KIND_PMC:
             raise ValueError("true_model must be a pmc model")
         if self.n_samples < 2:
@@ -98,18 +115,8 @@ class GenSpec:
             raise ValueError("drop_rate must be in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not ranges:
-            raise ValueError("counter_ranges must name at least one counter")
-        for name, (lo, hi) in ranges.items():
-            ok = is_integer(lo) and is_integer(hi) and 0 <= lo <= hi < COUNTER_MODULUS
-            if not ok:
-                raise ValueError(
-                    f"counter range for {name!r} must be integers with "
-                    f"0 <= lo <= hi < 2^32, got {[lo, hi]}"
-                )
-            ranges[name] = (int(lo), int(hi))  # a numpy bound stays JSON-writable
         missing = [
-            n for n in self.true_model.counter_names if n not in ranges
+            n for n in self.true_model.counter_names if n not in self.counter_ranges
         ]
         if missing:
             raise ValueError(
@@ -119,9 +126,6 @@ class GenSpec:
     @property
     def counters(self) -> tuple[str, ...]:
         return tuple(self.counter_ranges)
-
-
-_FIELD_TYPES = typing.get_type_hints(GenSpec)
 
 
 @dataclass(frozen=True)
@@ -254,21 +258,12 @@ def generate(spec: GenSpec) -> GenResult:
 # ---------------------------------------------------------------------------
 
 def genspec_to_dict(spec: GenSpec) -> dict:
-    data = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
-    data["true_model"] = model_to_dict(spec.true_model)
-    data["counter_ranges"] = {n: list(b) for n, b in spec.counter_ranges.items()}
-    return data
+    return to_json(spec)
 
 
 def genspec_from_dict(data: dict, where: str = "gen spec") -> GenSpec:
-    """The GenSpec a JSON object describes; its keys are GenSpec fields,
-    and an absent key takes the field's default."""
-    try:
-        check_keys(data, _FIELD_TYPES, "gen spec", where)
-        fields = {**data, "true_model": model_from_dict(data["true_model"], where)}
-        return GenSpec(**fields)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad gen spec JSON: {exc}", where) from None
+    """The GenSpec a JSON object describes, read by ``dataset.from_json``."""
+    return from_json(GenSpec, data, where)
 
 
 def read_gen_spec(path) -> GenSpec:

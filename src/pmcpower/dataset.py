@@ -52,11 +52,16 @@ it, and a write its data and one block of cells.
 
 JSON artifacts (model, search report, gen spec) are written and read by
 ``write_json`` / ``read_json`` alone: indent 2, a final LF, and never a
-NaN or Infinity, which the writer refuses and the reader rejects.
+NaN or Infinity, which the writer refuses and the reader rejects.  Each
+artifact class declares each key once, as a ``json_field`` with its rule:
+the constructor checks every field, ``to_json`` writes a key per field and
+``from_json`` reads one, refusing an unknown key, an absent key whose field
+has no default, and a null that no rule reads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import json
@@ -847,6 +852,86 @@ def check_keys(data, known, what: str, where) -> dict:
     if unknown:
         raise FormatError(f"unknown {what} keys: {', '.join(sorted(unknown))}", where)
     return data
+
+
+def json_field(rule, write=None, **kw):
+    """A field of a JSON artifact class, a frozen dataclass named by its
+    ``json_name`` whose constructor calls ``check_fields``: ``rule`` is its
+    ``check_value`` rule, ``write`` its JSON form (``to_json``) and ``kw``
+    (a default) goes to ``dataclasses.field``."""
+    return field(metadata={"rule": rule, "write": write or to_json}, **kw)
+
+
+def check_value(rule, name: str, value, where=None):
+    """The value a field with ``rule`` stores, or a ValueError naming the
+    field; with ``where``, ``value`` is first read from the JSON of file
+    ``where``.  A rule is a type ``check_type`` takes (a float is stored
+    as a finite float), an artifact class (a JSON object), ``(cls,)`` (a
+    tuple of ``cls`` artifacts, a JSON array), or a function ``rule(name,
+    value, where=None)`` for a field whose JSON form differs from it."""
+    if rule in _TYPE_RULES:
+        value = check_type(name, value, rule)
+        if rule is float:
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        return value
+    if isinstance(rule, tuple):
+        (cls,) = rule
+        if where is not None:
+            items = check_type(name, value, list)
+            value = tuple(check_value(cls, name, v, where) for v in items)
+        if isinstance(value, tuple) and all(isinstance(v, cls) for v in value):
+            return value
+        raise ValueError(f"{name} must be a tuple of {cls.__name__}, got {value!r}")
+    if not isinstance(rule, type):
+        return rule(name, value, where)
+    if where is not None:
+        value = _read_object(rule, value, where)
+    if isinstance(value, rule):
+        return value
+    raise ValueError(f"{name} must be {rule.__name__}, got {value!r}")
+
+
+def check_fields(obj) -> None:
+    """Store each field of the artifact ``obj`` as its rule gives it; a
+    field whose default is None may be None, meaning absent."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None or f.default is not None:
+            object.__setattr__(obj, f.name, check_value(f.metadata["rule"], f.name, value))
+
+
+def to_json(value):
+    """``value`` in JSON types: an artifact as an object, a key per field
+    that is not None, in field order, each value as its ``write`` gives
+    it; a tuple as an array; a dict's values likewise."""
+    if dataclasses.is_dataclass(value):
+        pairs = ((f, getattr(value, f.name)) for f in dataclasses.fields(value))
+        return {f.name: f.metadata["write"](v) for f, v in pairs if v is not None}
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    return value
+
+
+def _read_object(cls, data, where):
+    """The ``cls`` the JSON object ``data`` of file ``where`` describes: its
+    keys are fields of ``cls``, each value read by its field's rule, and
+    the constructor refuses an absent key whose field has no default."""
+    rules = {f.name: f.metadata["rule"] for f in dataclasses.fields(cls)}
+    check_keys(data, rules, cls.json_name, where)
+    return cls(**{n: check_value(rules[n], n, v, where) for n, v in data.items()})
+
+
+def from_json(cls, data, where):
+    """The artifact ``cls`` that the JSON object ``data`` of file ``where``
+    describes; a refusal is ``FormatError("bad <json_name> JSON: ...")``."""
+    try:
+        return _read_object(cls, data, where)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad {cls.json_name} JSON: {exc}", where) from None
 
 
 def read_json(path, what: str):

@@ -12,14 +12,15 @@ X of a model's columns, where FREQ_MHZ is the frequency channel, ``_fit``
 solves ``[1 | X]`` and ``linear_power`` is ``intercept + X @ coefs``.
 
 Coefficients are kept and serialised at full binary precision; display
-formatting rounds to 6 significant digits.
+formatting rounds to 6 significant digits.  The model and its training
+block declare their JSON keys as ``dataset.json_field``s.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,14 +31,19 @@ from .dataset import (
     Dataset,
     SampleRow,
     check_counter_names,
+    check_fields,
     check_keys,
     check_type,
+    check_value,
+    from_json,
+    json_field,
     read_json,
+    to_json,
     with_source,
     write_columns,
     write_json,
 )
-from .errors import FitError, FormatError, ModelError, RankDeficientError
+from .errors import FitError, ModelError, RankDeficientError
 
 log = logging.getLogger(__name__)
 
@@ -58,60 +64,65 @@ _EPS = float(np.finfo(np.float64).eps)
 class TrainingMeta:
     """How a model was trained, for audit and reporting."""
 
-    algorithm: str
-    folds: int
-    cv_mape_pct: float
-    train_mape_pct: float
+    json_name = "model training"
+
+    algorithm: str = json_field(str)
+    folds: int = json_field(int)
+    cv_mape_pct: float = json_field(float)
+    train_mape_pct: float = json_field(float)
 
     def __post_init__(self):
+        check_fields(self)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for name, kind in (
-            ("folds", int), ("cv_mape_pct", float), ("train_mape_pct", float)
-        ):
-            object.__setattr__(self, name, check_type(name, getattr(self, name), kind))
 
 
-@dataclass(frozen=True)
+def _terms(name: str, value, where=None) -> tuple[tuple[str, float], ...]:
+    """(counter, coefficient) pairs, JSON objects with those keys."""
+    if where is not None:
+        for t in check_type(name, value, list):
+            check_keys(t, ("counter", "coefficient"), "model term", where)
+        value = [(t.get("counter"), t.get("coefficient")) for t in value]
+    if not isinstance(value, (tuple, list)) or not all(
+        isinstance(t, (tuple, list)) and len(t) == 2 for t in value
+    ):
+        raise ValueError(f"{name} must be (counter, coefficient) pairs, got {value!r}")
+    return tuple(
+        (check_type("counter", n, str), check_value(float, f"coefficient of {n}", c))
+        for n, c in value
+    )
+
+
+def _terms_json(terms) -> list:
+    return [{"counter": n, "coefficient": c} for n, c in terms]
+
+
+@dataclass(frozen=True, kw_only=True)
 class PowerModel:
     """Intercept plus (column, coefficient) terms, in watts.
 
     kind "pmc" names counters; "freq_baseline" has the single term
-    FREQ_MHZ, the frequency channel.
+    FREQ_MHZ, the frequency channel.  Every number is a finite float.
     """
 
-    intercept_w: float
-    terms: tuple[tuple[str, float], ...]
-    kind: str = KIND_PMC
-    training: TrainingMeta | None = None
+    json_name = "model"
+
+    kind: str = json_field(str, default=KIND_PMC)
+    intercept_w: float = json_field(float)
+    terms: tuple[tuple[str, float], ...] = json_field(_terms, write=_terms_json)
+    training: TrainingMeta | None = json_field(TrainingMeta, default=None)
 
     def __post_init__(self):
-        # names and numbers are checked, never cast; a numpy float is stored
-        # as a float
-        terms = tuple(
-            (
-                check_type("counter", n, str),
-                float(check_type(f"coefficient of {n}", c, float)),
-            )
-            for n, c in self.terms
-        )
-        intercept = float(check_type("intercept_w", self.intercept_w, float))
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "intercept_w", intercept)
+        check_fields(self)
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        names = [n for n, _ in self.terms]
         if self.kind == KIND_FREQ_BASELINE:
-            if names != [FREQ_COL]:
+            if self.counter_names != (FREQ_COL,):
                 raise ValueError(
                     f"freq_baseline model must have the single term {FREQ_COL}"
                 )
         else:
-            check_counter_names(names)
-        if not math.isfinite(self.intercept_w) or not all(
-            math.isfinite(c) for _, c in self.terms
-        ):
-            raise ValueError("model coefficients must be finite")
+            check_counter_names(self.counter_names)
 
     @property
     def counter_names(self) -> tuple[str, ...]:
@@ -347,41 +358,13 @@ def write_prediction_trace(result: ValidationResult, path) -> None:
 
 
 def model_to_dict(model: PowerModel) -> dict:
-    out: dict = {
-        "kind": model.kind,
-        "intercept_w": model.intercept_w,
-        "terms": [
-            {"counter": n, "coefficient": c} for n, c in model.terms
-        ],
-    }
-    if model.training is not None:
-        out["training"] = asdict(model.training)
-    return out
+    return to_json(model)
 
 
 def model_from_dict(data: dict, where: str = "model") -> PowerModel:
-    """The PowerModel a JSON object describes.  Its keys and those of
-    ``training`` are the dataclass fields, a term's are counter and
-    coefficient; any other key is refused."""
-    try:
-        check_keys(data, [f.name for f in fields(PowerModel)], "model", where)
-        terms = [
-            check_keys(t, ("counter", "coefficient"), "model term", where)
-            for t in check_type("terms", data["terms"], list)
-        ]
-        training = None
-        if data.get("training") is not None:
-            names = [f.name for f in fields(TrainingMeta)]
-            t = check_keys(data["training"], names, "model training", where)
-            training = TrainingMeta(**{name: t[name] for name in names})
-        return PowerModel(
-            intercept_w=data["intercept_w"],
-            terms=tuple((t["counter"], t["coefficient"]) for t in terms),
-            kind=data["kind"],
-            training=training,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad model JSON: {exc}", where) from None
+    """The PowerModel a JSON object describes, read by
+    ``dataset.from_json``; a term's keys are counter and coefficient."""
+    return from_json(PowerModel, data, where)
 
 
 def write_model(model: PowerModel, path) -> None:

@@ -52,11 +52,9 @@ some fold (rank deficiency) scores +infinity rather than aborting the
 search; a search that ends there raises, naming the first failing fold.
 Ties are broken by candidate-pool order, lowest index first.
 
-The search report checks its own fields: each field of ``SearchReport``
-and ``SearchIteration`` names its rule, which the constructor and the JSON
-reader follow, and the writer follows the checked values.  A CV MAPE is
-finite or +inf, never NaN or -inf; JSON writes +inf as null and reads a
-null score as +inf.
+The search report declares its fields as ``dataset.json_field``s.  A CV
+MAPE is finite or +inf, never NaN or -inf; JSON writes +inf as null and
+reads a null score as +inf, the one null any artifact reads.
 """
 
 from __future__ import annotations
@@ -75,14 +73,17 @@ import numpy as np
 from .dataset import (
     Dataset,
     check_counter_names,
-    check_keys,
+    check_fields,
     check_type,
+    from_json,
     is_integer,
+    json_field,
     read_json,
+    to_json,
     with_source,
     write_json,
 )
-from .errors import FitError, FormatError, RankDeficientError, SearchError
+from .errors import FitError, RankDeficientError, SearchError
 from .regress import (
     ALGORITHMS as SEARCH_ALGORITHMS,
     PowerModel,
@@ -90,8 +91,6 @@ from .regress import (
     check_zero_guard,
     fit_ols,
     mape_rows,
-    model_from_dict,
-    model_to_dict,
     rank_cutoff,
 )
 
@@ -160,12 +159,8 @@ def _num(v: float):
     return v if math.isfinite(v) else None
 
 
-def _text(name: str, value, where=None) -> str:
-    return check_type(name, value, str)
-
-
-def _int(name: str, value, where=None) -> int:
-    return check_type(name, value, int)
+def _nums(scores: dict) -> dict:
+    return {k: _num(v) for k, v in scores.items()}
 
 
 def _names(name: str, value, where=None) -> tuple[str, ...]:
@@ -191,52 +186,18 @@ def _score_map(name: str, scores, where=None) -> dict[str, float]:
     return {check_type("counter name", k, str): _cv_mape(name, v, where) for k, v in pairs}
 
 
-def _steps(name: str, value, where=None) -> tuple[SearchIteration, ...]:
-    if where is not None:
-        value = tuple(
-            _from_json(SearchIteration, it, "search iteration", where)
-            for it in check_type(name, value, list)
-        )
-    if isinstance(value, tuple) and all(isinstance(v, SearchIteration) for v in value):
-        return value
-    raise ValueError(f"{name} must be a tuple of SearchIteration, got {value!r}")
-
-
-def _model(name: str, value, where=None) -> PowerModel:
-    if where is not None:
-        value = model_from_dict(value, where)
-    if isinstance(value, PowerModel):
-        return value
-    raise ValueError(f"{name} must be PowerModel, got {value!r}")
-
-
-def _field(rule, **kw):
-    """A report field and its rule, one of the functions above, which the
-    constructor and the JSON reader follow: ``rule(name, value)`` is the
-    value to store, or a ValueError, and ``rule(name, value, where)`` reads
-    ``value`` from the JSON file ``where`` first."""
-    return dataclasses.field(metadata={"rule": rule}, **kw)
-
-
-def _check_fields(obj) -> None:
-    """Store each field of ``obj`` as its rule gives it; a field whose
-    default is None may be None, meaning absent."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if value is not None or f.default is not None:
-            object.__setattr__(obj, f.name, f.metadata["rule"](f.name, value))
-
-
 @dataclass(frozen=True)
 class SearchIteration:
     """One accepted step: what changed and every candidate's CV score."""
 
-    action: str = _field(_text)  # "add" or "remove"
-    counter: str = _field(_text)
-    cv_mape_pct: float = _field(_cv_mape)
-    candidate_scores: dict[str, float] = _field(_score_map)
+    json_name = "search iteration"
 
-    __post_init__ = _check_fields
+    action: str = json_field(str)  # "add" or "remove"
+    counter: str = json_field(str)
+    cv_mape_pct: float = json_field(_cv_mape, write=_num)
+    candidate_scores: dict[str, float] = json_field(_score_map, write=_nums)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -249,21 +210,25 @@ class SearchReport:
     or -inf.  Accepted scores are non-increasing.
     """
 
-    algorithm: str = _field(_text)
-    folds: int = _field(_int)
-    fold_seed: int = _field(_int)
-    pool: tuple[str, ...] = _field(_names)
-    stop_reason: str = _field(_text)
-    initial_cv_mape_pct: float = _field(_cv_mape)
-    iterations: tuple[SearchIteration, ...] = _field(_steps)
-    final_model: PowerModel = _field(_model)
-    final_cv_mape_pct: float = _field(_cv_mape)
+    json_name = "search report"
+
+    algorithm: str = json_field(str)
+    folds: int = json_field(int)
+    fold_seed: int = json_field(int)
+    pool: tuple[str, ...] = json_field(_names)
+    stop_reason: str = json_field(str)
+    initial_cv_mape_pct: float = json_field(_cv_mape, write=_num)
+    iterations: tuple[SearchIteration, ...] = json_field((SearchIteration,))
+    final_model: PowerModel = json_field(PowerModel)
+    final_cv_mape_pct: float = json_field(_cv_mape, write=_num)
     # exhaustive only: score of every evaluated subset, keyed "A+B+C" in
     # pool order ("" is the intercept-only subset)
-    subset_scores: dict[str, float] | None = _field(_score_map, default=None)
+    subset_scores: dict[str, float] | None = json_field(
+        _score_map, write=_nums, default=None
+    )
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         score = self.initial_cv_mape_pct
         for it in self.iterations:
             if it.cv_mape_pct > score + IMPROVEMENT_EPS:
@@ -922,43 +887,14 @@ def run_search(ds: Dataset, cfg: SearchConfig) -> SearchReport:
 
 
 def report_to_dict(report: SearchReport) -> dict:
-    """The JSON object of a report, or of one of its iterations: a key per
-    field, its value by type (scores through ``_num``), None left out."""
-    out = {}
-    for f in dataclasses.fields(report):
-        value = getattr(report, f.name)
-        if isinstance(value, PowerModel):
-            value = model_to_dict(value)
-        elif isinstance(value, float):
-            value = _num(value)
-        elif isinstance(value, dict):
-            value = {k: _num(v) for k, v in value.items()}
-        elif isinstance(value, tuple):
-            value = [v if isinstance(v, str) else report_to_dict(v) for v in value]
-        elif value is None:
-            continue
-        out[f.name] = value
-    return out
-
-
-def _from_json(cls, data, what: str, where):
-    """The ``cls`` the JSON object ``data`` of file ``where`` describes: its
-    keys are fields of ``cls``, each value read by its field's rule."""
-    rules = {f.name: f.metadata["rule"] for f in dataclasses.fields(cls)}
-    check_keys(data, rules, what, where)
-    return cls(**{name: rules[name](name, v, where) for name, v in data.items()})
+    return to_json(report)
 
 
 def report_from_dict(data: dict, where: str = "search report") -> SearchReport:
-    """The SearchReport a JSON object describes.  Its keys, and each
-    iteration's, are the dataclass fields, and any other key is refused;
-    pool and iterations are JSON arrays, the score maps JSON objects, and a
-    null score is +inf.  The constructors check the rest, and nothing is
-    cast."""
-    try:
-        return _from_json(SearchReport, data, "search report", where)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad search report JSON: {exc}", path=where) from exc
+    """The SearchReport a JSON object describes, read by
+    ``dataset.from_json``: pool and iterations are JSON arrays, the score
+    maps JSON objects, and a null score is +inf."""
+    return from_json(SearchReport, data, where)
 
 
 def write_report(report: SearchReport, path) -> None:

@@ -150,6 +150,17 @@ def test_spec_validation():
         spec_of(sample_period_cycles=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         spec_of(seed=-1)
+    # used to be accepted, and write_gen_spec then failed on the inf
+    with pytest.raises(ValueError, match="^noise_rel must be finite, got inf"):
+        spec_of(noise_rel=float("inf"))
+    # these raised an AttributeError or a TypeError, not naming the field
+    with pytest.raises(ValueError, match="^true_model must be PowerModel, got None"):
+        spec_of(true_model=None)
+    for pair in (5, (1,), [0, 1, 2], None):
+        with pytest.raises(ValueError, match="^counter range for 'CPU_OP' must be integers"):
+            spec_of(counter_ranges={**TWO_RANGES, "CPU_OP": pair})
+    with pytest.raises(ValueError, match="^counter_ranges must be dict, got None"):
+        spec_of(counter_ranges=None)
 
 
 @pytest.mark.parametrize(
@@ -229,6 +240,12 @@ def test_genspec_float_fields_take_integers():
     data.update(noise_rel=0, drop_rate=0)
     spec = pp.genspec_from_dict(data)
     assert pp.generate(spec).dataset.n_rows == 299
+
+
+def test_spec_float_fields_store_floats():
+    # an integer noise_rel or drop_rate used to be stored, and written, as one
+    spec = spec_of(noise_rel=1, drop_rate=np.int64(0))
+    assert (type(spec.noise_rel), type(spec.drop_rate)) == (float, float)
 
 
 def test_default_gen_spec_generates():
@@ -314,3 +331,90 @@ def test_generated_files_keep_their_bytes(tmp_path, spec, digest):
     for path in paths:
         sha.update(path.read_bytes())
     assert sha.hexdigest() == digest
+
+
+# Model and spec fields a caller could pass: names, finite numbers as
+# floats, ints or numpy scalars, and spec settings within their bounds.
+_NAME = st.text(min_size=1, max_size=3).filter(lambda n: n not in ("TIME", "FREQ_MHZ"))
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+_BOUNDS = st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2).map(sorted).map(tuple)
+_SPEC_FIELDS = {
+    "n_samples": st.integers(2, 10**6) | st.just(np.int64(5)),
+    "n_runs": st.integers(1, 100),
+    "sample_period_cycles": st.integers(1, 10**6),
+    "noise_rel": st.floats(0, 1e3) | st.integers(0, 10) | st.just(np.float32(0.5)),
+    "seed": st.integers(0, 2**64) | st.just(np.uint8(1)),
+    "drop_rate": st.floats(0, 1, exclude_max=True),
+    "inject_wrap": st.booleans(),
+}
+# what a bad caller could pass for any field, term entry or range
+_ODD_VALUE = st.one_of(
+    st.sampled_from(
+        [np.nan, -np.inf, np.inf, None, True, "1.0", "AB", (), [], {}, ["A", "A"],
+         ["A", 1.0], [[0, 1]], {"A": (0, 1)}, {"A": 5}, np.float64(np.nan),
+         np.int64(3), np.float32(1.5), 10**400, -1, "freq_baseline", "FREQ_MHZ"]
+    ),
+    st.floats(),
+    st.integers(-(2**64), 2**64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_model_and_spec_are_refused_or_read_back_to_themselves(tmp_path_factory, data):
+    """A model (with its training block) and a gen spec that the
+    constructors accept write JSON that reads back equal and writes the
+    same bytes again; a field, term entry or range that would break that
+    (NaN, +-inf, a bool or string for a number, None) is a ValueError
+    from the constructor."""
+    names = data.draw(st.lists(_NAME, unique=True, max_size=3), label="names")
+    model = {
+        "intercept_w": data.draw(_NUMBER, label="intercept_w"),
+        "terms": [[n, data.draw(_NUMBER, label=n)] for n in names],
+    }
+    training = {
+        "algorithm": data.draw(st.sampled_from(pp.regress.ALGORITHMS)),
+        "folds": data.draw(st.integers(-(2**64), 2**64) | st.just(np.int64(4))),
+        "cv_mape_pct": data.draw(_NUMBER, label="cv_mape_pct"),
+        "train_mape_pct": data.draw(_NUMBER, label="train_mape_pct"),
+    }
+    spec = {name: data.draw(s, label=name) for name, s in _SPEC_FIELDS.items()}
+    spec["counter_ranges"] = {n: data.draw(_BOUNDS) for n in [*names, "IO"]}
+    targets = [None, *[("model", k) for k in (*model, "kind", "training")]]
+    targets += [("training", k) for k in training]
+    targets += [("spec", k) for k in (*spec, "true_model")]
+    targets += [("term", i, j) for i in range(len(names)) for j in (0, 1)]
+    targets += [("range", n) for n in spec["counter_ranges"]]
+    target = data.draw(st.sampled_from(targets), label="odd field")
+    odd = data.draw(_ODD_VALUE, label="odd value")
+    if target is not None:
+        kind, key, *entry = target
+        group = {"model": model, "training": training, "spec": spec}.get(kind)
+        if kind == "term":
+            model["terms"][key][entry[0]] = odd
+        elif kind == "range":
+            spec["counter_ranges"][key] = odd
+        else:
+            group[key] = odd
+    try:
+        meta = pp.TrainingMeta(**training)
+        model = pp.PowerModel(**{"training": meta, **model})
+        spec = pp.GenSpec(**{"true_model": model, **spec})
+    except ValueError:
+        assert target is not None  # only an odd value is refused
+        return
+    path = tmp_path_factory.getbasetemp() / "drawn.json"
+    for write, read, artifact in (
+        (pp.write_model, pp.read_model, model),
+        (pp.write_gen_spec, pp.read_gen_spec, spec),
+    ):
+        write(artifact, path)
+        text = path.read_bytes()
+        back = read(path)
+        assert back == artifact
+        write(back, path)
+        assert path.read_bytes() == text

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 import re
 import sys
 import tracemalloc
@@ -919,12 +920,193 @@ def test_json_readers_reject_a_duplicate_key(tmp_path, what, key):
 
 
 def test_json_writer_refuses_non_finite_numbers(tmp_path):
-    model = pp.PowerModel(
-        intercept_w=1.5,
-        terms=(("A", 2e-6),),
-        training=pp.TrainingMeta("bottom_up", 4, float("inf"), 1.0),
-    )
+    # no artifact constructor takes a NaN or +-inf it would write, so the
+    # writer's own refusal is tested on a plain JSON value
     path = tmp_path / "m.json"
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        pp.write_model(model, path)
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dataset.write_json({"training": {"cv_mape_pct": value}}, path)
     assert not path.exists()
+
+
+_PLAIN_MODEL = pp.PowerModel(intercept_w=1.5, terms=(("A", 2e-06), ("B", 0.1 + 0.2)))
+_TRAINED_MODEL = dataclasses.replace(
+    _PLAIN_MODEL, training=pp.TrainingMeta("exhaustive", 4, 1.25, 0.75)
+)
+# a null score in a step and in subset_scores
+_SCORED_REPORT = pp.SearchReport(
+    algorithm="exhaustive",
+    folds=4,
+    fold_seed=3,
+    pool=("A", "B"),
+    stop_reason="all subsets scored",
+    initial_cv_mape_pct=2.5,
+    iterations=(pp.SearchIteration("add", "A", 1.25, {"A": 1.25, "B": math.inf}),),
+    final_model=_PLAIN_MODEL,
+    final_cv_mape_pct=1.25,
+    subset_scores={"": 2.5, "A": 1.25, "B": math.inf, "A+B": 1.3},
+)
+_DICT_APIS = {
+    "model": (pp.model_to_dict, pp.model_from_dict, [_PLAIN_MODEL, _TRAINED_MODEL]),
+    "gen spec": (pp.genspec_to_dict, pp.genspec_from_dict, [_SPEC, pp.default_gen_spec()]),
+    "search report": (pp.report_to_dict, pp.report_from_dict, [_REPORT, _SCORED_REPORT]),
+}
+
+
+def _json_types_only(value) -> bool:
+    if isinstance(value, dict):
+        return all(type(k) is str and _json_types_only(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_json_types_only(v) for v in value)
+    return value is None or type(value) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize("what", _DICT_APIS)
+def test_dict_api_round_trips_through_json_types(what):
+    # a tuple left in the dict writes the same bytes as a list, but reads
+    # back as "pool must be list"
+    to_dict, from_dict, artifacts = _DICT_APIS[what]
+    for artifact in artifacts:
+        data = to_dict(artifact)
+        assert _json_types_only(data)
+        assert from_dict(data) == artifact
+
+
+_PLAIN_MODEL_JSON = """\
+{
+  "kind": "pmc",
+  "intercept_w": 1.5,
+  "terms": [
+    {
+      "counter": "A",
+      "coefficient": 2e-06
+    },
+    {
+      "counter": "B",
+      "coefficient": 0.30000000000000004
+    }
+  ]
+}
+"""
+_TRAINED_MODEL_JSON = """\
+{
+  "kind": "pmc",
+  "intercept_w": 1.5,
+  "terms": [
+    {
+      "counter": "A",
+      "coefficient": 2e-06
+    },
+    {
+      "counter": "B",
+      "coefficient": 0.30000000000000004
+    }
+  ],
+  "training": {
+    "algorithm": "exhaustive",
+    "folds": 4,
+    "cv_mape_pct": 1.25,
+    "train_mape_pct": 0.75
+  }
+}
+"""
+_DEFAULT_SPEC_JSON = """\
+{
+  "true_model": {
+    "kind": "pmc",
+    "intercept_w": 1.5,
+    "terms": [
+      {
+        "counter": "CPU_OP",
+        "coefficient": 2e-06
+      },
+      {
+        "counter": "MEM_ACC",
+        "coefficient": 5e-07
+      }
+    ]
+  },
+  "n_samples": 300,
+  "counter_ranges": {
+    "CPU_OP": [
+      0,
+      400000
+    ],
+    "MEM_ACC": [
+      0,
+      150000
+    ],
+    "IO_EVT": [
+      0,
+      50000
+    ]
+  },
+  "n_runs": 1,
+  "sample_period_cycles": 842105,
+  "noise_rel": 0.01,
+  "seed": 0,
+  "drop_rate": 0.0,
+  "inject_wrap": false
+}
+"""
+_SCORED_REPORT_JSON = """\
+{
+  "algorithm": "exhaustive",
+  "folds": 4,
+  "fold_seed": 3,
+  "pool": [
+    "A",
+    "B"
+  ],
+  "stop_reason": "all subsets scored",
+  "initial_cv_mape_pct": 2.5,
+  "iterations": [
+    {
+      "action": "add",
+      "counter": "A",
+      "cv_mape_pct": 1.25,
+      "candidate_scores": {
+        "A": 1.25,
+        "B": null
+      }
+    }
+  ],
+  "final_model": {
+    "kind": "pmc",
+    "intercept_w": 1.5,
+    "terms": [
+      {
+        "counter": "A",
+        "coefficient": 2e-06
+      },
+      {
+        "counter": "B",
+        "coefficient": 0.30000000000000004
+      }
+    ]
+  },
+  "final_cv_mape_pct": 1.25,
+  "subset_scores": {
+    "": 2.5,
+    "A": 1.25,
+    "B": null,
+    "A+B": 1.3
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "write, artifact, text",
+    [
+        (pp.write_model, _PLAIN_MODEL, _PLAIN_MODEL_JSON),
+        (pp.write_model, _TRAINED_MODEL, _TRAINED_MODEL_JSON),
+        (pp.write_gen_spec, pp.default_gen_spec(), _DEFAULT_SPEC_JSON),
+        (pp.write_report, _SCORED_REPORT, _SCORED_REPORT_JSON),
+    ],
+    ids=["model", "trained model", "default gen spec", "scored report"],
+)
+def test_json_writers_keep_their_bytes(tmp_path, write, artifact, text):
+    path = tmp_path / "a.json"
+    write(artifact, path)
+    assert path.read_text(encoding="utf-8") == text

@@ -265,6 +265,22 @@ def test_model_validation():
         pp.TrainingMeta(
             algorithm="forward", folds=10, cv_mape_pct=1.0, train_mape_pct=1.0
         )
+    # each used to be accepted, and write_model then failed: a NaN or +-inf
+    # MAPE as "not JSON compliant", a dict training block in asdict
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="cv_mape_pct must be finite"):
+            pp.TrainingMeta("bottom_up", 4, bad, 1.0)
+        with pytest.raises(ValueError, match="train_mape_pct must be finite"):
+            pp.TrainingMeta("bottom_up", 4, 1.0, bad)
+        with pytest.raises(ValueError, match="coefficient of A must be finite"):
+            pp.PowerModel(intercept_w=1.0, terms=(("A", bad),))
+    training = {"algorithm": "bottom_up", "folds": 4, "cv_mape_pct": 1.0, "train_mape_pct": 1.0}
+    with pytest.raises(ValueError, match="^training must be TrainingMeta, got {"):
+        pp.PowerModel(intercept_w=1.0, terms=(), training=training)
+    # and these raised a TypeError, not naming the field
+    for terms in (None, 5, (("A",),), [("A", 1.0, 2.0)]):
+        with pytest.raises(ValueError, match="^terms must be .counter, coefficient. pairs"):
+            pp.PowerModel(intercept_w=1.0, terms=terms)
 
 
 def test_model_json_round_trip_full_precision(tmp_path):
@@ -355,6 +371,21 @@ def test_model_json_float_fields_take_integers(tmp_path):
     text = path.read_text()
     pp.write_model(pp.read_model(path), path)
     assert path.read_text() == text
+
+
+def test_model_json_keys_are_absent_only_where_the_field_has_a_default():
+    # the gen spec's rule, now the model's: "kind" may be absent, meaning pmc
+    data = {"intercept_w": 1.5, "terms": [{"counter": "A", "coefficient": 2e-06}]}
+    assert pp.model_from_dict(data) == pp.PowerModel(intercept_w=1.5, terms=(("A", 2e-06),))
+    with pytest.raises(pp.FormatError, match="bad model JSON: .*missing .*'terms'"):
+        pp.model_from_dict({"kind": "pmc", "intercept_w": 1.5})
+    # null reads as +inf in a report score only: a null training block, which
+    # no writer wrote, used to read as no training; an absent term key reads
+    # as None, which no term rule takes
+    with pytest.raises(pp.FormatError, match="model training must be dict, got None"):
+        pp.model_from_dict({**_GOOD_MODEL, "training": None})
+    with pytest.raises(pp.FormatError, match="bad model JSON: counter must be str, got None"):
+        pp.model_from_dict(edited_json(_GOOD_MODEL, ("terms", 0), {"coefficient": 1.0}))
 
 
 @pytest.mark.parametrize(

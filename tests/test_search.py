@@ -241,8 +241,9 @@ def test_settings_store_numpy_values_as_plain_python_values():
         algorithm="top_down", folds=np.int64(4), cv_mape_pct=np.float64(1.5),
         train_mape_pct=np.int32(1),
     )
+    # a float field stores a float, an integer given for it included
     assert [type(v) for v in (meta.folds, meta.cv_mape_pct, meta.train_mape_pct)] == [
-        int, float, int
+        int, float, float
     ]
     assert type(pp.SyncConfig(key_tolerance=np.uint64(2**63)).key_tolerance) is int
     spec = pp.GenSpec(
