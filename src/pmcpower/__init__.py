@@ -30,8 +30,6 @@ from .datagen import (
     GenSpec,
     default_gen_spec,
     generate,
-    genspec_from_dict,
-    genspec_to_dict,
     read_gen_spec,
     write_gen_spec,
 )
@@ -55,7 +53,6 @@ from .regress import (
     format_watts,
     mape,
     model_from_dict,
-    model_to_dict,
     predict,
     predict_dataset,
     read_model,
@@ -114,8 +111,6 @@ __all__ = [
     "coverage_report",
     "cv_score",
     "default_gen_spec",
-    "genspec_from_dict",
-    "genspec_to_dict",
     "exhaustive",
     "fit_freq_baseline",
     "fit_ols",
@@ -124,7 +119,6 @@ __all__ = [
     "kfold_split",
     "mape",
     "model_from_dict",
-    "model_to_dict",
     "predict",
     "predict_dataset",
     "read_counter_trace",
@@ -133,8 +127,6 @@ __all__ = [
     "read_model",
     "read_power_trace",
     "read_report",
-    "report_from_dict",
-    "report_to_dict",
     "run_search",
     "synchronize",
     "top_down",

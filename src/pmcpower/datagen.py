@@ -34,11 +34,9 @@ from .dataset import (
     check_counter_names,
     check_fields,
     check_type,
-    from_json,
     is_integer,
     json_field,
     read_json,
-    to_json,
     write_json,
 )
 from .errors import GenError
@@ -257,21 +255,12 @@ def generate(spec: GenSpec) -> GenResult:
 # GenSpec JSON (the CLI `gen` input format)
 # ---------------------------------------------------------------------------
 
-def genspec_to_dict(spec: GenSpec) -> dict:
-    return to_json(spec)
-
-
-def genspec_from_dict(data: dict, where: str = "gen spec") -> GenSpec:
-    """The GenSpec a JSON object describes, read by ``dataset.from_json``."""
-    return from_json(GenSpec, data, where)
-
-
 def read_gen_spec(path) -> GenSpec:
-    return genspec_from_dict(read_json(path, "gen spec"), where=str(path))
+    return read_json(path, GenSpec)
 
 
 def write_gen_spec(spec: GenSpec, path) -> None:
-    write_json(genspec_to_dict(spec), path)
+    write_json(spec, path)
 
 
 def default_gen_spec(seed: int = 0) -> GenSpec:

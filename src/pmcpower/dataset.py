@@ -50,13 +50,14 @@ floats, which read back exactly, and ``%.6g`` (``regress.WATTS_SPEC``) for
 display watts.  So a read holds its result and a few parse blocks beyond
 it, and a write its data and one block of cells.
 
-JSON artifacts (model, search report, gen spec) are written and read by
-``write_json`` / ``read_json`` alone: indent 2, a final LF, and never a
-NaN or Infinity, which the writer refuses and the reader rejects.  Each
-artifact class declares each key once, as a ``json_field`` with its rule:
-the constructor checks every field, ``to_json`` writes a key per field and
-``from_json`` reads one, refusing an unknown key, an absent key whose field
-has no default, and a null that no rule reads.
+JSON artifacts (model, search report, gen spec) are written by
+``write_json(artifact, path)`` and read by ``read_json(path, cls)`` alone,
+whose errors name the artifact by ``cls.json_name``: indent 2, a final LF,
+and never a NaN or Infinity.  Each artifact class declares each key once,
+as a ``json_field`` with its rule: the constructor checks every field,
+``to_json`` writes a key per field and ``from_json`` reads one, refusing an
+unknown key, an absent key whose field has no default, and a null that no
+rule reads.  In memory, ``to_json`` and ``from_json`` are the JSON forms.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ FREQ_COL = "FREQ_MHZ"
 
 COUNTER_MODULUS = 1 << 32  # cumulative PMC readings are 32-bit
 TIME_MODULUS = 1 << 64  # TIME keys are 64-bit and assumed non-wrapping
+_CELL_BREAKS = frozenset(",\r\n")  # no CSV cell, so no name or run id, holds one
 
 
 def is_integer(value) -> bool:
@@ -117,7 +119,8 @@ def check_type(name: str, value, kind: type):
 
 def check_counter_names(counters: Sequence[str]) -> tuple[str, ...]:
     """Validate a predictor name list: a sequence of names, not one
-    string; each a non-empty string, unique, neither TIME nor FREQ_MHZ."""
+    string; each a non-empty string that fits in a CSV header cell (no
+    comma, CR or LF), unique, neither TIME nor FREQ_MHZ."""
     if isinstance(counters, str) or not hasattr(counters, "__iter__"):
         raise ValueError(f"counter names must be a sequence, not {counters!r}")
     names = tuple(counters)
@@ -129,6 +132,8 @@ def check_counter_names(counters: Sequence[str]) -> tuple[str, ...]:
             raise ValueError(f"{TIME_KEY!r} is reserved for the sync key")
         if name == FREQ_COL:
             raise ValueError(f"{FREQ_COL!r} is reserved for the frequency channel")
+        if not _CELL_BREAKS.isdisjoint(name):
+            raise ValueError(f"counter name {name!r} holds a comma, CR or LF")
         if name in seen:
             raise ValueError(f"duplicate counter name {name!r}")
         seen.add(name)
@@ -248,8 +253,12 @@ def _rows(what: str, column) -> int:
 
 
 def _check_run_id(run) -> None:
+    """A run id is a string that a CSV RUN cell holds: no comma, CR or LF,
+    and no leading ``#``, which would make its row a comment."""
     if not isinstance(run, str):
         raise ValueError(f"run id {run!r} is not a string")
+    if not _CELL_BREAKS.isdisjoint(run) or run.startswith("#"):
+        raise ValueError(f"run id {run!r} not representable in CSV")
 
 
 @dataclass(frozen=True, eq=False)
@@ -775,9 +784,6 @@ def read_dataset(path) -> Dataset:
 
 def write_dataset(ds: Dataset, path) -> None:
     """Write a dataset CSV; read_dataset(write_dataset(ds)) == ds."""
-    for run in set(ds.run_ids):
-        if any(c in run for c in ",\r\n") or run.startswith("#"):
-            raise ValueError(f"run id {run!r} not representable in CSV")
     _write(ds, path, _DATASET_COLUMNS)
 
 
@@ -812,14 +818,6 @@ def concat_datasets(datasets: Sequence[Dataset], source: str = "") -> Dataset:
 # ---------------------------------------------------------------------------
 # JSON artifacts
 # ---------------------------------------------------------------------------
-
-
-def write_json(data, path) -> None:
-    """Write ``data`` as a JSON artifact; a NaN or infinity in it is a
-    ValueError, raised before the file is opened."""
-    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
 
 
 def _finite(parse):
@@ -934,17 +932,25 @@ def from_json(cls, data, where):
         raise FormatError(f"bad {cls.json_name} JSON: {exc}", where) from None
 
 
-def read_json(path, what: str):
-    """The value of a JSON artifact, ``what`` naming it in errors.
+def write_json(value, path) -> None:
+    """Write ``to_json(value)`` (an artifact or a plain JSON value) as JSON;
+    a NaN or infinity in it is a ValueError, raised before the file opens."""
+    text = json.dumps(to_json(value), indent=2, allow_nan=False) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+
+
+def read_json(path, cls):
+    """The artifact ``cls`` of the JSON file at ``path``, by ``from_json``.
 
     Bytes that are not UTF-8, malformed JSON, a key repeated in one
     object, ``NaN`` / ``Infinity`` tokens, numbers too large for a float
     (``1e400``) and nesting too deep for the parser raise
-    ``FormatError("bad <what> JSON: ...", path)``.
+    ``FormatError("bad <cls.json_name> JSON: ...", path)``.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8")
-        return json.loads(
+        data = json.loads(
             text,
             object_pairs_hook=_unique_keys,
             parse_int=_finite(int),
@@ -952,4 +958,5 @@ def read_json(path, what: str):
             parse_constant=_finite(float),
         )
     except (ValueError, RecursionError) as exc:  # ValueError: bad bytes and JSON
-        raise FormatError(f"bad {what} JSON: {exc}", path) from None
+        raise FormatError(f"bad {cls.json_name} JSON: {exc}", path) from None
+    return from_json(cls, data, str(path))

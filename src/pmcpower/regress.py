@@ -38,7 +38,6 @@ from .dataset import (
     from_json,
     json_field,
     read_json,
-    to_json,
     with_source,
     write_columns,
     write_json,
@@ -357,10 +356,6 @@ def write_prediction_trace(result: ValidationResult, path) -> None:
         write_predictions(f, result.time_keys, result.run_ids, watts)
 
 
-def model_to_dict(model: PowerModel) -> dict:
-    return to_json(model)
-
-
 def model_from_dict(data: dict, where: str = "model") -> PowerModel:
     """The PowerModel a JSON object describes, read by
     ``dataset.from_json``; a term's keys are counter and coefficient."""
@@ -368,8 +363,8 @@ def model_from_dict(data: dict, where: str = "model") -> PowerModel:
 
 
 def write_model(model: PowerModel, path) -> None:
-    write_json(model_to_dict(model), path)
+    write_json(model, path)
 
 
 def read_model(path) -> PowerModel:
-    return model_from_dict(read_json(path, "model"), where=str(path))
+    return read_json(path, PowerModel)

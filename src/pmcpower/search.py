@@ -75,11 +75,9 @@ from .dataset import (
     check_counter_names,
     check_fields,
     check_type,
-    from_json,
     is_integer,
     json_field,
     read_json,
-    to_json,
     with_source,
     write_json,
 )
@@ -886,20 +884,9 @@ def run_search(ds: Dataset, cfg: SearchConfig) -> SearchReport:
     ](ds, cfg)
 
 
-def report_to_dict(report: SearchReport) -> dict:
-    return to_json(report)
-
-
-def report_from_dict(data: dict, where: str = "search report") -> SearchReport:
-    """The SearchReport a JSON object describes, read by
-    ``dataset.from_json``: pool and iterations are JSON arrays, the score
-    maps JSON objects, and a null score is +inf."""
-    return from_json(SearchReport, data, where)
-
-
 def write_report(report: SearchReport, path) -> None:
-    write_json(report_to_dict(report), path)
+    write_json(report, path)
 
 
 def read_report(path) -> SearchReport:
-    return report_from_dict(read_json(path, "search report"), where=str(path))
+    return read_json(path, SearchReport)

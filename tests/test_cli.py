@@ -88,7 +88,7 @@ _TOP_PERIOD = (2**64 - 1) // 27
     ids=["wrapping keys", "overflowing keys", "one past the boundary"],
 )
 def test_gen_refuses_time_keys_past_2_64(tmp_path, capsys, period, n_samples, n_runs):
-    data = pp.genspec_to_dict(TWO_PLUS_JUNK)
+    data = dataset.to_json(TWO_PLUS_JUNK)
     data.update(sample_period_cycles=period, n_samples=n_samples, n_runs=n_runs)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(data))
@@ -96,6 +96,18 @@ def test_gen_refuses_time_keys_past_2_64(tmp_path, capsys, period, n_samples, n_
     err = capsys.readouterr().err
     assert "bad gen spec JSON: sample_period_cycles" in err
     assert "past 2^64 - 1" in err
+    assert not list(tmp_path.glob("g_*"))
+
+
+def test_gen_refuses_a_counter_name_no_csv_header_holds(tmp_path, capsys):
+    # "A,B" used to write a PMC header TIME,A,B,... over rows one cell
+    # shorter, which sync then refused
+    data = dataset.to_json(TWO_PLUS_JUNK)
+    data["counter_ranges"]["A,B"] = [0, 10]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data))
+    assert main(["gen", "--spec", str(spec_path), "--out-prefix", str(tmp_path / "g")]) == 2
+    assert "holds a comma, CR or LF" in capsys.readouterr().err
     assert not list(tmp_path.glob("g_*"))
 
 
@@ -778,6 +790,22 @@ def _fresh_python(tmp_path, *args):
     )
     assert done.returncode == 0, done.stderr
     return done.stderr, done.stdout
+
+
+def _readme_block(section: str, lang: str) -> str:
+    """The first ``lang`` code block under the README heading ``section``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split(f"\n## {section}\n", 1)[1]
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run_as_written(tmp_path, capsys):
+    _, out = _fresh_python(tmp_path, "-c", _readme_block("Library use", "python"))
+    assert out
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(_readme_block("Command line walkthrough", "json"))
+    assert main(["gen", "--spec", str(spec_path), "--out-prefix", str(tmp_path / "g")]) == 0
+    assert "generated 5 run(s)" in capsys.readouterr().out
 
 
 def test_only_train_loads_the_search_module(tmp_path):

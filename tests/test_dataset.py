@@ -26,6 +26,11 @@ def test_counter_names_reject_time_and_duplicates():
         check_counter_names(("A", "B", "A"))
     with pytest.raises(ValueError):
         check_counter_names(("A", ""))
+    # a name no CSV header cell holds: "A,B" used to write a PMC header of
+    # one more column than its rows
+    for name in ("A,B", "A\nB", "A\rB", ","):
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            check_counter_names(("X", name))
     assert check_counter_names(["A", "B"]) == ("A", "B")
 
 
@@ -246,6 +251,12 @@ def test_types_refuse_none_for_a_required_column(cls, column, what):
         # used to be accepted, and refused only by sync's dataset
         (pp.CounterTrace, "run_id", None, "run id None is not a string"),
         (pp.PowerTrace, "run_id", b"r", "run id b'r' is not a string"),
+        # used to be accepted, and refused only by write_dataset: a
+        # prediction CSV wrote "a,b" as two cells
+        (pp.Dataset, "run_ids", ("a,b", "r"), "run id 'a,b' not representable in CSV"),
+        (pp.CounterTrace, "run_id", "a\nb", "run id 'a\\nb' not representable in CSV"),
+        (pp.PowerTrace, "run_id", "#r", "run id '#r' not representable in CSV"),
+        (pp.SampleRow, "run_id", "a\rb", "run id 'a\\rb' not representable in CSV"),
     ],
 )
 def test_types_check_their_key_and_run_id_columns(cls, column, value, message):
@@ -414,15 +425,14 @@ def test_empty_dataset_round_trips(tmp_path):
 
 
 def test_run_id_with_comma_not_writable(tmp_path):
-    ds = pp.Dataset(
-        counters=("A",),
-        time_keys=np.array([1], dtype=np.uint64),
-        run_ids=("r,0",),
-        power_w=np.array([1.0]),
-        deltas=np.array([[2]], dtype=np.uint64),
-    )
     with pytest.raises(ValueError):
-        pp.write_dataset(ds, tmp_path / "x.csv")
+        pp.Dataset(
+            counters=("A",),
+            time_keys=np.array([1], dtype=np.uint64),
+            run_ids=("r,0",),
+            power_w=np.array([1.0]),
+            deltas=np.array([[2]], dtype=np.uint64),
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -946,10 +956,14 @@ _SCORED_REPORT = pp.SearchReport(
     final_cv_mape_pct=1.25,
     subset_scores={"": 2.5, "A": 1.25, "B": math.inf, "A+B": 1.3},
 )
+# each artifact class, named by its json_name, and artifacts of it
 _DICT_APIS = {
-    "model": (pp.model_to_dict, pp.model_from_dict, [_PLAIN_MODEL, _TRAINED_MODEL]),
-    "gen spec": (pp.genspec_to_dict, pp.genspec_from_dict, [_SPEC, pp.default_gen_spec()]),
-    "search report": (pp.report_to_dict, pp.report_from_dict, [_REPORT, _SCORED_REPORT]),
+    cls.json_name: (cls, artifacts)
+    for cls, artifacts in [
+        (pp.PowerModel, [_PLAIN_MODEL, _TRAINED_MODEL]),
+        (pp.GenSpec, [_SPEC, pp.default_gen_spec()]),
+        (pp.SearchReport, [_REPORT, _SCORED_REPORT]),
+    ]
 }
 
 
@@ -965,11 +979,11 @@ def _json_types_only(value) -> bool:
 def test_dict_api_round_trips_through_json_types(what):
     # a tuple left in the dict writes the same bytes as a list, but reads
     # back as "pool must be list"
-    to_dict, from_dict, artifacts = _DICT_APIS[what]
+    cls, artifacts = _DICT_APIS[what]
     for artifact in artifacts:
-        data = to_dict(artifact)
+        data = dataset.to_json(artifact)
         assert _json_types_only(data)
-        assert from_dict(data) == artifact
+        assert dataset.from_json(cls, data, what) == artifact
 
 
 _PLAIN_MODEL_JSON = """\
