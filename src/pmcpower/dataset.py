@@ -450,21 +450,6 @@ def _check_header_names(names: list[str], path) -> None:
         raise FormatError(str(exc), path) from None
 
 
-def _read_table(path, fields_of) -> tuple[list[str], list]:
-    """(header, one array per field) of a CSV file.
-
-    ``fields_of(header, path)`` checks the header and returns its fields.
-    A file that cannot seek, such as a pipe, is read into memory once.
-    """
-    with open(path, "rb") as f:
-        stream = f if f.seekable() else io.BytesIO(f.read())
-        table = _read_bulk(stream, fields_of, path)
-        if table is None:
-            stream.seek(0)
-            table = _read_cells(stream.read(), fields_of, path)
-    return table
-
-
 def _blocks(stream):
     """The rest of the seekable ``stream`` in blocks of at most
     ``_PARSE_BLOCK_BYTES``, each extended to the end of the line it stops
@@ -737,13 +722,27 @@ def write_columns(f, header: Sequence[str], columns: Sequence[tuple]) -> None:
 
 def _read(cls, path, table, fields_of, **attrs):
     """A ``cls`` of the CSV file at ``path``: each column of ``table`` the
-    file has onto its attribute, the header names after them as counters."""
-    header, cols = _read_table(path, fields_of)
+    file has onto its attribute, the header names after them as counters.
+
+    ``fields_of(header, path)`` checks the header and returns its fields.
+    A file that cannot seek, such as a pipe, is read into memory once.  A
+    value the type refuses, such as a file stem that is no valid run id,
+    is a FormatError naming the file."""
+    with open(path, "rb") as f:
+        stream = f if f.seekable() else io.BytesIO(f.read())
+        parsed = _read_bulk(stream, fields_of, path)
+        if parsed is None:
+            stream.seek(0)
+            parsed = _read_cells(stream.read(), fields_of, path)
+    header, cols = parsed
     present = [attr for name, attr, _ in table if name is None or name in header]
     attrs.update(zip(present, cols))
     if table[-1][0] is None:
         attrs["counters"] = tuple(header[len(present) - 1 :])
-    return cls(**attrs)
+    try:
+        return cls(**attrs)
+    except ValueError as exc:
+        raise FormatError(str(exc), path) from None
 
 
 def _write(obj, path, table) -> None:
@@ -800,9 +799,13 @@ def concat_datasets(datasets: Sequence[Dataset], source: str = "") -> Dataset:
     head = datasets[0]
     for ds in datasets[1:]:
         if ds.counters != head.counters:
-            raise ValueError(f"counter headers differ: {head.counters} vs {ds.counters}")
+            raise ValueError(
+                with_source(ds, f"counter headers differ: {head.counters} vs {ds.counters}")
+            )
         if (ds.freq_mhz is None) != (head.freq_mhz is None):
-            raise ValueError("frequency channel present in some datasets only")
+            raise ValueError(
+                with_source(ds, "frequency channel present in some datasets only")
+            )
     run_ids: list[str] = []
     for i, ds in enumerate(datasets):
         labels = {r: f"d{i}:{r}" for r in set(ds.run_ids)}  # one str per run

@@ -305,8 +305,12 @@ def predict(model: PowerModel, row: SampleRow) -> float:
 
 
 def predict_dataset(model: PowerModel, ds: Dataset) -> np.ndarray:
-    """Vectorised prediction for every row; the CLI's single predict path."""
-    _check_columns(model, ds.counters, ds.freq_mhz is not None, "dataset")
+    """Vectorised prediction for every row; the CLI's single predict path.
+    A refusal names the dataset's source."""
+    try:
+        _check_columns(model, ds.counters, ds.freq_mhz is not None, "dataset")
+    except ModelError as exc:
+        raise ModelError(with_source(ds, str(exc))) from None
     return linear_power(model, ds.counters, ds.deltas, ds.freq_mhz)
 
 

@@ -274,9 +274,10 @@ class _Prefixes(NamedTuple):
     """Key prefixes scored by _CvEvaluator._append, one row each, per fold:
     Q (orthonormal rows spanning ``R_f[:, prefix]``, which is ``Q^T T``),
     T^-1, the least-squares beta, ||R_f[:, prefix]||_F^2 and
-    ||T^-1||_F^2; and each prefix's first failed fold.  The first three
-    have room for a whole key of up to W columns and hold the prefix's k
-    in their leading entries."""
+    ||T^-1||_F^2; and each prefix's first failed fold.  The first three hold
+    the prefix's k in their leading entries, with room for a key of up to W
+    columns.  A greedy step's Q, T^-1 and norms are its incumbent's one row,
+    which broadcasts; Q and T^-1 are views of its k columns, with no room."""
 
     q_rows: np.ndarray  # (n, F, W, P)
     t_inv: np.ndarray  # (n, F, W, W)
@@ -292,13 +293,12 @@ class _CvEvaluator:
     ``columns`` holds ``[1 | X_pool | y]`` as rows (intercept, pool counter
     j in row j+1, power last), its samples grouped by test fold so that
     each fold's held-out samples are one slice of ``tests``; it is the only
-    full-height array kept, and it is filled a block of rows at a time
-    straight from the dataset's deltas, so setup holds little beyond it.
-    ``n_train`` holds each fold's complement row count and ``r[f]`` the R
-    factor of fold f's complement, whose own min(n_train, P) rows are
-    followed by zero rows.  ``col_map`` sends every column to its first
-    bit-identical copy, found by a CRC-32 digest of each column and
-    confirmed by comparing the bits.
+    full-height array kept, filled a block of rows at a time straight from
+    the dataset's deltas.  ``n_train`` holds each fold's complement row
+    count and ``r[f]`` the R factor of fold f's complement (its own
+    min(n_train, P) rows, then zero rows), a view of the one array of R
+    columns that ``_append`` reads.  ``col_map`` sends every column to its
+    first bit-identical copy (by a CRC-32 digest, confirmed on the bits).
 
     A subset is scored on the key ``sort(col_map[[0] + selection + 1])``,
     so copies of a counter and one subset listed in two orders are one
@@ -312,19 +312,19 @@ class _CvEvaluator:
     a fold fails (``score`` raises instead).  ``_append`` alone extends
     factorisations, each prefix from its parent on every fold at once, for
     ``_solve`` (sorted keys from the empty prefix) and for the incumbent
-    chain (``_resume``).  The chain holds the per-fold state of the set a
-    greedy step starts from: Q and T^-1, whose leading blocks hold at every
-    depth, and per depth beta, ||A||_F^2, ||T^-1||_F^2 and the first failed
-    fold.  ``_step_scores`` resumes it once per step, then appends the
-    step's candidates to it in one call or downdates a set's removals from
-    its beta and T^-1.  Memory has two bounds: ``chunk`` keys at a time
-    bound the prefix states and the prediction block of ``_score_keys``,
-    and a greedy step of at most pool keys predicts a block per fold no
-    larger than that fold's slice of ``columns``.  A key is full rank when
-    s_min > eps * max(n_train, k) * s_max, ``rank_cutoff`` of a fit on the
-    complement (n_train is the complement's row count, not R's): a bound
-    certifies it, else the SVD of ``R_f[:, key]`` decides, and a prefix
-    that fails a fold fails it for every key below.
+    chain (``_resume``), whose depths share one Q and T^-1 and keep their
+    own beta, ||A||_F^2, ||T^-1||_F^2 and first failed fold.
+    ``_step_scores`` resumes the chain once per step, then appends the
+    step's candidates to views of its Q and T^-1 in one call or downdates
+    a set's removals from its beta and T^-1.  Memory has two bounds:
+    ``chunk`` keys at a time bound the prefix states and the prediction
+    block of ``_score_keys``; a greedy step of at most pool keys predicts
+    a block per fold no larger than that fold's slice of ``columns`` and
+    holds candidates x folds x (width + P) floats beside it.  A key is
+    full rank when s_min > eps * max(n_train, k) * s_max, ``rank_cutoff``
+    of a fit on the complement (n_train is the complement's row count, not
+    R's): a bound certifies it, else the SVD of ``R_f[:, key]`` decides,
+    and a prefix that fails a fold fails it for every key below.
     """
 
     def __init__(self, ds: Dataset, pool: Sequence[str], folds: list[np.ndarray]):
@@ -344,14 +344,14 @@ class _CvEvaluator:
         self.tests = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
         self.n_train = len(order) - np.diff(edges)
         blocks = [np.linalg.qr(self.columns[:, test].T, mode="r") for test in self.tests]
-        # a complement's R has min(n_train, P) rows, as its stacked blocks do
+        # a complement's R has min(n_train, P) rows, as its stacked blocks do;
+        # column c of fold f's R factor is _r_cols[c, f, 0], as _append takes it
         p, n_folds = len(self.columns), len(folds)
-        self.r = np.zeros((n_folds, p, p))
+        self._r_cols = np.zeros((p, n_folds, 1, p))
         for fi in range(n_folds):
             r = np.linalg.qr(np.vstack(blocks[:fi] + blocks[fi + 1 :]), mode="r")
-            self.r[fi, : len(r)] = r
-        # column c of fold f's R factor, as _append takes it
-        self._r_cols = np.ascontiguousarray(self.r.transpose(2, 0, 1)[:, :, None])
+            self._r_cols[:, fi, 0, : len(r)] = r.T
+        self.r = self._r_cols[:, :, 0].transpose(1, 2, 0)
         self._r_norm2 = (self._r_cols**2).sum(-1)
         # per prefix length k: the squared certificate cut-off of each fold,
         # and the first fold with fewer training rows than k
@@ -369,9 +369,8 @@ class _CvEvaluator:
         # scores of the batch score_many is handing out, keyed by selection
         self._batch_scores: dict[tuple, float] = {}
         # the incumbent chain: design columns in append order, and the state
-        # after each depth, the empty prefix first.  The states share Q and
-        # T^-1, wide enough for any key (p - 1 columns): an append writes
-        # only its depth's column, so their leading blocks hold at every depth
+        # after each depth, the empty prefix first; they share Q and T^-1, with
+        # room for any key (p - 1 columns), whose leading blocks hold at every depth
         self._chain_key: tuple[int, ...] = ()
         self._chain = [self._empty_prefix(p - 1)]
 
@@ -471,9 +470,10 @@ class _CvEvaluator:
           search's starting set is, gives the bits ``_score_keys`` gives,
           and the first step then resumes it.
         - longer, the incumbent with one pool index appended: one
-          ``_append`` puts every distinct new column onto the chain's last
-          depth.  The key is in append order, so a score may differ in its
-          last bits from the sorted key's.
+          ``_append`` puts every distinct new column onto views of the
+          chain's last Q and T^-1, which it only reads, so only beta and
+          the failed fold are copied per candidate.  The key is in append
+          order, so a score may differ in its last bits from the sorted key's.
         - shorter, the incumbent without its entry j (selection j): when
           the incumbent has two columns or more and scores finite, its
           beta and T^-1 give every removal in closed form.  With
@@ -481,9 +481,6 @@ class _CvEvaluator:
           beta - (beta_j / C_jj) C[:, j], entry j zeroed (Golub & Van Loan,
           section 6.5).  Dropping a column cannot lower s_min or raise
           s_max, so every removal passes its set's rule.
-
-        One ``_held_out_mape`` predicts the step, a block per fold no
-        larger than the fold's slice of ``columns`` (at most pool keys).
         """
         m, grow = len(incumbent), len(selections[0]) - len(incumbent)
         q_rows, t_inv, beta, a_norm2, t_norm2, failed = self._resume(incumbent)
@@ -495,14 +492,12 @@ class _CvEvaluator:
             added = self._columns_of([sel[-1] for sel in selections])
             cols, back = np.unique(added, return_inverse=True)
             keys = np.column_stack([np.broadcast_to(key, (len(cols), width)), cols])
-            rows, w = np.zeros(len(cols), dtype=np.intp), width + 1
-            _, _, beta, _, _, failed = self._append(
-                _Prefixes(
-                    q_rows[rows, :, :w], t_inv[rows, :, :w, :w], beta[rows, :, :w],
-                    a_norm2[rows], t_norm2[rows], failed[rows],
-                ),
-                keys,
+            step = _Prefixes(
+                q_rows[:, :, :width], t_inv[:, :, :width, :width],
+                beta[:, :, : width + 1].repeat(len(cols), 0), a_norm2, t_norm2,
+                failed.repeat(len(cols)),
             )
+            _, _, beta, _, _, failed = self._append(step, keys)
         elif m < 2 or failed[0] < n_folds:
             return None
         else:
@@ -626,8 +621,10 @@ class _CvEvaluator:
 
     def _append(self, prefixes: _Prefixes, keys: np.ndarray) -> _Prefixes:
         """Each prefix row extended by the last column a of its row of
-        ``keys``, on every fold at once; the arrays of ``prefixes``, which
-        the caller owns, are updated in place.
+        ``keys``, on every fold at once.  ``prefixes``' beta, which the
+        caller owns, is updated in place, and so are Q and T^-1 where
+        ``q_rows`` has room for column d: ``_solve``'s and the chain's
+        always do, a greedy step's views of its incumbent never do.
 
         a is orthogonalised against Q twice (CGS2): w = Q a,
         q = a - Q^T w, rho = ||q||.  Then gamma = q.z / rho^2,
@@ -662,10 +659,12 @@ class _CvEvaluator:
         if failed.min() < len(self.tests):
             rho2 = np.where(self._fold_ids < failed[:, None, None], rho2, np.inf)
         rho = np.sqrt(rho2)
-        q_rows[:, :, d] = q[:, :, 0] / rho
-        gamma = (q_rows[:, :, d : d + 1] * self._r_cols[-1]).sum(-1) / rho
-        t_inv[:, :, :d, d] = u[:, :, 0] / -rho
-        t_inv[:, :, d, d] = 1.0 / rho[..., 0]
+        q /= rho[..., None]
+        gamma = (q * self._r_cols[-1]).sum(-1) / rho
+        if q_rows.shape[2] > d:
+            q_rows[:, :, d] = q[:, :, 0]
+            t_inv[:, :, :d, d] = u[:, :, 0] / -rho
+            t_inv[:, :, d, d] = 1.0 / rho[..., 0]
         beta[:, :, :d] -= gamma * u[:, :, 0]
         beta[:, :, d] = gamma[..., 0]
         return _Prefixes(q_rows, t_inv, beta, a_norm2, t_norm2 + uu1 / rho2, failed)

@@ -152,6 +152,24 @@ def test_sync_round_trips_generated_traces(tmp_path, capsys):
     assert np.array_equal(got.power_w, want.power_w)
 
 
+@pytest.mark.parametrize("kind", ["pmc", "power"])
+def test_a_trace_whose_stem_is_no_run_id_is_refused_by_name(tmp_path, capsys, kind):
+    # the stem is the trace's run id; its refusal names the file, as every
+    # other read error does
+    prefix = gen_files(tmp_path, TWO_PLUS_JUNK, "s")
+    capsys.readouterr()
+    paths = {"pmc": f"{prefix}_r0_pmc.csv", "power": f"{prefix}_r0_power.csv"}
+    bad = tmp_path / f"a,b_{kind}.csv"
+    bad.write_bytes(Path(paths[kind]).read_bytes())
+    paths[kind] = str(bad)
+    out = tmp_path / "out.csv"
+    argv = ["sync", "--pmc", paths["pmc"], "--power", paths["power"], "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: run id 'a,b_{kind}' not representable in CSV\n"
+    assert not out.exists()
+
+
 def test_sync_disjoint_traces_fail(tmp_path, capsys):
     (tmp_path / "p.csv").write_text("TIME,A\n1,10\n2,20\n")
     (tmp_path / "w.csv").write_text("TIME,POWER_W\n100,1.5\n200,2.5\n")
@@ -752,6 +770,79 @@ def test_an_empty_dataset_is_refused_by_name(tmp_path, capsys, stage):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ds_path}: ")
     assert ("mape of empty" if stage == "validate" else "exceed the 0 assignable") in err
+
+
+def _named_dataset(path, counters, freq=False):
+    ds = make_dataset(8, len(counters), seed=2, n_runs=2)
+    ds = dataclasses.replace(
+        ds, counters=counters, freq_mhz=np.full(8, 80.0) if freq else None
+    )
+    pp.write_dataset(ds, path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        ("train", "counter headers differ: ('A', 'B') vs ('A', 'C')"),
+        ("train-freq", "frequency channel present in some datasets only"),
+        ("validate", "counters missing from dataset: Z"),
+        ("predict", "dataset has no frequency channel"),
+    ],
+)
+def test_a_refused_dataset_is_named(tmp_path, capsys, stage, message):
+    # train names the dataset that does not match the first; validate and
+    # predict name the dataset the model cannot be applied to
+    a = _named_dataset(tmp_path / "a.csv", ("A", "B"))
+    model_path = tmp_path / "m.json"
+    out = tmp_path / "o.json"
+    if stage.startswith("train"):
+        other = ("A", "C") if stage == "train" else ("A", "B")
+        b = _named_dataset(tmp_path / "b.csv", other, freq=stage == "train-freq")
+        argv = ["train", "--dataset", a, "--dataset", b, "--model-out", str(out)]
+        named = b
+    else:
+        terms = (("Z", 1e-9),) if stage == "validate" else (("FREQ_MHZ", 0.01),)
+        kind = "pmc" if stage == "validate" else "freq_baseline"
+        pp.write_model(pp.PowerModel(intercept_w=1.0, terms=terms, kind=kind), model_path)
+        argv = [stage, "--model", str(model_path), "--dataset", a]
+        named = a
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {named}: {message}\n")
+    assert not out.exists()
+
+
+def test_an_unexpected_error_exits_1(capsys, monkeypatch):
+    # an error no stage expects is not a refusal of the input: exit 1 and
+    # the traceback, not exit 2
+    def fail(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(pp.regress, "read_model", fail)
+    assert main(["predict", "--model", "m.json", "--dataset", "d.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: boom\n")
+    assert "RuntimeError: boom" in err
+
+
+def test_predict_into_a_closed_pipe_exits_0_quietly(tmp_path):
+    # the reader takes one line and closes, as `| head -1` does, while
+    # predict still has more than a pipe buffer (64 KiB) to write
+    model_path = tmp_path / "m.json"
+    pp.write_model(pp.PowerModel(intercept_w=2.0, terms=(("C1", 1e-9),)), model_path)
+    ds_path = tmp_path / "d.csv"
+    pp.write_dataset(make_dataset(20000, 1, seed=5), ds_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(pp.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "pmcpower", "predict",
+            "--model", str(model_path), "--dataset", str(ds_path)]
+    with subprocess.Popen(
+        argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as child:
+        assert child.stdout.readline() == b"TIME,RUN,PREDICTED_W\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, err) == (0, b"")
 
 
 def test_train_on_a_dataset_without_counters_exits_2(tmp_path, capsys):

@@ -430,6 +430,27 @@ def test_an_addition_batch_holds_less_than_the_data():
     assert peak < fast.columns.nbytes
 
 
+def test_a_bottom_up_step_holds_no_copy_of_its_incumbent():
+    # an addition step appends its candidates to views of the incumbent's
+    # own Q and T^-1, so what a step holds does not grow with the
+    # incumbent; a copy of them per candidate (candidates x folds x width
+    # x P floats) would grow with every step
+    ds = make_dataset(1000, 120, seed=4, n_runs=10)
+    fast = search._CvEvaluator(ds, ds.counters, pp.kfold_split(ds, 10))
+    selected, peaks = [], []
+    for _ in range(8):
+        trials = _additions(selected, len(ds.counters))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scores = fast.score_many(trials, selected)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        selected = trials[int(np.argmin(scores))]
+    assert peaks[-1] <= 1.1 * peaks[0], peaks
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=cv_cases(), data=st.data())
 def test_a_resumed_chain_keeps_the_bits_of_a_fresh_solve(case, data):
