@@ -2,16 +2,17 @@
 
 The generator is the verification oracle for the rest of the pipeline:
 counter deltas are drawn per counter, accumulated into cumulative 32-bit
-PMC traces (optionally forced across the 2^32 wrap), and power per
-interval is the true model applied to the interval's event counts, times
-multiplicative Gaussian sensor noise.  Counters are exact by construction;
-only the power channel is noisy.
+PMC traces (``inject_wrap`` starts them so that every column with events
+wraps), and power per interval is the true model applied to the interval's
+event counts, times multiplicative Gaussian sensor noise.  Counters are
+exact by construction; only the power channel is noisy.
 
 With ``drop_rate > 0`` a fraction of power samples is removed, so the
-surviving intervals span several PMC sample periods; the returned Dataset
-is the exact synchronisation of the two traces, merged intervals included.
-At zero noise the true model therefore scores 0% MAPE on the returned
-Dataset, and at zero drop rate ``synchronize`` reproduces it exactly.
+surviving intervals span several PMC sample periods.  The returned Dataset
+is the exact synchronisation of the two traces: ``sync.interval_deltas``
+forms its deltas, as it forms ``synchronize``'s, so a merged interval that
+wraps twice aliases mod 2^32 the same way.  At zero noise the true model
+therefore scores 0% MAPE on it, and ``synchronize`` reproduces it exactly.
 
 The random draws come in one fixed order: each run's deltas, then its
 power-sample drops, run by run, then the noise of every row at once.  A
@@ -41,6 +42,7 @@ from .dataset import (
 )
 from .errors import GenError
 from .regress import KIND_PMC, PowerModel, linear_power
+from .sync import interval_deltas
 
 # 80 MHz clock sampled at about 95 Hz
 DEFAULT_PERIOD_CYCLES = 842105
@@ -170,22 +172,17 @@ def generate(spec: GenSpec) -> GenResult:
         base = period * (1 + run * (n + 7))
         keys = base + period * np.arange(n, dtype=np.uint64)
 
-        deltas = rng.integers(lo, hi + 1, size=(n - 1, p), dtype=np.int64)
-
-        # running event totals from sample 0
-        csum = np.zeros((n, p), dtype=np.int64)
-        np.cumsum(deltas, axis=0, out=csum[1:])
-
-        # cumulative readings, wrapped at 2^32; a mid-range start forces at
-        # least one crossing per column when requested
-        start = 0
+        # cumulative readings from a start, summed in uint32 so they wrap at
+        # 2^32; a mid-range start makes a column wrap when its run total > 0
+        values = np.zeros((n, p), dtype=np.uint32)
+        values[1:] = rng.integers(lo, hi + 1, size=(n - 1, p), dtype=np.int64)
         if spec.inject_wrap:
-            start = (COUNTER_MODULUS - (csum[-1] + 1) // 2) % COUNTER_MODULUS
-        cumulative = csum + start
-        cumulative %= COUNTER_MODULUS
+            total = values.sum(axis=0, dtype=np.int64)
+            values[0] = (COUNTER_MODULUS - (total + 1) // 2) % COUNTER_MODULUS
+        np.cumsum(values, axis=0, out=values)
         pmc_traces.append(
             CounterTrace(
-                time_keys=keys, counters=counters, values=cumulative, run_id=f"r{run}"
+                time_keys=keys, counters=counters, values=values, run_id=f"r{run}"
             )
         )
 
@@ -197,14 +194,14 @@ def generate(spec: GenSpec) -> GenResult:
         kept_idx = np.flatnonzero(kept)
         kept_keys.append(keys[kept_idx])
 
-        # event counts over the surviving (possibly merged) intervals,
-        # wrap-corrected exactly as synchronisation reconstructs them
-        merged.append((csum[kept_idx[1:]] - csum[kept_idx[:-1]]) % COUNTER_MODULUS)
+        # event counts over the surviving (possibly merged) intervals, formed
+        # exactly as synchronisation forms them
+        merged.append(interval_deltas(values, kept_idx))
 
     # true power over ALL rows in one pass, through predict_dataset's own
     # expression, so the true model scores exactly 0% MAPE on the
     # noiseless dataset
-    all_deltas = np.concatenate(merged, axis=0).astype(np.uint32)
+    all_deltas = np.concatenate(merged, axis=0)
     truth = linear_power(spec.true_model, counters, all_deltas)
     if np.any(truth <= 0):
         raise GenError(

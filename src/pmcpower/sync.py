@@ -9,9 +9,9 @@ at 2^64 - 1 instead of wrapping.  Ambiguity (two candidates in one window,
 on either side) is an error, never a silent choice.
 
 Deltas are taken between *consecutive matched* keys, so unmatched samples
-widen the surrounding interval instead of corrupting it.  Counter readings
-wrap at 2^32 and are wrap-corrected; the resulting dataset feeds the
-regression with per-interval event counts, not cumulative totals.
+widen the surrounding interval instead of corrupting it.  One function,
+``interval_deltas``, wrap-corrects the 32-bit readings for sync and for gen;
+the resulting dataset feeds the regression with per-interval event counts.
 """
 
 from __future__ import annotations
@@ -106,6 +106,18 @@ def _match_pairs(
     return pmc_idx, pwr_idx, sorted(ambiguous)
 
 
+def interval_deltas(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The uint32 event counts between consecutive samples ``idx`` of the
+    cumulative 32-bit readings ``values``: differences mod 2^32, so an
+    interval that wraps twice aliases.  Readings are gathered a block at a
+    time, so only the deltas are full size."""
+    deltas = np.empty((len(idx) - 1, values.shape[1]), dtype=np.uint32)
+    for lo in range(0, len(deltas), _BLOCK_ROWS):
+        vals = values[idx[lo : lo + _BLOCK_ROWS + 1]]
+        np.subtract(vals[1:], vals[:-1], out=deltas[lo : lo + _BLOCK_ROWS])
+    return deltas
+
+
 def coverage_report(
     pmc: CounterTrace, pwr: PowerTrace, cfg: SyncConfig = SyncConfig()
 ) -> CoverageReport:
@@ -149,16 +161,11 @@ def synchronize(
             "dropped unmatched keys: %d PMC, %d power", dropped[0], dropped[1]
         )
 
-    # uint32 arithmetic wraps mod 2^32: the wrap-corrected difference.  The
-    # readings are gathered a block at a time, so only the deltas are full size
-    deltas = np.empty((len(pmc_idx) - 1, len(pmc.counters)), dtype=np.uint32)
-    for lo in range(0, len(deltas), _BLOCK_ROWS):
-        vals = pmc.values[pmc_idx[lo : lo + _BLOCK_ROWS + 1]]
-        np.subtract(vals[1:], vals[:-1], out=deltas[lo : lo + _BLOCK_ROWS])
+    deltas = interval_deltas(pmc.values, pmc_idx)
     return Dataset(
         counters=pmc.counters,
         time_keys=pmc.time_keys[pmc_idx[1:]],
-        run_ids=(pmc.run_id,) * (len(pmc_idx) - 1),
+        run_ids=(pmc.run_id,) * len(deltas),
         power_w=pwr.power_w[pwr_idx[1:]],
         deltas=deltas,
         freq_mhz=None if pwr.freq_mhz is None else pwr.freq_mhz[pwr_idx[1:]],

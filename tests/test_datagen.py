@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import pmcpower as pp
 from pmcpower import dataset
 from pmcpower.cli import main
+from ref_impl import MOD32, ref_delta, ref_sync_rows
 
 ONE = pp.PowerModel(intercept_w=2.59799, terms=(("C16", 4.58765e-06),))
 TWO = pp.PowerModel(
@@ -277,6 +279,70 @@ def test_sync_closure_property(seed, n, drop, wrap, noise):
     )
     res = pp.generate(spec)
     assert pp.synchronize(res.pmc, res.power) == res.dataset
+
+
+def test_rows_match_the_reference_sync_of_their_own_traces():
+    """Each run's rows are the reference synchronisation of that run's
+    traces: an oracle that shares no code with ``sync.interval_deltas``,
+    which gen and sync both form their deltas with.  W draws from its whole
+    range, so a merged interval wraps more than once and aliases mod 2^32
+    as the reference does; Z, with a run total of 0, never wraps."""
+    spec = pp.GenSpec(
+        true_model=pp.PowerModel(intercept_w=2.0, terms=(("A", 1e-06),)),
+        n_samples=40,
+        counter_ranges={"A": (0, 100000), "W": (0, 2**32 - 1), "Z": (0, 0)},
+        n_runs=3,
+        drop_rate=0.5,
+        inject_wrap=True,
+        noise_rel=0.01,
+        seed=12,
+    )
+    res = pp.generate(spec)
+    ds = res.dataset
+    run_ids = np.array(ds.run_ids)
+    aliased = 0
+    for pmc, pwr in zip(res.pmc_traces, res.power_traces):
+        assert len(pwr) < len(pmc)
+        values = pmc.values.tolist()
+        rows = ref_sync_rows(pmc.time_keys, values, pwr.time_keys, pwr.power_w, 0)
+        mine = run_ids == pmc.run_id
+        assert [t for t, _, _ in rows] == ds.time_keys[mine].tolist()
+        assert [w for _, w, _ in rows] == ds.power_w[mine].tolist()
+        assert [list(d) for _, _, d in rows] == ds.deltas[mine].tolist()
+        assert not pmc.values[:, 2].any()
+        # the events W counted over each merged interval, from the
+        # single-sample deltas, which cannot wrap twice
+        steps = [ref_delta(a[1], b[1]) for a, b in zip(values, values[1:])]
+        ends = np.searchsorted(pmc.time_keys, pwr.time_keys)
+        events = [sum(steps[i:j]) for i, j in zip(ends, ends[1:])]
+        assert [e % MOD32 for e in events] == ds.deltas[mine, 1].tolist()
+        aliased += sum(e >= MOD32 for e in events)
+    assert aliased
+
+
+def test_generate_holds_little_beyond_its_result():
+    """One run of 50,001 samples x 24 counters: generate's traced peak is
+    at most 3x the bytes its result's arrays hold.  Summing int64 running
+    totals and taking their deltas and differences mod 2^32 took 5.1x."""
+    spec = pp.GenSpec(
+        true_model=pp.PowerModel(intercept_w=2.0, terms=(("C00", 1e-06),)),
+        n_samples=50_001,
+        counter_ranges={f"C{i:02d}": (0, 600_000) for i in range(24)},
+        inject_wrap=True,
+        seed=3,
+    )
+    tracemalloc.start()
+    try:
+        res = pp.generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    parts = (*res.pmc_traces, *res.power_traces, res.dataset)
+    held = sum(
+        a.nbytes for part in parts for a in vars(part).values()
+        if isinstance(a, np.ndarray)
+    )
+    assert peak <= 3 * held, peak / held
 
 
 def _select_smoke_spec():
