@@ -14,10 +14,12 @@ forms its deltas, as it forms ``synchronize``'s, so a merged interval that
 wraps twice aliases mod 2^32 the same way.  At zero noise the true model
 therefore scores 0% MAPE on it, and ``synchronize`` reproduces it exactly.
 
-The random draws come in one fixed order: each run's deltas, then its
-power-sample drops, run by run, then the noise of every row at once.  A
-spec therefore always yields the same bytes.  ``GenSpec`` declares its
-JSON keys as ``dataset.json_field``s; an absent key takes its default.
+``generate`` makes two passes in one fixed draw order.  The first draws
+each run's deltas, then its power-sample drops, run by run; the second
+fills each run's slice of the dataset's rows, then draws the noise of
+every row at once.  A spec therefore always yields the same bytes.
+``GenSpec`` declares its JSON keys as ``dataset.json_field``s; an absent
+key takes its default.
 """
 
 from __future__ import annotations
@@ -152,9 +154,9 @@ class GenResult:
 def generate(spec: GenSpec) -> GenResult:
     """Draw the trace pair(s) and their exact synchronised dataset.
 
-    One pass per run draws its deltas and then its dropped power samples;
-    the true power and the noise of every row follow in one draw, split
-    back into runs for the power traces.
+    Pass 1 draws each run's readings and dropped power samples; pass 2
+    fills each run's slice of the one delta array.  The true power and
+    noise of every row follow, and each run's power trace reads its slice.
     """
     rng = np.random.default_rng(spec.seed)
     counters = spec.counters
@@ -164,9 +166,7 @@ def generate(spec: GenSpec) -> GenResult:
     lo = np.array([spec.counter_ranges[c][0] for c in counters], dtype=np.int64)
     hi = np.array([spec.counter_ranges[c][1] for c in counters], dtype=np.int64)
 
-    pmc_traces: list[CounterTrace] = []
-    kept_keys: list[np.ndarray] = []
-    merged: list[np.ndarray] = []
+    runs: list[tuple[CounterTrace, np.ndarray]] = []  # trace, kept samples
     for run in range(spec.n_runs):
         # separate each run's key range so concatenated rows stay unique
         base = period * (1 + run * (n + 7))
@@ -180,10 +180,8 @@ def generate(spec: GenSpec) -> GenResult:
             total = values.sum(axis=0, dtype=np.int64)
             values[0] = (COUNTER_MODULUS - (total + 1) // 2) % COUNTER_MODULUS
         np.cumsum(values, axis=0, out=values)
-        pmc_traces.append(
-            CounterTrace(
-                time_keys=keys, counters=counters, values=values, run_id=f"r{run}"
-            )
+        trace = CounterTrace(
+            time_keys=keys, counters=counters, values=values, run_id=f"r{run}"
         )
 
         # thin the power trace; endpoints always survive so at least one
@@ -191,28 +189,30 @@ def generate(spec: GenSpec) -> GenResult:
         kept = np.ones(n, dtype=bool)
         if spec.drop_rate > 0:
             kept[1:-1] = rng.random(n - 2) >= spec.drop_rate
-        kept_idx = np.flatnonzero(kept)
-        kept_keys.append(keys[kept_idx])
+        runs.append((trace, np.flatnonzero(kept)))
 
-        # event counts over the surviving (possibly merged) intervals, formed
-        # exactly as synchronisation forms them
-        merged.append(interval_deltas(values, kept_idx))
+    # each run's rows, a slice of the dataset; its event counts over the
+    # surviving (possibly merged) intervals are formed exactly as
+    # synchronisation forms them
+    bounds = np.cumsum([0] + [len(kept) - 1 for _, kept in runs]).tolist()
+    rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    deltas = np.empty((bounds[-1], p), dtype=np.uint32)
+    time_keys = np.empty(bounds[-1], dtype=np.uint64)
+    for (trace, kept), r in zip(runs, rows):
+        deltas[r] = interval_deltas(trace.values, kept)
+        time_keys[r] = trace.time_keys[kept[1:]]
 
     # true power over ALL rows in one pass, through predict_dataset's own
     # expression, so the true model scores exactly 0% MAPE on the
     # noiseless dataset
-    all_deltas = np.concatenate(merged, axis=0)
-    truth = linear_power(spec.true_model, counters, all_deltas)
+    truth = linear_power(spec.true_model, counters, deltas)
     if np.any(truth <= 0):
         raise GenError(
             "true model yields non-positive power for the drawn counts"
         )
-    noise = (
-        1.0 + spec.noise_rel * rng.standard_normal(len(truth))
-        if spec.noise_rel > 0
-        else np.ones(len(truth))
-    )
-    measured = truth * noise
+    measured = truth
+    if spec.noise_rel > 0:
+        measured = truth * (1.0 + spec.noise_rel * rng.standard_normal(len(truth)))
     if np.any(measured <= 0) or not np.all(np.isfinite(measured)):
         raise GenError(
             "generated power is not positive; "
@@ -222,30 +222,25 @@ def generate(spec: GenSpec) -> GenResult:
     # the first kept sample has no preceding interval; give it the first
     # interval's true power so the trace stays positive (it is never
     # consumed by synchronisation)
-    cuts = np.cumsum([len(m) for m in merged])[:-1]
     power_traces = tuple(
         PowerTrace(
-            time_keys=keys,
-            power_w=np.concatenate([seg_truth[:1], seg_measured]),
-            run_id=pmc.run_id,
+            time_keys=trace.time_keys[kept],
+            power_w=np.concatenate([truth[r][:1], measured[r]]),
+            run_id=trace.run_id,
         )
-        for pmc, keys, seg_truth, seg_measured in zip(
-            pmc_traces, kept_keys, np.split(truth, cuts), np.split(measured, cuts)
-        )
+        for (trace, kept), r in zip(runs, rows)
     )
     dataset = Dataset(
         counters=counters,
-        time_keys=np.concatenate([keys[1:] for keys in kept_keys]),
+        time_keys=time_keys,
         run_ids=tuple(
-            pmc.run_id for pmc, m in zip(pmc_traces, merged) for _ in range(len(m))
+            trace.run_id for trace, kept in runs for _ in range(len(kept) - 1)
         ),
         power_w=measured,
-        deltas=all_deltas,
+        deltas=deltas,
         source=f"datagen(seed={spec.seed})",
     )
-    return GenResult(
-        pmc_traces=tuple(pmc_traces), power_traces=power_traces, dataset=dataset
-    )
+    return GenResult(tuple(trace for trace, _ in runs), power_traces, dataset)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,8 @@ def ref_cv_score(design, y, folds, cols):
     candidate.  A fold whose complement has fewer rows than parameters, or
     whose complement design has rank short of len(cols) under the default
     ``lstsq`` cut-off eps * max(n_train, len(cols)) * s_max, makes the
-    whole score +inf.
+    whole score +inf.  Each fold's beta solves the complement design with
+    its columns scaled to unit norm.
     """
     n = len(y)
     k = len(cols)
@@ -88,11 +89,14 @@ def ref_cv_score(design, y, folds, cols):
         if len(train) < k:
             return float("inf")
         x_train = np.array([[design[i][c] for c in cols] for i in train])
-        beta, _, rank, _ = np.linalg.lstsq(
-            x_train, np.array([y[i] for i in train]), rcond=None
-        )
-        if rank < k:
+        y_train = np.array([y[i] for i in train])
+        if np.linalg.lstsq(x_train, y_train, rcond=None)[2] < k:
             return float("inf")
+        # SVD least squares is not invariant to column scaling, and counts
+        # dwarf the intercept column, so beta comes from the column-scaled
+        # design; an all-zero column failed the rank rule above
+        norms = np.linalg.norm(x_train, axis=0)
+        beta = np.linalg.lstsq(x_train / norms, y_train, rcond=None)[0] / norms
         predicted = [
             sum(float(design[i][c]) * float(b) for c, b in zip(cols, beta))
             for i in test

@@ -381,6 +381,30 @@ def test_addition_batches_agree_with_scores_alone(case):
         selected = trials[best]
 
 
+def test_wide_pool_steps_match_the_oracle():
+    # 30 counters of counts up to 2^32 beside the intercept column: a
+    # bottom_up step from the first 22 counters and the first top_down
+    # step, each scored as one batch, agree with the oracle within each
+    # trial's _mape_tolerance and pick what it picks.  An oracle that
+    # solved the unscaled design by SVD was the less accurate side here
+    # (1.7e-9 points off against a tolerance of 2.9e-11)
+    ds = make_dataset(300, 30, seed=4, n_runs=6)
+    folds = pp.kfold_split(ds, 4)
+    fast = search._CvEvaluator(ds, ds.counters, folds)
+    ref = _RefEvaluator(ds, ds.counters, folds)
+    first_22, every = list(range(22)), list(range(30))
+    for selected, trials in (
+        (first_22, _additions(first_22, 30)),
+        (every, _removals(every)),
+    ):
+        got = fast.score_many(trials, selected)
+        want = [ref.score_or_inf(t) for t in trials]
+        for trial, g, w in zip(trials, got, want):
+            tol = _mape_tolerance(ref, [0] + [i + 1 for i in trial])
+            assert np.isfinite(w) and abs(g - w) <= tol, (trial, g, w, tol)
+        assert np.argmin(got) == np.argmin(want)
+
+
 def _spy(monkeypatch, target, name):
     """The shape of the keys (``_append``) or predictions (``mape_rows``)
     of every call to ``target.name``, recorded into the returned list."""
