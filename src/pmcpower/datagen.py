@@ -15,9 +15,9 @@ wraps twice aliases mod 2^32 the same way.  At zero noise the true model
 therefore scores 0% MAPE on it, and ``synchronize`` reproduces it exactly.
 
 ``generate`` makes two passes in one fixed draw order.  The first draws
-each run's deltas, then its power-sample drops, run by run; the second
-fills each run's slice of the dataset's rows, then draws the noise of
-every row at once.  A spec therefore always yields the same bytes.
+each run's deltas, a block of rows at a time, then its dropped power
+samples; the second fills each run's rows of the dataset in place, then
+draws every row's noise at once.  So a spec always yields the same bytes.
 ``GenSpec`` declares its JSON keys as ``dataset.json_field``s; an absent
 key takes its default.
 """
@@ -48,6 +48,13 @@ from .sync import interval_deltas
 
 # 80 MHz clock sampled at about 95 Hz
 DEFAULT_PERIOD_CYCLES = 842105
+_DRAW_ROWS = 1024  # readings drawn at a time, as int64, before they are stored
+
+
+def _run_start(run: int, n_samples: int) -> int:
+    """Run ``run``'s first TIME key in sample periods: runs sit 7 periods
+    apart, so concatenated rows keep unique keys."""
+    return 1 + run * (n_samples + 7)
 
 
 def _ranges(name: str, value, where=None) -> dict[str, tuple[int, int]]:
@@ -104,7 +111,7 @@ class GenSpec:
             raise ValueError("sample_period_cycles must be >= 1")
         # the last TIME key generate writes: the last run's last sample
         last_key = self.sample_period_cycles * (
-            (self.n_runs - 1) * (self.n_samples + 7) + self.n_samples
+            _run_start(self.n_runs - 1, self.n_samples) + self.n_samples - 1
         )
         if last_key >= TIME_MODULUS:
             raise ValueError(
@@ -155,8 +162,8 @@ def generate(spec: GenSpec) -> GenResult:
     """Draw the trace pair(s) and their exact synchronised dataset.
 
     Pass 1 draws each run's readings and dropped power samples; pass 2
-    fills each run's slice of the one delta array.  The true power and
-    noise of every row follow, and each run's power trace reads its slice.
+    fills each run's slice of the one delta array in place.  The true power
+    and noise of every row follow, and each run's power trace reads its slice.
     """
     rng = np.random.default_rng(spec.seed)
     counters = spec.counters
@@ -168,14 +175,16 @@ def generate(spec: GenSpec) -> GenResult:
 
     runs: list[tuple[CounterTrace, np.ndarray]] = []  # trace, kept samples
     for run in range(spec.n_runs):
-        # separate each run's key range so concatenated rows stay unique
-        base = period * (1 + run * (n + 7))
+        base = period * _run_start(run, n)
         keys = base + period * np.arange(n, dtype=np.uint64)
 
         # cumulative readings from a start, summed in uint32 so they wrap at
-        # 2^32; a mid-range start makes a column wrap when its run total > 0
+        # 2^32; a mid-range start makes a column wrap when its run total > 0.
+        # Row blocks draw what one draw of all rows would
         values = np.zeros((n, p), dtype=np.uint32)
-        values[1:] = rng.integers(lo, hi + 1, size=(n - 1, p), dtype=np.int64)
+        for a in range(1, n, _DRAW_ROWS):
+            b = min(a + _DRAW_ROWS, n)
+            values[a:b] = rng.integers(lo, hi + 1, size=(b - a, p), dtype=np.int64)
         if spec.inject_wrap:
             total = values.sum(axis=0, dtype=np.int64)
             values[0] = (COUNTER_MODULUS - (total + 1) // 2) % COUNTER_MODULUS
@@ -199,7 +208,7 @@ def generate(spec: GenSpec) -> GenResult:
     deltas = np.empty((bounds[-1], p), dtype=np.uint32)
     time_keys = np.empty(bounds[-1], dtype=np.uint64)
     for (trace, kept), r in zip(runs, rows):
-        deltas[r] = interval_deltas(trace.values, kept)
+        interval_deltas(trace.values, kept, deltas[r])
         time_keys[r] = trace.time_keys[kept[1:]]
 
     # true power over ALL rows in one pass, through predict_dataset's own

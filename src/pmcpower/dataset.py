@@ -30,19 +30,19 @@ sign, padding, fraction or exponent); float cells are what ``float()``
 reads without padding, ``_``, a leading ``+`` or non-ASCII characters, and
 must be finite and > 0.
 
-Reading takes one of two paths.  The bulk path streams the file twice and
-holds one block of it at a time: the first pass reads the header under the
-per-cell rules, checks the body cheaply (printable ASCII without space or
-``+``) and counts its rows; the second parses the body with numpy a block
-at a time, straight into each field's storage dtype.  Counts and deltas
-are stored as uint32, TIME keys as uint64.  A file that cannot seek, such
-as a pipe, is read into memory once.  Any file the bulk path does not take
-(a blank or comment line in the body, say), or whose values fail a check,
-is read again cell by cell from its start; that path is the reference and
-the only one that reports where a body error is.  So a comment line after
-the header, which the format allows, costs a file the bulk path: 18,000
-rows x 16 counters read about 5x slower.  A text column (RUN) is kept as
-runs of one shared ``str`` while it is read, and its tuple is built once.
+Reading takes one of two paths, and each rule has one owner.  The bulk
+path only parses, and never raises: it streams the file twice, holding
+one block at a time, to check the body's bytes cheaply (printable ASCII
+without space or ``+``) and count its rows, then to parse it with numpy
+straight into each field's storage dtype (uint32 counts and deltas,
+uint64 TIME keys).  The types check the values, once per column.  A file
+the bulk path does not parse (a bad header, a blank or comment line in
+the body, say), or whose table its type refuses, is read again cell by
+cell; that reader is the reference and raises every located error.  So a
+comment line after the header, which the format allows, costs a file the
+bulk path: 18,000 rows x 16 counters read about 5x slower.  A pipe is
+read into memory once.  A text column (RUN) is kept as runs of one
+shared ``str`` while it is read, and its tuple is built once.
 
 Writers format a block of rows, at most 4,096 cells at any width, with one
 printf-style ``%`` call: ``%s`` for run ids and integers, ``%r`` for
@@ -476,9 +476,7 @@ class _TextRuns:
         self.counts: list[int] = []
 
     def extend(self, cells: np.ndarray) -> None:
-        """Append a block's cells, a 1-D object array."""
-        if not len(cells):
-            return
+        """Append a block's cells, a non-empty 1-D object array."""
         starts = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))
         counts = np.diff(np.append(starts, len(cells)))
         for cell, count in zip(cells[starts].tolist(), counts.tolist()):
@@ -497,41 +495,28 @@ class _TextRuns:
 
 
 def _read_bulk(stream, fields_of, path) -> tuple[list[str], list] | None:
-    """``_read_cells``' result for a well-formed file, parsed by numpy.
+    """numpy's parse of a CSV file as ``(header, columns)``, or None; it
+    never raises and applies no value rule.
 
     ``stream`` is a seekable binary file, read from its start in two passes
-    of ``_blocks``.  The first checks the body's bytes and counts its rows;
-    the second parses each block into the preallocated columns, and keeps
-    a text column as ``_TextRuns``.  The header is read under the per-cell
-    rules (UTF-8, no CR, not blank, split on ``,``), so any counter name
-    the format allows takes this path.  Returns None where the per-cell
-    reader has to decide: a header that is not UTF-8, a byte outside
-    ``_BULK_BYTES`` in the body, a blank line, a comment after the header,
-    a cell numpy does not parse or a value that fails a check.  Raises only
-    the header errors ``_read_cells`` raises, and only once the body's
-    bytes have passed, as that reader first rejects a body that is not
-    UTF-8.
-
-    loadtxt skips blank lines, so one shows as fewer rows than lines.  A
-    comment line in the body either fails to parse or puts a ``#`` at the
-    start of the text RUN column.
+    of ``_blocks``.  The header, after any leading ``#`` lines, is split on
+    ``,`` and given to ``fields_of``; the first pass checks the body's bytes
+    and counts its rows, the second parses each block into the
+    preallocated columns, a text column as ``_TextRuns``.  None means a
+    header that is not UTF-8 or that ``fields_of`` refuses, a byte outside
+    ``_BULK_BYTES`` in the body, a blank line (loadtxt skips it, so it shows
+    as fewer rows than lines) or a cell numpy does not parse.  A comment
+    line in the body either fails to parse or is a row whose RUN starts
+    with ``#``, which ``Dataset`` refuses.
     """
-    lineno = 1
     line = stream.readline()
-    while line.startswith(b"#"):
-        if not line.endswith(b"\n"):
-            return None
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        lineno += 1
-        line = stream.readline()
-    if not line:
-        return None
     try:
-        head = line.removesuffix(b"\n").decode("utf-8")
-    except UnicodeDecodeError:
+        while line.startswith(b"#"):  # one with no LF ends the file: no header
+            line.decode("utf-8")
+            line = stream.readline()
+        header = line.removesuffix(b"\n").decode("utf-8").split(",")
+        fields = fields_of(header, path)
+    except (UnicodeDecodeError, FormatError):
         return None
     body = stream.tell()
     n_rows, last = 0, b"\n"
@@ -541,8 +526,6 @@ def _read_bulk(stream, fields_of, path) -> tuple[list[str], list] | None:
         n_rows += block.count(b"\n")
         last = block[-1:]
     n_rows += last != b"\n"  # the last line has no LF
-    header = _split_row(head, None, path, lineno)
-    fields = fields_of(header, path)
 
     names = [str(i) for i in range(len(fields))]
     dtype = np.dtype([(n, f.dtype, f.shape) for n, f in zip(names, fields)])
@@ -573,19 +556,9 @@ def _read_bulk(stream, fields_of, path) -> tuple[list[str], list] | None:
             else:
                 col[row : row + len(parsed)] = parsed[name]
         row += len(parsed)
-    text = [col for col in cols if isinstance(col, _TextRuns)]
-    if row < n_rows or any(v.startswith("#") for col in text for v in col.shared):
+    if row < n_rows:
         return None
-
-    for i, (f, col) in enumerate(zip(fields, cols)):
-        if f.kind == "text":
-            cols[i] = tuple(col)
-        else:
-            try:
-                f.check(col, col.shape)
-            except ValueError:
-                return None
-    return header, cols
+    return header, [tuple(col) if isinstance(col, _TextRuns) else col for col in cols]
 
 
 def _read_cells(data: bytes, fields_of, path) -> tuple[list[str], list]:
@@ -720,27 +693,38 @@ def write_columns(f, header: Sequence[str], columns: Sequence[tuple]) -> None:
         f.write((row * n) % tuple(cells[:n].ravel().tolist()))
 
 
-def _read(cls, path, table, fields_of, **attrs):
-    """A ``cls`` of the CSV file at ``path``: each column of ``table`` the
-    file has onto its attribute, the header names after them as counters.
-
-    ``fields_of(header, path)`` checks the header and returns its fields.
-    A file that cannot seek, such as a pipe, is read into memory once.  A
-    value the type refuses, such as a file stem that is no valid run id,
-    is a FormatError naming the file."""
-    with open(path, "rb") as f:
-        stream = f if f.seekable() else io.BytesIO(f.read())
-        parsed = _read_bulk(stream, fields_of, path)
-        if parsed is None:
-            stream.seek(0)
-            parsed = _read_cells(stream.read(), fields_of, path)
-    header, cols = parsed
+def _build(cls, table, header, cols, **attrs):
+    """The ``cls`` of a read table: each column of ``table`` the header has
+    onto its attribute, the header names after them as counters."""
     present = [attr for name, attr, _ in table if name is None or name in header]
     attrs.update(zip(present, cols))
     if table[-1][0] is None:
         attrs["counters"] = tuple(header[len(present) - 1 :])
+    return cls(**attrs)
+
+
+def _read(cls, path, table, fields_of, **attrs):
+    """A ``cls`` of the CSV file at ``path``, built by ``_build``;
+    ``fields_of(header, path)`` checks the header and returns its fields.
+
+    A bulk table the type refuses (a bad value, or a body comment read as
+    a run ``#...``) is dropped and the file read again by ``_read_cells``,
+    which raises a located FormatError, as for a file the bulk path does
+    not parse.  A pipe is read into memory once.  A value the type refuses
+    in the per-cell table, such as a file stem that is no valid run id, is
+    a FormatError naming the file."""
+    with open(path, "rb") as f:
+        stream = f if f.seekable() else io.BytesIO(f.read())
+        parsed = _read_bulk(stream, fields_of, path)
+        if parsed is not None:
+            try:
+                return _build(cls, table, *parsed, **attrs)
+            except ValueError:
+                parsed = None  # drop the refused table before the re-read
+        stream.seek(0)
+        parsed = _read_cells(stream.read(), fields_of, path)
     try:
-        return cls(**attrs)
+        return _build(cls, table, *parsed, **attrs)
     except ValueError as exc:
         raise FormatError(str(exc), path) from None
 

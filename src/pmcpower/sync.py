@@ -106,16 +106,15 @@ def _match_pairs(
     return pmc_idx, pwr_idx, sorted(ambiguous)
 
 
-def interval_deltas(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The uint32 event counts between consecutive samples ``idx`` of the
-    cumulative 32-bit readings ``values``: differences mod 2^32, so an
-    interval that wraps twice aliases.  Readings are gathered a block at a
-    time, so only the deltas are full size."""
-    deltas = np.empty((len(idx) - 1, values.shape[1]), dtype=np.uint32)
-    for lo in range(0, len(deltas), _BLOCK_ROWS):
+def interval_deltas(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """Fill the uint32 rows ``out`` with the event counts between
+    consecutive samples ``idx`` of the cumulative 32-bit readings
+    ``values``: differences mod 2^32, so an interval that wraps twice
+    aliases.  Readings are gathered a block at a time, so only the rows
+    the caller passes in are full size."""
+    for lo in range(0, len(out), _BLOCK_ROWS):
         vals = values[idx[lo : lo + _BLOCK_ROWS + 1]]
-        np.subtract(vals[1:], vals[:-1], out=deltas[lo : lo + _BLOCK_ROWS])
-    return deltas
+        np.subtract(vals[1:], vals[:-1], out=out[lo : lo + _BLOCK_ROWS])
 
 
 def coverage_report(
@@ -161,7 +160,8 @@ def synchronize(
             "dropped unmatched keys: %d PMC, %d power", dropped[0], dropped[1]
         )
 
-    deltas = interval_deltas(pmc.values, pmc_idx)
+    deltas = np.empty((len(pmc_idx) - 1, len(pmc.counters)), dtype=np.uint32)
+    interval_deltas(pmc.values, pmc_idx, deltas)
     return Dataset(
         counters=pmc.counters,
         time_keys=pmc.time_keys[pmc_idx[1:]],

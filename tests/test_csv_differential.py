@@ -1,15 +1,17 @@
 """The bulk CSV reader against the per-cell reader, on corrupted files.
 
 Valid traces and datasets are written by the package's writers, then each
-edit in ``EDITS`` is applied on its own, at a drawn line and cell.  Wherever
-the bulk reader returns a result, the per-cell reader must accept the file
-with the same values; wherever the per-cell reader rejects, the public
+edit in ``EDITS`` is applied on its own, at a drawn line and cell.  The
+bulk reader never raises; wherever it returns a table that its type
+accepts (``dataset._build``), the per-cell reader must accept the file
+with the same values.  Wherever the per-cell reader rejects, the public
 reader must raise its exact error, line number included.
 """
 
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,11 @@ READERS = {
     "pmc": (dataset._counter_fields, pp.read_counter_trace),
     "power": (dataset._power_fields, pp.read_power_trace),
     "dataset": (dataset._dataset_fields, pp.read_dataset),
+}
+TYPES = {
+    "pmc": (pp.CounterTrace, dataset._COUNTER_COLUMNS),
+    "power": (pp.PowerTrace, dataset._POWER_COLUMNS),
+    "dataset": (pp.Dataset, dataset._DATASET_COLUMNS),
 }
 
 # every run id here is one the bulk reader takes
@@ -114,6 +121,15 @@ def _outcome(call):
         return "error", str(exc)
 
 
+def _accepted(kind, table) -> bool:
+    """Whether the type of ``kind`` takes the read ``table``."""
+    try:
+        dataset._build(*TYPES[kind], *table)
+    except ValueError:
+        return False
+    return True
+
+
 def _same_table(a, b) -> bool:
     (head_a, cols_a), (head_b, cols_b) = a, b
     if head_a != head_b or len(cols_a) != len(cols_b):
@@ -151,13 +167,11 @@ def test_bulk_reader_agrees_with_per_cell_reader(
         path.write_bytes(_mutate(valid, edit, data.draw))
         raw = path.read_bytes()
         strict = _outcome(lambda: dataset._read_cells(raw, fields_of, path))
-        bulk = _outcome(lambda: dataset._read_bulk(io.BytesIO(raw), fields_of, path))
+        bulk = dataset._read_bulk(io.BytesIO(raw), fields_of, path)
 
-        if bulk[0] == "error":  # only the header errors both readers raise
-            assert bulk == strict, edit
-        elif bulk[1] is not None:
+        if bulk is not None and _accepted(kind, bulk):
             assert strict[0] == "ok", (edit, strict[1])
-            assert _same_table(bulk[1], strict[1]), edit
+            assert _same_table(bulk, strict[1]), edit
         public = _outcome(lambda: read(path))
         assert public[0] == strict[0], edit
         if strict[0] == "error":
@@ -185,3 +199,54 @@ def test_bulk_reader_takes_any_header_the_format_allows(tmp_path):
         assert _same_table(bulk, dataset._read_cells(raw, fields_of, path)), path
         head, _, body = raw.partition(b"\n")
         assert dataset._read_bulk(io.BytesIO(head + b"\n# note\n" + body), fields_of, path) is None
+
+
+# a valid header and row of each kind; the faults edit the header
+_HEADED = {
+    "pmc": ("TIME,A,B", "1,5,6"),
+    "power": ("TIME,POWER_W", "1,2.5"),
+    "dataset": ("RUN,TIME,POWER_W,A,B", "r0,1,2.5,5,6"),
+}
+# the per-cell reader names line 1 for these; a header its kind refuses,
+# or a file with no header, has no line
+_LOCATED = {
+    "cr": lambda head: head + b"\r\n",
+    "blank": lambda head: b"\n",
+    "latin1": lambda head: head + "\u00e9\n".encode("latin-1"),
+}
+_HEADER_FAULTS = {
+    **_LOCATED,
+    "duplicate": lambda head: head + b",A\n",
+    "reserved": lambda head: head + b",TIME\n",
+    "lead_comment_no_lf": lambda head: b"# note",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, fault",
+    [
+        (kind, fault)
+        for kind in sorted(READERS)
+        for fault in _HEADER_FAULTS
+        if kind != "power" or fault not in ("duplicate", "reserved")
+    ],
+)
+def test_a_header_fault_is_the_per_cell_readers_error(tmp_path, kind, fault):
+    """The bulk reader gives None for each header fault, and the public
+    reader raises the per-cell reader's exact error, line included where
+    it has one.  A power header names no counters, so it has no duplicate
+    or reserved one."""
+    fields_of, read = READERS[kind]
+    head, row = _HEADED[kind]
+    raw = _HEADER_FAULTS[fault](head.encode())
+    if fault != "lead_comment_no_lf":
+        raw += row.encode() + b"\n"
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(raw)
+    assert dataset._read_bulk(io.BytesIO(raw), fields_of, path) is None
+    with pytest.raises(pp.FormatError) as strict:
+        dataset._read_cells(raw, fields_of, path)
+    with pytest.raises(pp.FormatError) as public:
+        read(path)
+    assert str(public.value) == str(strict.value)
+    assert str(strict.value).endswith(" at line 1") == (fault in _LOCATED)

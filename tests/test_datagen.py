@@ -352,18 +352,24 @@ def _traced_generate(spec):
     return res, peak, held
 
 
-def test_generate_holds_each_row_once():
-    """10 runs of 5,001 samples x 24 counters: beyond its result,
-    generate's traced peak is at most the bytes of the dataset's deltas.
-    Keeping each run's deltas in a list and concatenating them took 1.27x."""
+@pytest.mark.parametrize(
+    "n_runs, n_samples, share", [(10, 5_001, 1.0), (1, 50_001, 0.5)]
+)
+def test_generate_holds_each_row_once(n_runs, n_samples, share):
+    """Runs of 24 counters: beyond its result, generate's traced peak is at
+    most ``share`` of the bytes of the dataset's deltas.  Keeping each
+    run's deltas in a list and concatenating them took 1.27x at 10 runs.
+    One run's whole size is the dataset's, so there no run-sized temporary
+    may remain: drawing its readings as one int64 array and copying its
+    deltas into the dataset took 0.89x, filling both in place 0.26x."""
     names = [f"C{i:02d}" for i in range(24)]
     spec = pp.GenSpec(
         true_model=pp.PowerModel(
             intercept_w=2.5, terms=tuple((name, 1e-06) for name in names[:4])
         ),
-        n_samples=5_001,
+        n_samples=n_samples,
         counter_ranges={name: (0, 600_000) for name in names},
-        n_runs=10,
+        n_runs=n_runs,
         noise_rel=0.01,
         drop_rate=0.1,
         inject_wrap=True,
@@ -371,7 +377,7 @@ def test_generate_holds_each_row_once():
     )
     res, peak, held = _traced_generate(spec)
     deltas = res.dataset.deltas.nbytes
-    assert peak - held <= deltas, (peak - held) / deltas
+    assert peak - held <= share * deltas, (peak - held) / deltas
 
 
 def _select_smoke_spec():

@@ -730,8 +730,8 @@ def test_write_columns_rejects_mismatched_columns():
 
 def test_body_comment_line_goes_to_the_per_cell_reader(tmp_path):
     """A body line ``#r0,...`` with valid cells parses under loadtxt as a
-    run named ``#r0``; the bulk path must leave it to the per-cell reader,
-    which skips it as a comment."""
+    run named ``#r0``; ``Dataset`` must refuse that bulk table, so the file
+    goes to the per-cell reader, which skips the line as a comment."""
     ds = make_dataset(6, 2, seed=3)
     path = tmp_path / "d.csv"
     pp.write_dataset(ds, path)
@@ -745,7 +745,9 @@ def test_body_comment_line_goes_to_the_per_cell_reader(tmp_path):
         io.BytesIO(comment), dtype=dtype, delimiter=",", comments=None, ndmin=1
     )
     assert parsed["0"].tolist() == ["#r0"]
-    assert dataset._read_bulk(io.BytesIO(data), dataset._dataset_fields, path) is None
+    bulk = dataset._read_bulk(io.BytesIO(data), dataset._dataset_fields, path)
+    with pytest.raises(ValueError, match="run id '#r0' not representable"):
+        dataset._build(pp.Dataset, dataset._DATASET_COLUMNS, *bulk)
     path.write_bytes(data)
     assert pp.read_dataset(path) == ds
 
@@ -770,6 +772,53 @@ def test_blank_line_goes_to_the_per_cell_reader(
     assert dataset._read_bulk(io.BytesIO(text.encode()), dataset._counter_fields, path) is None
     with pytest.raises(pp.FormatError, match=f"empty line at line {blank}$"):
         pp.read_counter_trace(path)
+
+
+def test_a_file_that_grows_between_the_passes_goes_to_the_per_cell_reader(
+    tmp_path, monkeypatch
+):
+    """The first pass counts the rows; a file with more rows by the second
+    pass gives no bulk table, and the public reader returns the per-cell
+    reader's result for the grown file."""
+    path = tmp_path / "t.csv"
+    path.write_text("TIME,A\n1,5\n2,6\n")
+    blocks, calls = dataset._blocks, []
+
+    def growing(stream):
+        calls.append(stream)
+        if len(calls) % 2 == 0:  # each read's second pass: one row more
+            with open(path, "ab") as f:
+                f.write(b"%d,7\n" % (2 + len(calls) // 2))
+        return blocks(stream)
+
+    monkeypatch.setattr(dataset, "_blocks", growing)
+    with open(path, "rb") as f:
+        assert dataset._read_bulk(f, dataset._counter_fields, path) is None
+    trace = pp.read_counter_trace(path)
+    assert len(calls) == 4
+    _, (keys, values) = dataset._read_cells(path.read_bytes(), dataset._counter_fields, path)
+    assert keys.tolist() == [1, 2, 3, 4]
+    assert np.array_equal(trace.time_keys, keys)
+    assert np.array_equal(trace.values, values)
+
+
+def test_a_bulk_read_checks_each_column_once(tmp_path, monkeypatch):
+    """The bulk path applies no value rule, so reading a writer-made
+    dataset checks each array column once, in the constructor; the bulk
+    reader used to check every column before the constructor did again."""
+    ds = make_dataset(50, 3, seed=2)
+    ds = dataclasses.replace(ds, freq_mhz=np.full(len(ds), 800.0))
+    path = tmp_path / "d.csv"
+    pp.write_dataset(ds, path)
+    check, checked = dataset._Field.check, []
+
+    def spy(f, values, shape):
+        checked.append(f.what)
+        return check(f, values, shape)
+
+    monkeypatch.setattr(dataset._Field, "check", spy)
+    assert pp.read_dataset(path) == ds
+    assert checked == ["TIME", "power", "frequency", "delta"]
 
 
 def test_concat_single_dataset_passthrough():
